@@ -374,10 +374,6 @@ def cmd_trace_stats(args) -> int:
 def cmd_bench(args) -> int:
     from repro.perf import compare_reports, load_report, run_suite, save_report
 
-    if args.no_batch_kernels:
-        from repro.perf import workloads
-
-        workloads.BATCH_KERNELS = False
     only = args.only.split(",") if args.only else None
     report = run_suite(
         quick=args.quick,
@@ -757,9 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of benchmarks to run")
     bench.add_argument("--repeat", type=int, default=1,
                        help="repetitions per benchmark (best wall time wins)")
-    bench.add_argument("--no-batch-kernels", action="store_true",
-                       help="run the DLOOP benchmarks on the scalar path "
-                            "(batch_kernels=False); fingerprints must not change")
     bench.add_argument("--compare", metavar="BASELINE.json",
                        help="print per-record speedup vs a baseline report and "
                             "exit non-zero on determinism-fingerprint drift")

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from repro.conformance.sketches import splitmix64
 from repro.experiments.config import ExperimentConfig
 from repro.flash.geometry import MB, SSDGeometry
 from repro.ftl.registry import available_ftls, create_ftl
+from repro.seeding import fold_seed
 from repro.traces.model import WorkloadSpec
 from repro.traces.synthetic import make_workload
 
@@ -49,14 +49,6 @@ def ftl_supports_faults(ftl: str) -> bool:
 
     ftl_obj = create_ftl(ftl, probe_geometry, TimingParams())
     return bool(ftl_obj.fault_injection_supported)
-
-
-def _fold_seed(base_seed: int, scenario_id: str) -> int:
-    """Per-scenario seed: FNV-1a over the id, mixed with splitmix64."""
-    h = 0xCBF29CE484222325
-    for byte in scenario_id.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return splitmix64(h ^ (base_seed & 0xFFFFFFFFFFFFFFFF)) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)
@@ -220,5 +212,5 @@ def _with_seed(scenario: Scenario, base_seed: int) -> Scenario:
     import dataclasses
 
     return dataclasses.replace(
-        scenario, seed=_fold_seed(base_seed, scenario.scenario_id)
+        scenario, seed=fold_seed(base_seed, scenario.scenario_id)
     )

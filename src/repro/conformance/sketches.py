@@ -19,15 +19,9 @@ from __future__ import annotations
 
 import heapq
 
+from repro.seeding import splitmix64
+
 _MASK64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """The splitmix64 finalizer: a high-quality 64-bit integer mix."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 class KmvDistinctCounter:

@@ -18,23 +18,29 @@ Key behaviours, each tied to the paper:
 
 from __future__ import annotations
 
-from repro.flash.address import decode_translation_owner, is_translation_owner
+from repro.flash.address import OWNER_NONE, decode_translation_owner
+from repro.flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashStateError
 from repro.flash.geometry import SSDGeometry
-from repro.obs.tracebus import BUS
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator
-from repro.flash.array import FlashStateError
-from repro.ftl.base import Ftl, OutOfSpaceError
-from repro.ftl.cmt import CachedMappingTable
-from repro.ftl.gtd import GlobalTranslationDirectory
-from repro.ftl.translation import TranslationManager
+from repro.ftl.base import OutOfSpaceError
+from repro.ftl.gcontrol import parity_minimizing_order
+from repro.ftl.translation import DemandPagedFtl
+from repro.obs.tracebus import BUS
 
 
-class DloopFtl(Ftl):
-    """The paper's plane-parallel page-mapping FTL."""
+class DloopFtl(DemandPagedFtl):
+    """The paper's plane-parallel page-mapping FTL.
+
+    ``read_page`` (inherited), ``write_page`` and ``_collect`` are the
+    page protocol every run executes — benchmarked, traced, sanitized,
+    faulted or subclassed alike.  They are straight-line code: each
+    costs a handful of calls (into the translation manager, the write
+    point, the array and the timekeeper), because a Python call per
+    primitive is what dominates host time per simulated page.
+    """
 
     name = "dloop"
-    fault_injection_supported = True
 
     def __init__(
         self,
@@ -48,11 +54,12 @@ class DloopFtl(Ftl):
         gc_victim_policy: str = "greedy",
         translation_gc_mode: str = "batched",
         debug_checks: bool = False,
-        batch_kernels: bool = True,
     ):
         super().__init__(
             geometry,
             timing,
+            cmt_entries=cmt_entries,
+            translation_gc_mode=translation_gc_mode,
             gc_threshold=gc_threshold,
             max_gc_passes=max_gc_passes,
             gc_victim_policy=gc_victim_policy,
@@ -60,32 +67,9 @@ class DloopFtl(Ftl):
         )
         self.num_planes = geometry.num_planes
         self.allocators = [PlaneAllocator(p, self.array) for p in range(self.num_planes)]
-        self.cmt = CachedMappingTable(cmt_entries)
-        self.gtd = GlobalTranslationDirectory(geometry.num_lpns, geometry.page_size)
         # use_copyback=False is the A1 ablation: identical placement,
         # but GC moves pages through the controller like everyone else.
         self.use_copyback = use_copyback
-        self.tm = TranslationManager(
-            array=self.array,
-            clock=self.clock,
-            cmt=self.cmt,
-            gtd=self.gtd,
-            plane_of_tvpn=self.plane_of_tvpn,
-            allocator_of_plane=lambda plane: self.allocators[plane],
-            gc_hook=self._maybe_gc,
-            gc_mode=translation_gc_mode,
-            fallback_allocator=self._fallback_allocator,
-        )
-        self.batch_kernels = batch_kernels
-        # The flat batch kernel inlines this exact class's allocator and
-        # GC hooks, so it only attaches to an unsubclassed DloopFtl with
-        # copy-back GC; debug_checks needs the scalar path's per-op
-        # integrity hook.  Fault injection detaches it (attach_faults).
-        if batch_kernels and type(self) is DloopFtl and use_copyback and not debug_checks:
-            from repro.perf.kernels import DloopKernel
-
-            self._kernel = DloopKernel(self)
-            self.tm.kernel = self._kernel
 
     def _fallback_allocator(self):
         counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
@@ -96,19 +80,6 @@ class DloopFtl(Ftl):
     def _all_allocators(self):
         return self.allocators
 
-    def attach_faults(self, injector) -> None:
-        super().attach_faults(injector)
-        self.tm.faults = injector
-        # Fault seams live in the scalar methods only.
-        self._kernel = None
-        self.tm.kernel = None
-
-    def detach_kernel(self) -> None:
-        # Armed crash points must never be skipped by the batch kernel:
-        # clear both the FTL's and the translation manager's references.
-        self._kernel = None
-        self.tm.kernel = None
-
     def _fault_relocation_alloc(self, owner: int, src_plane: int) -> int:
         # Relocations off a retiring block stay on its plane when it has
         # space (preserving copy-back eligibility for later GC), roaming
@@ -118,11 +89,6 @@ class DloopFtl(Ftl):
         except FlashStateError:
             return self._gc_alloc_any(owner)
 
-    def _note_page_loss(self, lpn: int, now: float) -> float:
-        # The cleared mapping must persist to its translation page,
-        # exactly like a TRIM.
-        return self.tm.charge_update(lpn, now)
-
     # ---- allocator hooks (overridden by the hot/cold variant) -----------------
 
     def _host_allocator(self, plane: int, lpn: int) -> PlaneAllocator:
@@ -131,6 +97,9 @@ class DloopFtl(Ftl):
 
     def _gc_destination_allocator(self, plane: int) -> PlaneAllocator:
         """Write point for GC-relocated pages on ``plane``."""
+        return self.allocators[plane]
+
+    def _translation_allocator(self, plane: int) -> PlaneAllocator:
         return self.allocators[plane]
 
     # ---- placement policy (Eq. 1) -------------------------------------------
@@ -143,69 +112,86 @@ class DloopFtl(Ftl):
 
     # ---- host interface -------------------------------------------------------
 
-    def read_page(self, lpn: int, start: float) -> float:
-        kernel = self._kernel
-        if kernel is not None and not BUS.enabled:
-            return kernel.read_page(lpn, start)
-        self.check_lpn(lpn)
-        self.stats.host_reads += 1
-        t = self.tm.charge_lookup(lpn, start)
-        ppn = self.current_ppn(lpn)
-        if ppn == -1:
-            # Never-written page: nothing on flash to read.
-            self.stats.unmapped_reads += 1
-            return t
-        if self.faults is None:
-            t = self.clock.read_page(self.codec.ppn_to_plane(ppn), t)
-        else:
-            t = self._fault_read_data(lpn, ppn, t)
-        self._maybe_debug_check()
-        return t
-
     def write_page(self, lpn: int, start: float) -> float:
-        kernel = self._kernel
-        if kernel is not None and not BUS.enabled:
-            return kernel.write_page(lpn, start)
-        self.check_lpn(lpn)
+        if not 0 <= lpn < self._num_lpns:
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
-        plane = self.plane_of_lpn(lpn)
+        plane = lpn % self.num_planes  # Eq. 1
         t = self.tm.charge_lookup(lpn, start)
+        array = self.array
         # Reclaim space *before* taking a page so the pool never empties
-        # under the incoming write.
-        try:
-            t = self._maybe_gc(plane, t)
-        except FlashStateError as exc:
-            # GC itself ran out of destination space: the plane cannot
-            # absorb this write.  Partial collections are consistent
-            # (moved pages are already remapped), so fail per-request.
-            raise OutOfSpaceError(
-                f"plane {plane}: cannot reclaim space for lpn {lpn} — device full"
-            ) from exc
-        old_ppn = self.current_ppn(lpn)
+        # under the incoming write.  (_maybe_gc does nothing unless a
+        # pass is running or some plane is low; skip the call then.)
+        if self._gc_planes or array.gc_low_plane_count:
+            try:
+                t = self._maybe_gc(plane, t)
+            except FlashStateError as exc:
+                # GC itself ran out of destination space: the plane cannot
+                # absorb this write.  Partial collections are consistent
+                # (moved pages are already remapped), so fail per-request.
+                raise OutOfSpaceError(
+                    f"plane {plane}: cannot reclaim space for lpn {lpn} — device full"
+                ) from exc
+        old_ppn = self.page_table[lpn]
+        ppb = self._pages_per_block
         faults = self.faults
+        try:
+            allocator = self._host_allocator(plane, lpn)
+            if faults is None:
+                # allocator.allocate(lpn) and FlashArray.program, less the
+                # calls: the array's checks, generation stamp and event are
+                # kept (its ascending-order check cannot fail here — this
+                # is the block's next page).
+                block = allocator.current_block
+                if block is None or array.block_write_ptr[block] == ppb:
+                    block = allocator._ensure_block()
+                offset = array.block_write_ptr[block]
+                new_ppn = block * ppb + offset
+                if array.page_state[new_ppn] != PAGE_FREE:
+                    raise FlashStateError(f"program of non-free page {new_ppn}")
+                if array._block_is_free[block]:
+                    raise FlashStateError(f"program into unallocated block {block}")
+                array.block_write_ptr[block] = offset + 1
+                array.page_state[new_ppn] = PAGE_VALID
+                array.page_owner[new_ppn] = lpn
+                array.block_valid[block] += 1
+                array.write_stamp = stamp = array.write_stamp + 1
+                array.block_write_stamp[block] = stamp
+                if array.page_gen is not None:
+                    gen = array.stamp_gen(new_ppn, lpn)
+                    if BUS.enabled:
+                        BUS.emit("array", "program", 0.0, 0.0,
+                                 {"ppn": new_ppn, "owner": lpn, "gen": gen}, None, "i")
+                elif BUS.enabled:
+                    BUS.emit("array", "program", 0.0, 0.0,
+                             {"ppn": new_ppn, "owner": lpn}, None, "i")
+            else:
+                # Fault-aware path: a failed program burns the page and
+                # retries on the same plane (the allocator is plane-bound).
+                new_ppn, t = faults.program(allocator, lpn, t)
+        except FlashStateError as exc:
+            raise OutOfSpaceError(
+                f"plane {plane}: cannot place write for lpn {lpn} — device full"
+            ) from exc
         if faults is None:
-            try:
-                new_ppn = self._host_allocator(plane, lpn).allocate(lpn)
-            except FlashStateError as exc:
-                raise OutOfSpaceError(
-                    f"plane {plane}: cannot place write for lpn {lpn} — device full"
-                ) from exc
             t = self.clock.program_page(plane, t)
-        else:
-            # Fault-aware path: a failed program burns the page and
-            # retries on the same plane (the allocator is plane-bound).
-            try:
-                new_ppn, t = faults.program(self._host_allocator(plane, lpn), lpn, t)
-            except FlashStateError as exc:
-                raise OutOfSpaceError(
-                    f"plane {plane}: cannot place write for lpn {lpn} — device full"
-                ) from exc
         if old_ppn != -1:
-            self.array.invalidate(old_ppn)
+            # FlashArray.invalidate(old_ppn), less the call
+            if array.page_state[old_ppn] != PAGE_VALID:
+                raise FlashStateError(f"invalidate of non-valid page {old_ppn}")
+            old_block = old_ppn // ppb
+            array.page_state[old_ppn] = PAGE_INVALID
+            array.page_owner[old_ppn] = OWNER_NONE
+            array.block_valid[old_block] -= 1
+            array.block_invalid[old_block] += 1
+            if BUS.enabled:
+                BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": old_ppn}, None, "i")
         self.page_table[lpn] = new_ppn
         t = self.tm.charge_update(lpn, t)
-        t = self._maybe_gc(plane, t)
-        self._maybe_debug_check()
+        if self._gc_planes or array.gc_low_plane_count:
+            t = self._maybe_gc(plane, t)
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     # ---- preconditioning --------------------------------------------------------
@@ -233,15 +219,6 @@ class DloopFtl(Ftl):
         if count > 0:
             for tvpn in range(self.gtd.tvpn_of(count - 1) + 1):
                 self.tm.write_back(tvpn, 0.0)
-
-    def trim_page(self, lpn: int, start: float) -> float:
-        before = self.stats.host_trims
-        t = super().trim_page(lpn, start)
-        if self.stats.host_trims > before:
-            # the cleared mapping must eventually persist to its
-            # translation page, like any other mapping update
-            t = self.tm.charge_update(lpn, t)
-        return t
 
     # ---- garbage collection (Section III.C, Fig. 5) ------------------------------
 
@@ -283,75 +260,70 @@ class DloopFtl(Ftl):
 
     def _collect(self, plane: int, victim: int, now: float) -> float:
         """Reclaim one victim block; returns time after the erase."""
-        kernel = self._kernel
-        if kernel is not None and not BUS.enabled:
-            return kernel.collect(plane, victim, now)
-        t = now
+        array = self.array
+        clock = self.clock
+        gc_stats = self.gc_stats
+        page_owner = array.page_owner
+        pages_per_plane = self._pages_per_plane
+        first_ppn = victim * self._pages_per_block
         allocator = self._gc_destination_allocator(plane)
+        use_copyback = self.use_copyback
+        faults = self.faults
+        t = now
         moved_data = []
-        valids = list(self.array.valid_pages_in_block(victim))
-        if self.use_copyback:
-            from repro.ftl.gcontrol import parity_minimizing_order
-
+        valids = list(array.valid_pages_in_block(victim))
+        if use_copyback:
             # Lazy: the generator re-reads the destination offset after
-            # each allocation so parities interleave correctly.
+            # each allocation so parities interleave correctly (and an
+            # empty pool raises out of the pass from there).
             valids = parity_minimizing_order(valids, self.codec, allocator)
         overflow = False  # plane space exhausted mid-pass: degrade moves
         for ppn in valids:
-            owner = self.array.owner_of(ppn)
-            self.array.stage_copy_gen(ppn)
+            owner = page_owner[ppn]
+            if array.page_gen is not None:
+                array.stage_copy_gen(ppn)
             move_start = t
             if overflow:
                 new_ppn = self._gc_alloc_any(owner)
-                t = self.clock.inter_plane_copy(plane, self.codec.ppn_to_plane(new_ppn), t)
-                self.gc_stats.controller_moves += 1
-            elif self.use_copyback:
-                parity = self.codec.page_parity(ppn)
-                faults = self.faults
-                if faults is None:
-                    try:
+                t = clock.inter_plane_copy(plane, new_ppn // pages_per_plane, t)
+                gc_stats.controller_moves += 1
+            elif use_copyback:
+                parity = (ppn - first_ppn) & 1
+                try:
+                    if faults is None:
                         new_ppn, skipped = allocator.allocate_with_parity(owner, parity)
-                    except FlashStateError:
-                        overflow = True
-                        new_ppn = self._gc_alloc_any(owner)
-                        t = self.clock.inter_plane_copy(plane, self.codec.ppn_to_plane(new_ppn), t)
-                        self.gc_stats.controller_moves += 1
                     else:
-                        self.gc_stats.wasted_pages += skipped
-                        self.clock.counters.skipped_pages += skipped
-                        t = self.clock.copy_back(plane, t)
-                        self.gc_stats.copyback_moves += 1
-                else:
-                    # Fault-aware copy-back: failed programs burn pages
-                    # and retry at the next same-parity page, same plane.
-                    try:
+                        # Fault-aware copy-back: failed programs burn pages
+                        # and retry at the next same-parity page, same plane.
                         new_ppn, skipped, t = faults.copyback(allocator, owner, parity, t)
-                    except FlashStateError:
-                        overflow = True
-                        new_ppn = self._gc_alloc_any(owner)
-                        t = self.clock.inter_plane_copy(plane, self.codec.ppn_to_plane(new_ppn), t)
-                        self.gc_stats.controller_moves += 1
-                    else:
-                        self.gc_stats.wasted_pages += skipped
-                        self.clock.counters.skipped_pages += skipped
-                        self.gc_stats.copyback_moves += 1
+                except FlashStateError:
+                    overflow = True
+                    new_ppn = self._gc_alloc_any(owner)
+                    t = clock.inter_plane_copy(plane, new_ppn // pages_per_plane, t)
+                    gc_stats.controller_moves += 1
+                else:
+                    gc_stats.wasted_pages += skipped
+                    clock.counters.skipped_pages += skipped
+                    if faults is None:
+                        t = clock.copy_back(plane, t)
+                    gc_stats.copyback_moves += 1
             else:
                 try:
                     new_ppn = allocator.allocate(owner)
                 except FlashStateError:
                     overflow = True
                     new_ppn = self._gc_alloc_any(owner)
-                t = self.clock.inter_plane_copy(plane, plane, t)
-                self.gc_stats.controller_moves += 1
-            self.array.invalidate(ppn)
-            self.gc_stats.moved_pages += 1
+                t = clock.inter_plane_copy(plane, plane, t)
+                gc_stats.controller_moves += 1
+            array.invalidate(ppn)
+            gc_stats.moved_pages += 1
             if BUS.enabled:
                 BUS.emit("gc", "migrate", move_start, 0.0,
                          {"plane": plane, "from_ppn": int(ppn), "to_ppn": int(new_ppn),
-                          "mode": "controller" if (overflow or not self.use_copyback)
+                          "mode": "controller" if (overflow or not use_copyback)
                           else "copyback"},
                          None, "i")
-            if is_translation_owner(owner):
+            if owner <= -2:  # is_translation_owner
                 # Relocating a translation page only touches the SRAM GTD.
                 self.gtd.update(decode_translation_owner(owner), new_ppn)
             else:
@@ -359,16 +331,16 @@ class DloopFtl(Ftl):
                 moved_data.append((owner, new_ppn))
         # Erase before the translation write-backs: the pool is at its
         # low-water mark here, and the write-backs themselves consume pages.
-        t = self.clock.erase_block(plane, t)
-        self.array.erase(victim)
-        if self.faults is not None:
-            self.faults.check_erase(victim)
-        self.array.release_block(victim)
-        self.gc_stats.erased_blocks += 1
+        t = clock.erase_block(plane, t)
+        array.erase(victim)
+        if faults is not None:
+            faults.check_erase(victim)
+        array.release_block(victim)
+        gc_stats.erased_blocks += 1
         if moved_data:
             before = self.tm.stats.gc_batched_updates
             t = self.tm.gc_update_mappings(moved_data, t)
-            self.gc_stats.translation_updates += self.tm.stats.gc_batched_updates - before
+            gc_stats.translation_updates += self.tm.stats.gc_batched_updates - before
         return t
 
     # ---- emergency relocation hooks -----------------------------------------------
@@ -380,34 +352,3 @@ class DloopFtl(Ftl):
             return self.allocators[dst].allocate(owner)
         except FlashStateError as exc:
             raise OutOfSpaceError("no plane can absorb relocated pages — device full") from exc
-
-    def _gc_note_move(self, owner: int, new_ppn: int, moved_data: list) -> None:
-        if is_translation_owner(owner):
-            self.gtd.update(decode_translation_owner(owner), new_ppn)
-        else:
-            super()._gc_note_move(owner, new_ppn, moved_data)
-
-    def _gc_mapping_updates(self, moved_data: list, now: float) -> float:
-        return self.tm.gc_update_mappings(moved_data, now) if moved_data else now
-
-    # ---- integrity -------------------------------------------------------------------
-
-    def _rebuild_extra_state(self, translation_ppns, translation_owners) -> None:
-        """Recover the GTD from on-flash translation pages and drop the
-        (volatile) CMT — the demand-paged state a power cycle loses."""
-        # Forget first: a crash between write_back's invalidate-old and
-        # program-new leaves a tvpn with no valid page; a surviving SRAM
-        # entry would point at the invalidated page.
-        self.gtd.clear()
-        for ppn, owner in zip(translation_ppns, translation_owners):
-            self.gtd.update(decode_translation_owner(int(owner)), int(ppn))
-        from repro.ftl.cmt import CachedMappingTable
-
-        self.cmt = CachedMappingTable(self.cmt.capacity)
-        self.tm.cmt = self.cmt
-
-    def extra_integrity_checks(self, translation_ppns, translation_owners) -> None:
-        for ppn, owner in zip(translation_ppns, translation_owners):
-            tvpn = decode_translation_owner(int(owner))
-            if self.gtd.lookup(tvpn) != ppn:
-                raise AssertionError(f"GTD stale for tvpn {tvpn}: {self.gtd.lookup(tvpn)} != {ppn}")

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.seeding import splitmix64
+
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
 
@@ -33,14 +35,6 @@ _TWO64 = 1 << 64
 _PROGRAM_SALT = 0x9E3779B97F4A7C15
 _ERASE_SALT = 0xC2B2AE3D27D4EB4F
 _READ_SALT = 0x165667B19E3779F9
-
-
-def _splitmix64(x: int) -> int:
-    """One round of the splitmix64 finaliser (public-domain constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 def _threshold(rate: float) -> int:
@@ -127,9 +121,9 @@ class FaultPlan:
     def __init__(self, config: FaultConfig):
         self.config = config
         seed = config.seed & _MASK64
-        self._program_state = _splitmix64(seed ^ _PROGRAM_SALT)
-        self._erase_state = _splitmix64(seed ^ _ERASE_SALT)
-        self._read_state = _splitmix64(seed ^ _READ_SALT)
+        self._program_state = splitmix64(seed ^ _PROGRAM_SALT)
+        self._erase_state = splitmix64(seed ^ _ERASE_SALT)
+        self._read_state = splitmix64(seed ^ _READ_SALT)
         self._program_threshold = _threshold(config.program_fail_rate)
         self._erase_threshold = _threshold(config.erase_fail_rate)
         # Read decisions share one hash draw: the lowest band is an
@@ -159,14 +153,14 @@ class FaultPlan:
         self.program_decisions = n + 1
         if not self._program_threshold:
             return False
-        return _splitmix64(self._program_state ^ n) < self._program_threshold
+        return splitmix64(self._program_state ^ n) < self._program_threshold
 
     def next_erase_fails(self) -> bool:
         n = self.erase_decisions
         self.erase_decisions = n + 1
         if not self._erase_threshold:
             return False
-        return _splitmix64(self._erase_state ^ n) < self._erase_threshold
+        return splitmix64(self._erase_state ^ n) < self._erase_threshold
 
     def next_read_outcome(self) -> int:
         """0 = clean, k>0 = correctable after k retries, READ_LOST = lost."""
@@ -174,7 +168,7 @@ class FaultPlan:
         self.read_decisions = n + 1
         if not self._correctable_threshold:
             return 0
-        h = _splitmix64(self._read_state ^ n)
+        h = splitmix64(self._read_state ^ n)
         if h < self._uncorrectable_threshold:
             return READ_LOST
         if h < self._correctable_threshold:

@@ -44,9 +44,10 @@ from repro.flash.address import OWNER_NONE, AddressCodec, PageState
 from repro.flash.geometry import SSDGeometry
 from repro.obs.tracebus import BUS
 
-_FREE = int(PageState.FREE)
-_VALID = int(PageState.VALID)
-_INVALID = int(PageState.INVALID)
+#: ``PageState`` as plain ints, for the flat ``page_state`` store.
+PAGE_FREE = int(PageState.FREE)
+PAGE_VALID = int(PageState.VALID)
+PAGE_INVALID = int(PageState.INVALID)
 
 
 class FlashStateError(RuntimeError):
@@ -64,7 +65,7 @@ class FlashArray:
         ppb = geometry.pages_per_block
 
         # Flat scalar-fast stores ...
-        self.page_state = bytearray(n_pages) if _FREE == 0 else bytearray([_FREE]) * n_pages
+        self.page_state = bytearray(n_pages) if PAGE_FREE == 0 else bytearray([PAGE_FREE]) * n_pages
         self.page_owner = array("q", [OWNER_NONE]) * n_pages
         self.block_valid = array("q", bytes(8 * n_blocks))
         self.block_invalid = array("q", bytes(8 * n_blocks))
@@ -308,7 +309,7 @@ class FlashArray:
 
     def program(self, ppn: int, owner: int) -> None:
         """Program a FREE page with ``owner`` (ascending order enforced)."""
-        if self.page_state[ppn] != _FREE:
+        if self.page_state[ppn] != PAGE_FREE:
             raise FlashStateError(f"program of non-free page {ppn}")
         ppb = self._pages_per_block
         block = ppn // ppb
@@ -321,34 +322,40 @@ class FlashArray:
             raise FlashStateError(f"program into unallocated block {block}")
         # Skipped-over pages stay FREE but can never be programmed later.
         self.block_write_ptr[block] = offset + 1
-        self.page_state[ppn] = _VALID
+        self.page_state[ppn] = PAGE_VALID
         self.page_owner[ppn] = owner
         self.block_valid[block] += 1
         self.write_stamp += 1
         self.block_write_stamp[block] = self.write_stamp
         if self.page_gen is not None:
-            staged = self._staged_gen
-            if staged is not None and staged[0] == owner:
-                gen = staged[1]
-                self._staged_gen = None
-            elif owner >= 0:
-                gen = self.lpn_gen[owner]
-            else:
-                gen = self._owner_gen.get(owner, 0) + 1
-                self._owner_gen[owner] = gen
-            self.page_gen[ppn] = gen
+            gen = self.stamp_gen(ppn, owner)
             if BUS.enabled:
                 BUS.emit("array", "program", 0.0, 0.0,
                          {"ppn": ppn, "owner": owner, "gen": gen}, None, "i")
         elif BUS.enabled:
             BUS.emit("array", "program", 0.0, 0.0, {"ppn": ppn, "owner": owner}, None, "i")
 
+    def stamp_gen(self, ppn: int, owner: int) -> int:
+        """Stamp a just-programmed page's content generation (armed OOB
+        generations only); returns it."""
+        staged = self._staged_gen
+        if staged is not None and staged[0] == owner:
+            gen = staged[1]
+            self._staged_gen = None
+        elif owner >= 0:
+            gen = self.lpn_gen[owner]
+        else:
+            gen = self._owner_gen.get(owner, 0) + 1
+            self._owner_gen[owner] = gen
+        self.page_gen[ppn] = gen
+        return gen
+
     def invalidate(self, ppn: int) -> None:
         """Mark a VALID page stale (out-of-place update or relocation)."""
-        if self.page_state[ppn] != _VALID:
+        if self.page_state[ppn] != PAGE_VALID:
             raise FlashStateError(f"invalidate of non-valid page {ppn}")
         block = ppn // self._pages_per_block
-        self.page_state[ppn] = _INVALID
+        self.page_state[ppn] = PAGE_INVALID
         self.page_owner[ppn] = OWNER_NONE
         self.block_valid[block] -= 1
         self.block_invalid[block] += 1
@@ -361,7 +368,7 @@ class FlashArray:
         The page is counted as INVALID so garbage collection can reclaim
         the space, and the block write pointer moves past it.
         """
-        if self.page_state[ppn] != _FREE:
+        if self.page_state[ppn] != PAGE_FREE:
             raise FlashStateError(f"skip of non-free page {ppn}")
         ppb = self._pages_per_block
         block = ppn // ppb
@@ -369,7 +376,7 @@ class FlashArray:
         if offset < self.block_write_ptr[block]:
             raise FlashStateError(f"skip behind write pointer in block {block}")
         self.block_write_ptr[block] = offset + 1
-        self.page_state[ppn] = _INVALID
+        self.page_state[ppn] = PAGE_INVALID
         self.block_invalid[block] += 1
         if BUS.enabled:
             BUS.emit("array", "skip", 0.0, 0.0, {"ppn": ppn}, None, "i")
@@ -381,7 +388,7 @@ class FlashArray:
         if self._block_is_free[block]:
             raise FlashStateError(f"erase of pooled free block {block}")
         ppns = self.codec.block_ppns(block)
-        self.page_state_np[ppns.start : ppns.stop] = _FREE
+        self.page_state_np[ppns.start : ppns.stop] = PAGE_FREE
         self.page_owner_np[ppns.start : ppns.stop] = OWNER_NONE
         self.block_invalid[block] = 0
         self.block_write_ptr[block] = 0
@@ -403,7 +410,7 @@ class FlashArray:
         if self.block_write_ptr[block] != 0:
             raise FlashStateError(f"bulk fill into partially written block {block}")
         first = self.codec.block_first_ppn(block)
-        self.page_state_np[first : first + n] = _VALID
+        self.page_state_np[first : first + n] = PAGE_VALID
         self.page_owner_np[first : first + n] = owners
         self.block_valid[block] = n
         self.block_write_ptr[block] = n
@@ -426,7 +433,7 @@ class FlashArray:
         first = block * self._pages_per_block
         states = self.page_state[first : first + self._pages_per_block]
         for offset, state in enumerate(states):
-            if state == _VALID:
+            if state == PAGE_VALID:
                 yield first + offset
 
     def owner_of(self, ppn: int) -> int:
@@ -445,19 +452,19 @@ class FlashArray:
 
     def utilization(self) -> float:
         """Fraction of physical pages currently valid."""
-        return float(np.count_nonzero(self.page_state_np == _VALID)) / len(self.page_state)
+        return float(np.count_nonzero(self.page_state_np == PAGE_VALID)) / len(self.page_state)
 
     def check_consistency(self) -> None:
         """Expensive invariant check used by tests and debug runs."""
         for block in range(self.geometry.num_physical_blocks):
             first = block * self._pages_per_block
             states = self.page_state_np[first : first + self._pages_per_block]
-            n_valid = int(np.count_nonzero(states == _VALID))
-            n_invalid = int(np.count_nonzero(states == _INVALID))
+            n_valid = int(np.count_nonzero(states == PAGE_VALID))
+            n_invalid = int(np.count_nonzero(states == PAGE_INVALID))
             if n_valid != self.block_valid[block]:
                 raise FlashStateError(f"block {block}: valid count {self.block_valid[block]} != {n_valid}")
             if n_invalid != self.block_invalid[block]:
                 raise FlashStateError(f"block {block}: invalid count {self.block_invalid[block]} != {n_invalid}")
             ptr = self.block_write_ptr[block]
-            if np.any(states[ptr:] != _FREE):
+            if np.any(states[ptr:] != PAGE_FREE):
                 raise FlashStateError(f"block {block}: non-free page past write pointer {ptr}")

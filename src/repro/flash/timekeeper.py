@@ -31,63 +31,54 @@ from repro.obs.tracebus import BUS
 class FlashTimekeeper:
     """Tracks when each plane / channel becomes free and prices operations.
 
-    ``die_aware=True`` adds the chip serial I/O bus of Fig. 1b as a
-    third resource level: a transfer then occupies both its channel and
-    its die's bus.  With one chip per channel (the default geometry)
-    the two coincide and the flag changes nothing; with several chips
-    per channel it exposes the die-level contention the paper discusses
-    in Section II.B.
+    A die's serial I/O bus (Fig. 1b) is not a resource of its own: every
+    die hangs off one channel and a transfer holds bus and channel for
+    the same interval, so the channel timeline already serialises it.
+
+    The per-page operations are straight-line code (no helper calls):
+    they run several times per simulated host page.  ``b if b > a else
+    a`` is ``max(a, b)`` without the call.
     """
 
-    def __init__(self, geometry: SSDGeometry, timing: TimingParams, *, die_aware: bool = False):
+    def __init__(self, geometry: SSDGeometry, timing: TimingParams):
         self.geometry = geometry
         self.timing = timing
-        self.die_aware = die_aware
         # Plain lists: one scalar max/store per op, no boxed numpy floats.
         # Python floats and numpy float64 share IEEE-double arithmetic,
         # so completion times are bit-identical either way.
         self.plane_free = [0.0] * geometry.num_planes
         self.channel_free = [0.0] * geometry.channels
-        self.die_bus_free = [0.0] * geometry.num_dies
         self.counters = FlashCounters(geometry.num_planes, geometry.channels)
+        # Pure functions of the frozen geometry / timing parameters.
+        self._plane_channel = [
+            geometry.plane_to_channel(plane) for plane in range(geometry.num_planes)
+        ]
         self._page_xfer = timing.page_transfer_us(geometry.page_size)
-
-    # ---- helpers ---------------------------------------------------------
-
-    def _channel_of(self, plane: int) -> int:
-        return self.geometry.plane_to_channel(plane)
-
-    def _bus_ready(self, plane: int, channel: int, earliest: float) -> float:
-        """When the transfer path (channel [+ die bus]) becomes usable."""
-        ready = max(earliest, self.channel_free[channel])
-        if self.die_aware:
-            ready = max(ready, self.die_bus_free[self.geometry.plane_to_die(plane)])
-        return ready
-
-    def _bus_hold(self, plane: int, channel: int, until: float) -> None:
-        self.channel_free[channel] = until
-        if self.die_aware:
-            self.die_bus_free[self.geometry.plane_to_die(plane)] = until
-
-    def _note_plane(self, plane: int, start: float, end: float) -> None:
-        self.counters.plane_ops[plane] += 1
-        self.counters.plane_busy_us[plane] += end - start
+        self._read_us = timing.page_read_us
+        self._program_us = timing.page_program_us
+        self._copy_back_us = timing.copy_back_us()
 
     # ---- operations --------------------------------------------------------
 
     def read_page(self, plane: int, start: float) -> float:
         """Sense a page into the plane register and stream it to the controller."""
-        channel = self._channel_of(plane)
-        sense_start = max(start, self.plane_free[plane])
-        sense_end = sense_start + self.timing.page_read_us
-        xfer_start = self._bus_ready(plane, channel, sense_end)
+        plane_free = self.plane_free
+        pf = plane_free[plane]
+        sense_start = pf if pf > start else start
+        sense_end = sense_start + self._read_us
+        channel = self._plane_channel[plane]
+        channel_free = self.channel_free
+        cf = channel_free[channel]
+        xfer_start = cf if cf > sense_end else sense_end
         end = xfer_start + self._page_xfer
         # Register holds the data until the transfer drains.
-        self.plane_free[plane] = end
-        self._bus_hold(plane, channel, end)
-        self.counters.reads += 1
-        self.counters.channel_busy_us[channel] += end - xfer_start
-        self._note_plane(plane, sense_start, end)
+        plane_free[plane] = end
+        channel_free[channel] = end
+        counters = self.counters
+        counters.reads += 1
+        counters.channel_busy_us[channel] += end - xfer_start
+        counters.plane_ops[plane] += 1
+        counters.plane_busy_us[plane] += end - sense_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
             BUS.emit("flash", "read", sense_start, end - sense_start, ids, f"plane:{plane}")
@@ -96,16 +87,22 @@ class FlashTimekeeper:
 
     def program_page(self, plane: int, start: float) -> float:
         """Stream a page to the plane register and program it."""
-        channel = self._channel_of(plane)
-        xfer_start = self._bus_ready(plane, channel, start)
+        channel = self._plane_channel[plane]
+        channel_free = self.channel_free
+        cf = channel_free[channel]
+        xfer_start = cf if cf > start else start
         xfer_end = xfer_start + self._page_xfer
-        self._bus_hold(plane, channel, xfer_end)
-        prog_start = max(xfer_end, self.plane_free[plane])
-        end = prog_start + self.timing.page_program_us
-        self.plane_free[plane] = end
-        self.counters.programs += 1
-        self.counters.channel_busy_us[channel] += xfer_end - xfer_start
-        self._note_plane(plane, xfer_start, end)
+        channel_free[channel] = xfer_end
+        plane_free = self.plane_free
+        pf = plane_free[plane]
+        prog_start = pf if pf > xfer_end else xfer_end
+        end = prog_start + self._program_us
+        plane_free[plane] = end
+        counters = self.counters
+        counters.programs += 1
+        counters.channel_busy_us[channel] += xfer_end - xfer_start
+        counters.plane_ops[plane] += 1
+        counters.plane_busy_us[plane] += end - xfer_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
             BUS.emit("flash", "program", prog_start, end - prog_start, ids, f"plane:{plane}")
@@ -114,16 +111,18 @@ class FlashTimekeeper:
 
     def erase_block(self, plane: int, start: float) -> float:
         """Erase a block on a plane (channel used only for the command cycle)."""
-        channel = self._channel_of(plane)
+        channel = self._plane_channel[plane]
         cmd_start = max(start, self.channel_free[channel])
         cmd_end = cmd_start + self.timing.cmd_addr_us
         self.channel_free[channel] = cmd_end
         erase_start = max(cmd_end, self.plane_free[plane])
         end = erase_start + self.timing.block_erase_us
         self.plane_free[plane] = end
-        self.counters.erases += 1
-        self.counters.channel_busy_us[channel] += cmd_end - cmd_start
-        self._note_plane(plane, cmd_start, end)
+        counters = self.counters
+        counters.erases += 1
+        counters.channel_busy_us[channel] += cmd_end - cmd_start
+        counters.plane_ops[plane] += 1
+        counters.plane_busy_us[plane] += end - cmd_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
             BUS.emit("flash", "erase", erase_start, end - erase_start, ids, f"plane:{plane}")
@@ -131,11 +130,15 @@ class FlashTimekeeper:
 
     def copy_back(self, plane: int, start: float) -> float:
         """Intra-plane copy-back: read + program, zero channel occupancy."""
-        op_start = max(start, self.plane_free[plane])
-        end = op_start + self.timing.copy_back_us()
-        self.plane_free[plane] = end
-        self.counters.copybacks += 1
-        self._note_plane(plane, op_start, end)
+        plane_free = self.plane_free
+        pf = plane_free[plane]
+        op_start = pf if pf > start else start
+        end = op_start + self._copy_back_us
+        plane_free[plane] = end
+        counters = self.counters
+        counters.copybacks += 1
+        counters.plane_ops[plane] += 1
+        counters.plane_busy_us[plane] += end - op_start
         if BUS.enabled:
             BUS.emit("flash", "copy_back", op_start, end - op_start,
                      {"plane": plane}, f"plane:{plane}")
@@ -153,85 +156,15 @@ class FlashTimekeeper:
                      {"src_plane": src_plane, "dst_plane": dst_plane}, None, "i")
         return end
 
-    # ---- batch operations ----------------------------------------------------
-    #
-    # One call prices a whole run of same-kind operations issued at a
-    # common ``start`` (a request window's pages, a GC stream).  The
-    # folds are cumulative: each operation's admission point depends on
-    # the plane/channel holds left by the previous one, so the general
-    # case is a sequential fold over the plane array — exactly the
-    # scalar sequence, minus N-1 method dispatches.  Runs that land on a
-    # single plane reduce to a closed-form arithmetic chain (each op
-    # starts where the last one ended); that path is vectorisable and
-    # remains bit-identical because it performs the *same* additions in
-    # the same order.  Results are bit-identical to calling the scalar
-    # methods in a loop; tests/test_kernels.py locks this in.
-
     def read_pages(self, planes, start: float) -> list:
         """Price a read on each plane of ``planes`` (all issued at
         ``start``); returns the per-operation completion times."""
-        if BUS.enabled:
-            return [self.read_page(plane, start) for plane in planes]
-        plane_free = self.plane_free
-        channel_free = self.channel_free
-        counters = self.counters
-        read_us = self.timing.page_read_us
-        xfer_us = self._page_xfer
-        geometry = self.geometry
-        die_aware = self.die_aware
-        ends = []
-        for plane in planes:
-            channel = geometry.plane_to_channel(plane)
-            pf = plane_free[plane]
-            sense_start = start if start > pf else pf
-            sense_end = sense_start + read_us
-            xfer_start = self._bus_ready(plane, channel, sense_end) if die_aware else (
-                sense_end if sense_end > channel_free[channel] else channel_free[channel]
-            )
-            end = xfer_start + xfer_us
-            plane_free[plane] = end
-            channel_free[channel] = end
-            if die_aware:
-                self.die_bus_free[geometry.plane_to_die(plane)] = end
-            counters.reads += 1
-            counters.channel_busy_us[channel] += end - xfer_start
-            counters.plane_ops[plane] += 1
-            counters.plane_busy_us[plane] += end - sense_start
-            ends.append(end)
-        return ends
+        return [self.read_page(plane, start) for plane in planes]
 
     def program_pages(self, planes, start: float) -> list:
         """Price a program on each plane of ``planes`` (all issued at
         ``start``); returns the per-operation completion times."""
-        if BUS.enabled:
-            return [self.program_page(plane, start) for plane in planes]
-        plane_free = self.plane_free
-        channel_free = self.channel_free
-        counters = self.counters
-        program_us = self.timing.page_program_us
-        xfer_us = self._page_xfer
-        geometry = self.geometry
-        die_aware = self.die_aware
-        ends = []
-        for plane in planes:
-            channel = geometry.plane_to_channel(plane)
-            xfer_start = self._bus_ready(plane, channel, start) if die_aware else (
-                start if start > channel_free[channel] else channel_free[channel]
-            )
-            xfer_end = xfer_start + xfer_us
-            channel_free[channel] = xfer_end
-            if die_aware:
-                self.die_bus_free[geometry.plane_to_die(plane)] = xfer_end
-            pf = plane_free[plane]
-            prog_start = xfer_end if xfer_end > pf else pf
-            end = prog_start + program_us
-            plane_free[plane] = end
-            counters.programs += 1
-            counters.channel_busy_us[channel] += xfer_end - xfer_start
-            counters.plane_ops[plane] += 1
-            counters.plane_busy_us[plane] += end - xfer_start
-            ends.append(end)
-        return ends
+        return [self.program_page(plane, start) for plane in planes]
 
     # ---- introspection -------------------------------------------------------
 
@@ -243,7 +176,6 @@ class FlashTimekeeper:
         """Zero timelines and counters (after preconditioning a device)."""
         self.plane_free[:] = [0.0] * len(self.plane_free)
         self.channel_free[:] = [0.0] * len(self.channel_free)
-        self.die_bus_free[:] = [0.0] * len(self.die_bus_free)
         # In-place reset keeps references (samplers, exporters) valid.
         self.counters.reset()
         if BUS.enabled:

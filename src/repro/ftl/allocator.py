@@ -30,25 +30,28 @@ class PlaneAllocator:
         self.plane = plane
         self.array = array
         self.current_block: Optional[int] = None
+        self._ppb = array.geometry.pages_per_block
 
     def _ensure_block(self) -> int:
         block = self.current_block
-        if block is None or self.array.block_free_pages(block) == 0:
+        if block is None or self.array.block_write_ptr[block] == self._ppb:
             block = self.array.allocate_block(self.plane)
             self.current_block = block
         return block
 
     def next_offset(self) -> int:
         """Page offset the next allocation would use (may open a new block)."""
-        block = self._ensure_block()
-        return int(self.array.block_write_ptr[block])
+        return self.array.block_write_ptr[self._ensure_block()]
 
     def allocate(self, owner: int) -> int:
         """Program ``owner`` into the current free page; returns its PPN."""
-        block = self._ensure_block()
-        offset = int(self.array.block_write_ptr[block])
-        ppn = self.array.codec.block_first_ppn(block) + offset
-        self.array.program(ppn, owner)
+        array = self.array
+        block = self.current_block
+        if block is None or array.block_write_ptr[block] == self._ppb:
+            block = array.allocate_block(self.plane)
+            self.current_block = block
+        ppn = block * self._ppb + array.block_write_ptr[block]
+        array.program(ppn, owner)
         return ppn
 
     def allocate_with_parity(self, owner: int, parity: int) -> Tuple[int, int]:
@@ -60,28 +63,26 @@ class PlaneAllocator:
         """
         if parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {parity}")
+        array = self.array
+        ppb = self._ppb
         block = self._ensure_block()
-        offset = int(self.array.block_write_ptr[block])
+        offset = array.block_write_ptr[block]
         skipped = 0
         if (offset & 1) != parity:
-            if offset == self.array.geometry.pages_per_block - 1:
-                # Last page has the wrong parity: waste it and open a new block.
-                ppn = self.array.codec.block_first_ppn(block) + offset
-                self.array.skip_page(ppn)
-                skipped += 1
+            array.skip_page(block * ppb + offset)
+            skipped = 1
+            if offset == ppb - 1:
+                # Last page had the wrong parity: open a new block.
                 block = self._ensure_block()
-                offset = int(self.array.block_write_ptr[block])
+                offset = array.block_write_ptr[block]
                 if (offset & 1) != parity:  # fresh block starts at 0; parity 1 needs one skip
-                    self.array.skip_page(self.array.codec.block_first_ppn(block) + offset)
-                    skipped += 1
+                    array.skip_page(block * ppb + offset)
+                    skipped = 2
                     offset += 1
             else:
-                ppn = self.array.codec.block_first_ppn(block) + offset
-                self.array.skip_page(ppn)
-                skipped += 1
                 offset += 1
-        ppn = self.array.codec.block_first_ppn(block) + offset
-        self.array.program(ppn, owner)
+        ppn = block * ppb + offset
+        array.program(ppn, owner)
         return ppn, skipped
 
     def active_blocks(self) -> set:
@@ -97,6 +98,7 @@ class RoamingAllocator:
         self.planes = planes if planes is not None else range(array.geometry.num_planes)
         self.current_block: Optional[int] = None
         self.current_plane: Optional[int] = None
+        self._ppb = array.geometry.pages_per_block
 
     def _pick_plane(self) -> int:
         counts = np.array([self.array.free_block_count(p) for p in self.planes])
@@ -106,7 +108,7 @@ class RoamingAllocator:
 
     def _ensure_block(self) -> int:
         block = self.current_block
-        if block is None or self.array.block_free_pages(block) == 0:
+        if block is None or self.array.block_write_ptr[block] == self._ppb:
             plane = self._pick_plane()
             block = self.array.allocate_block(plane)
             self.current_block = block
@@ -116,8 +118,7 @@ class RoamingAllocator:
     def allocate(self, owner: int) -> int:
         """Program ``owner`` into the global active block; returns its PPN."""
         block = self._ensure_block()
-        offset = int(self.array.block_write_ptr[block])
-        ppn = self.array.codec.block_first_ppn(block) + offset
+        ppn = block * self._ppb + self.array.block_write_ptr[block]
         self.array.program(ppn, owner)
         return ppn
 

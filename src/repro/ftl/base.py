@@ -91,11 +91,6 @@ class Ftl(abc.ABC):
         self.gc_stats = GcStats()
         self._gc_planes: set[int] = set()
         self._gc_pending: set[int] = set()
-        #: Batch kernel (repro.perf.kernels) when one is attached, else
-        #: None.  Dispatch sites additionally check ``BUS.enabled`` so
-        #: any TraceBus subscriber transparently reverts to the scalar
-        #: path (which owns all event emission).
-        self._kernel = None
         #: FaultInjector when fault injection is active, else None.  Hot
         #: paths guard with a single ``is None`` check so fault-free runs
         #: execute the exact original operation sequence.
@@ -119,22 +114,20 @@ class Ftl(abc.ABC):
         Subclasses may override to use multi-plane commands
         (Section II.B) for pages landing on one die.
         """
-        kernel = self._kernel
-        if kernel is not None and not BUS.enabled:
-            return kernel.write_pages(lpns, start)
         completion = start
         for lpn in lpns:
-            completion = max(completion, self.write_page(lpn, start))
+            end = self.write_page(lpn, start)
+            if end > completion:
+                completion = end
         return completion
 
     def read_pages(self, lpns, start: float) -> float:
         """Serve a multi-page read; returns the last completion time."""
-        kernel = self._kernel
-        if kernel is not None and not BUS.enabled:
-            return kernel.read_pages(lpns, start)
         completion = start
         for lpn in lpns:
-            completion = max(completion, self.read_page(lpn, start))
+            end = self.read_page(lpn, start)
+            if end > completion:
+                completion = end
         return completion
 
     def trim_page(self, lpn: int, start: float) -> float:
@@ -402,15 +395,6 @@ class Ftl(abc.ABC):
                 "use dloop, dftl, or fast"
             )
         self.faults = injector
-
-    def detach_kernel(self) -> None:
-        """Drop any attached batch kernel (scalar path from here on).
-
-        Armed crash points — like faults and debug checks — need the
-        scalar path's per-operation event emission; subclasses with
-        kernel plumbing override to also clear their references.
-        """
-        self._kernel = None
 
     def _fault_relocation_alloc(self, owner: int, src_plane: int) -> int:
         """Destination for a page relocated off a retiring block.

@@ -43,35 +43,38 @@ class CachedMappingTable:
             raise ValueError("protected_fraction must be in [0, 1)")
         self.capacity = capacity
         self.protected_capacity = int(capacity * protected_fraction)
-        # OrderedDicts ordered LRU -> MRU; value = dirty flag.
-        self._probation: OrderedDict[int, bool] = OrderedDict()
-        self._protected: OrderedDict[int, bool] = OrderedDict()
+        # The two segments, ordered LRU -> MRU; value = dirty flag.
+        # Public: TranslationManager applies the protocol of the methods
+        # below to them directly, because it runs once or twice per host
+        # page and a method call per step is most of that cost.
+        self.probation: OrderedDict[int, bool] = OrderedDict()
+        self.protected: OrderedDict[int, bool] = OrderedDict()
         self.stats = CmtStats()
 
     def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
+        return len(self.probation) + len(self.protected)
 
     def __contains__(self, lpn: int) -> bool:
-        return lpn in self._probation or lpn in self._protected
+        return lpn in self.probation or lpn in self.protected
 
     @property
     def is_full(self) -> bool:
         return len(self) >= self.capacity
 
     def _demote_protected_overflow(self) -> None:
-        while len(self._protected) > self.protected_capacity:
-            lpn, dirty = self._protected.popitem(last=False)
-            self._probation[lpn] = dirty  # re-enter at probationary MRU
+        while len(self.protected) > self.protected_capacity:
+            lpn, dirty = self.protected.popitem(last=False)
+            self.probation[lpn] = dirty  # re-enter at probationary MRU
 
     def touch(self, lpn: int) -> bool:
         """Record an access.  Returns True on hit (and promotes the entry)."""
-        if lpn in self._protected:
-            self._protected.move_to_end(lpn)
+        if lpn in self.protected:
+            self.protected.move_to_end(lpn)
             self.stats.hits += 1
             return True
-        if lpn in self._probation:
-            dirty = self._probation.pop(lpn)
-            self._protected[lpn] = dirty
+        if lpn in self.probation:
+            dirty = self.probation.pop(lpn)
+            self.protected[lpn] = dirty
             self._demote_protected_overflow()
             self.stats.hits += 1
             return True
@@ -89,15 +92,15 @@ class CachedMappingTable:
         victim = None
         if self.is_full:
             victim = self.evict()
-        self._probation[lpn] = dirty
+        self.probation[lpn] = dirty
         return victim
 
     def evict(self) -> Tuple[int, bool]:
         """Evict the segmented-LRU victim; returns ``(lpn, was_dirty)``."""
-        if self._probation:
-            lpn, dirty = self._probation.popitem(last=False)
-        elif self._protected:
-            lpn, dirty = self._protected.popitem(last=False)
+        if self.probation:
+            lpn, dirty = self.probation.popitem(last=False)
+        elif self.protected:
+            lpn, dirty = self.protected.popitem(last=False)
         else:
             raise RuntimeError("evict from empty CMT")
         self.stats.evictions += 1
@@ -107,36 +110,36 @@ class CachedMappingTable:
 
     def mark_dirty(self, lpn: int) -> None:
         """Flag a cached entry as updated since load."""
-        if lpn in self._protected:
-            self._protected[lpn] = True
-        elif lpn in self._probation:
-            self._probation[lpn] = True
+        if lpn in self.protected:
+            self.protected[lpn] = True
+        elif lpn in self.probation:
+            self.probation[lpn] = True
         else:
             raise KeyError(f"lpn {lpn} not cached")
 
     def mark_clean(self, lpn: int) -> None:
         """Clear the dirty flag (after its translation page was rewritten)."""
-        if lpn in self._protected:
-            self._protected[lpn] = False
-        elif lpn in self._probation:
-            self._probation[lpn] = False
+        if lpn in self.protected:
+            self.protected[lpn] = False
+        elif lpn in self.probation:
+            self.probation[lpn] = False
         else:
             raise KeyError(f"lpn {lpn} not cached")
 
     def is_dirty(self, lpn: int) -> bool:
-        if lpn in self._protected:
-            return self._protected[lpn]
-        if lpn in self._probation:
-            return self._probation[lpn]
+        if lpn in self.protected:
+            return self.protected[lpn]
+        if lpn in self.probation:
+            return self.probation[lpn]
         raise KeyError(f"lpn {lpn} not cached")
 
     def drop(self, lpn: int) -> None:
         """Remove an entry without write-back accounting (used by tests)."""
-        if lpn in self._protected:
-            del self._protected[lpn]
-        elif lpn in self._probation:
-            del self._probation[lpn]
+        if lpn in self.protected:
+            del self.protected[lpn]
+        elif lpn in self.probation:
+            del self.probation[lpn]
 
     def cached_lpns(self) -> list:
         """All cached LPNs (probationary then protected, LRU->MRU)."""
-        return list(self._probation) + list(self._protected)
+        return list(self.probation) + list(self.protected)

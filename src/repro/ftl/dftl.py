@@ -20,20 +20,17 @@ from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator, RoamingAllocator
 from repro.flash.array import FlashStateError
-from repro.ftl.base import Ftl, OutOfSpaceError
-from repro.ftl.cmt import CachedMappingTable
-from repro.ftl.gtd import GlobalTranslationDirectory
-from repro.ftl.translation import TranslationManager
+from repro.ftl.base import OutOfSpaceError
+from repro.ftl.translation import DemandPagedFtl
 from repro.obs.tracebus import BUS
 
 TRANSLATION_PLANE = 0
 
 
-class DftlFtl(Ftl):
+class DftlFtl(DemandPagedFtl):
     """Demand-paged page-mapping FTL with plane-0 translation store."""
 
     name = "dftl"
-    fault_injection_supported = True
 
     def __init__(
         self,
@@ -50,6 +47,8 @@ class DftlFtl(Ftl):
         super().__init__(
             geometry,
             timing,
+            cmt_entries=cmt_entries,
+            translation_gc_mode=translation_gc_mode,
             gc_threshold=gc_threshold,
             max_gc_passes=max_gc_passes,
             gc_victim_policy=gc_victim_policy,
@@ -57,50 +56,22 @@ class DftlFtl(Ftl):
         )
         self.data_allocator = RoamingAllocator(self.array)
         self.translation_allocator = PlaneAllocator(TRANSLATION_PLANE, self.array)
-        self.cmt = CachedMappingTable(cmt_entries)
-        self.gtd = GlobalTranslationDirectory(geometry.num_lpns, geometry.page_size)
-        self.tm = TranslationManager(
-            array=self.array,
-            clock=self.clock,
-            cmt=self.cmt,
-            gtd=self.gtd,
-            plane_of_tvpn=lambda tvpn: TRANSLATION_PLANE,
-            allocator_of_plane=lambda plane: self.translation_allocator,
-            gc_hook=self._maybe_gc,
-            gc_mode=translation_gc_mode,
-            fallback_allocator=lambda: self.data_allocator,
-        )
 
-    # ---- fault injection ----------------------------------------------------
+    # ---- placement policies -------------------------------------------------
+
+    def plane_of_tvpn(self, tvpn: int) -> int:
+        return TRANSLATION_PLANE
+
+    def _translation_allocator(self, plane: int) -> PlaneAllocator:
+        return self.translation_allocator
+
+    def _fallback_allocator(self) -> RoamingAllocator:
+        return self.data_allocator
 
     def _all_allocators(self):
         return (self.data_allocator, self.translation_allocator)
 
-    def attach_faults(self, injector) -> None:
-        super().attach_faults(injector)
-        self.tm.faults = injector
-
-    def _note_page_loss(self, lpn: int, now: float) -> float:
-        # The cleared mapping must persist to its translation page,
-        # exactly like a TRIM.
-        return self.tm.charge_update(lpn, now)
-
     # ---- host interface ---------------------------------------------------
-
-    def read_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
-        self.stats.host_reads += 1
-        t = self.tm.charge_lookup(lpn, start)
-        ppn = self.current_ppn(lpn)
-        if ppn == -1:
-            self.stats.unmapped_reads += 1
-            return t
-        if self.faults is None:
-            t = self.clock.read_page(self.codec.ppn_to_plane(ppn), t)
-        else:
-            t = self._fault_read_data(lpn, ppn, t)
-        self._maybe_debug_check()
-        return t
 
     def write_page(self, lpn: int, start: float) -> float:
         self.check_lpn(lpn)
@@ -155,15 +126,6 @@ class DftlFtl(Ftl):
         if count > 0:
             for tvpn in range(self.gtd.tvpn_of(count - 1) + 1):
                 self.tm.write_back(tvpn, 0.0)
-
-    def trim_page(self, lpn: int, start: float) -> float:
-        before = self.stats.host_trims
-        t = super().trim_page(lpn, start)
-        if self.stats.host_trims > before:
-            # the cleared mapping must eventually persist to its
-            # translation page, like any other mapping update
-            t = self.tm.charge_update(lpn, t)
-        return t
 
     # ---- garbage collection ---------------------------------------------------
 
@@ -244,34 +206,3 @@ class DftlFtl(Ftl):
         # Emergency path: even translation pages may land off plane 0;
         # the GTD is in SRAM so reads still find them.
         return self.data_allocator.allocate(owner)
-
-    def _gc_note_move(self, owner: int, new_ppn: int, moved_data: list) -> None:
-        if is_translation_owner(owner):
-            self.gtd.update(decode_translation_owner(owner), new_ppn)
-        else:
-            super()._gc_note_move(owner, new_ppn, moved_data)
-
-    def _gc_mapping_updates(self, moved_data: list, now: float) -> float:
-        return self.tm.gc_update_mappings(moved_data, now) if moved_data else now
-
-    # ---- integrity -----------------------------------------------------------------
-
-    def _rebuild_extra_state(self, translation_ppns, translation_owners) -> None:
-        """Recover the GTD from on-flash translation pages and drop the
-        (volatile) CMT — the demand-paged state a power cycle loses."""
-        # Forget first: a crash between write_back's invalidate-old and
-        # program-new leaves a tvpn with no valid page; a surviving SRAM
-        # entry would point at the invalidated page.
-        self.gtd.clear()
-        for ppn, owner in zip(translation_ppns, translation_owners):
-            self.gtd.update(decode_translation_owner(int(owner)), int(ppn))
-        from repro.ftl.cmt import CachedMappingTable
-
-        self.cmt = CachedMappingTable(self.cmt.capacity)
-        self.tm.cmt = self.cmt
-
-    def extra_integrity_checks(self, translation_ppns, translation_owners) -> None:
-        for ppn, owner in zip(translation_ppns, translation_owners):
-            tvpn = decode_translation_owner(int(owner))
-            if self.gtd.lookup(tvpn) != ppn:
-                raise AssertionError(f"GTD stale for tvpn {tvpn}: {self.gtd.lookup(tvpn)} != {ppn}")

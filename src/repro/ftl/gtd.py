@@ -25,7 +25,7 @@ class GlobalTranslationDirectory:
         self.entries_per_tpage = max(1, page_size // self.ENTRY_BYTES)
         self.num_tpages = math.ceil(num_lpns / self.entries_per_tpage)
         # Flat int64 directory: tvpn -> ppn, -1 when never materialised.
-        self._tpage_ppn = array("q", [-1]) * self.num_tpages
+        self.tpage_ppn = array("q", [-1]) * self.num_tpages
 
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_tpage
@@ -36,21 +36,20 @@ class GlobalTranslationDirectory:
 
     def lookup(self, tvpn: int) -> int:
         """PPN of a translation page, or -1 if never materialised."""
-        return self._tpage_ppn[tvpn]
+        return self.tpage_ppn[tvpn]
 
     def update(self, tvpn: int, ppn: int) -> None:
-        self._tpage_ppn[tvpn] = ppn
+        self.tpage_ppn[tvpn] = ppn
 
     def clear(self) -> None:
         """Forget every entry (crash recovery rebuilds from the flash scan).
 
-        In-place so long-lived references to the flat store (batch
-        kernels) stay valid.
+        In-place so references to the flat store stay valid.
         """
-        self._tpage_ppn[:] = array("q", [-1]) * self.num_tpages
+        self.tpage_ppn[:] = array("q", [-1]) * self.num_tpages
 
     def is_mapped(self, tvpn: int) -> bool:
-        return self._tpage_ppn[tvpn] != -1
+        return self.tpage_ppn[tvpn] != -1
 
     def mapped_count(self) -> int:
-        return sum(1 for ppn in self._tpage_ppn if ppn != -1)
+        return sum(1 for ppn in self.tpage_ppn if ppn != -1)

@@ -110,9 +110,8 @@ def create_ftl(name: str, geometry: SSDGeometry, timing: TimingParams | None = N
         factory = _FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown FTL {name!r}; available: {available_ftls()}") from None
-    if not name.startswith("dloop"):
-        # Only the DLOOP family has a batch-kernel implementation; the
-        # switch is accepted (and ignored) everywhere so harnesses can
-        # sweep batch_kernels uniformly across FTLs.
-        kwargs.pop("batch_kernels", None)
+    # Accepted and ignored: the frozen benchmark's overhead ladder
+    # (perfbench/workloads.py, "scalar" rung) still passes the switch of
+    # a second DLOOP implementation that no longer exists.
+    kwargs.pop("batch_kernels", None)
     return factory(geometry, timing, **kwargs)

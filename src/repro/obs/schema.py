@@ -113,7 +113,7 @@ EV_READ_RETRY = "read_retry"
 EV_RELOCATE = "relocate"
 EV_BLOCK_RETIRED = "block_retired"
 
-# perf (batch-kernel observability)
+# perf (fused trace generation)
 EV_BATCH_WINDOW = "batch_window"
 
 # wb (DRAM write buffer)
@@ -177,6 +177,9 @@ class EventSchema:
 _TIMEKEEPER = ("repro.flash.timekeeper",)
 _COMMANDS = ("repro.flash.commands",)
 _ARRAY = ("repro.flash.array",)
+#: program/invalidate are also emitted where the DLOOP page path inlines
+#: the transition (host write, translation write-back).
+_ARRAY_PAGE = _ARRAY + ("repro.core.dloop", "repro.ftl.translation")
 _CONTROLLER = ("repro.controller.controller",)
 _BASE_FAST = ("repro.ftl.base", "repro.ftl.fast")
 
@@ -331,13 +334,13 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
     EventSchema(
         CAT_ARRAY, EV_ARRAY_PROGRAM,
         {"ppn": "ppn", "owner": "owner"},
-        optional={"gen": "count"}, modules=_ARRAY,
+        optional={"gen": "count"}, modules=_ARRAY_PAGE,
         description="page programmed (owner is an lpn or translation id; "
                     "gen is the OOB content generation when armed)",
     ),
     EventSchema(
         CAT_ARRAY, EV_INVALIDATE,
-        {"ppn": "ppn"}, modules=_ARRAY,
+        {"ppn": "ppn"}, modules=_ARRAY_PAGE,
         description="valid page invalidated",
     ),
     EventSchema(
@@ -477,7 +480,7 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
         description="event dispatch, named after the callback qualname; "
                     "seq orders same-timestamp events",
     ),
-    # ---- perf (batch-kernel observability) -------------------------------
+    # ---- perf (fused trace generation) ------------------------------------
     EventSchema(
         CAT_PERF, EV_BATCH_WINDOW,
         {"requests": "count"},

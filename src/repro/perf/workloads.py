@@ -34,12 +34,6 @@ from repro.perf.fingerprint import engine_fingerprint, ftl_fingerprint
 #: (fingerprint, work_units, unit) returned by every benchmark body.
 BenchOutcome = Tuple[Dict[str, Any], int, str]
 
-#: Suite-wide switch for the DLOOP batch kernels (repro.perf.kernels).
-#: ``repro-sim bench --no-batch-kernels`` clears it so CI can prove the
-#: scalar path produces identical fingerprints (and see its speed).
-#: Read at call time by every benchmark that builds a DLOOP FTL.
-BATCH_KERNELS = True
-
 
 @dataclass(frozen=True)
 class Benchmark:
@@ -108,7 +102,7 @@ def _ftl_mix(ftl_name: str, quick: bool, *, ops: int, footprint_frac: float = 0.
     from repro.ftl.registry import create_ftl
 
     geometry = bench_geometry()
-    ftl = create_ftl(ftl_name, geometry, TimingParams(), batch_kernels=BATCH_KERNELS)
+    ftl = create_ftl(ftl_name, geometry, TimingParams())
     num_lpns = geometry.num_lpns
     footprint = int(num_lpns * footprint_frac)
     ftl.bulk_fill(footprint)
@@ -136,7 +130,7 @@ def _gc_steady_dloop(quick: bool) -> BenchOutcome:
     from repro.ftl.registry import create_ftl
 
     geometry = bench_geometry()
-    ftl = create_ftl("dloop", geometry, TimingParams(), batch_kernels=BATCH_KERNELS)
+    ftl = create_ftl("dloop", geometry, TimingParams())
     num_lpns = geometry.num_lpns
     ftl.bulk_fill(int(num_lpns * 0.80))
     ftl.clock.reset_measurements()
@@ -159,8 +153,7 @@ def _device_dloop(quick: bool) -> BenchOutcome:
     from repro.sim.request import IoOp
 
     geometry = bench_geometry()
-    ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop",
-                       batch_kernels=BATCH_KERNELS)
+    ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop")
     ssd.precondition(0.6)
 
     n = 2_000 if quick else 8_000
@@ -198,8 +191,7 @@ def _stream_device_dloop(quick: bool) -> BenchOutcome:
     from repro.traces.stream import stream_io_requests
 
     geometry = bench_geometry()
-    ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop",
-                       batch_kernels=BATCH_KERNELS)
+    ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop")
     ssd.precondition(0.6)
 
     n = 25_000 if quick else 200_000

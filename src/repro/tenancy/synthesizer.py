@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.conformance.sketches import splitmix64
+from repro.seeding import fold_seed
 from repro.sim.request import IoOp, IoRequest
 from repro.traces.model import TraceRequest, WorkloadSpec
 from repro.traces.stream import stream_workload
@@ -95,14 +95,6 @@ def parse_tenants_spec(spec: str, default_persona: str = "financial1") -> Tuple[
     if not tenants:
         raise ValueError(f"--tenants spec {spec!r} has no tenants")
     return tuple(tenants)
-
-
-def _fold_seed(base_seed: int, label: str) -> int:
-    """Per-tenant seed: FNV-1a over the label, mixed with splitmix64."""
-    h = 0xCBF29CE484222325
-    for byte in label.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return splitmix64(h ^ (base_seed & 0xFFFFFFFFFFFFFFFF)) & 0x7FFFFFFF
 
 
 def diurnal_warp(
@@ -198,7 +190,7 @@ class TrafficModel:
                 for p in self.popularity()]
 
     def tenant_seed(self, index: int) -> int:
-        return _fold_seed(self.base_seed, self.tenants[index].name)
+        return fold_seed(self.base_seed, self.tenants[index].name)
 
     def tenant_workload(self, index: int, extent_bytes: int) -> WorkloadSpec:
         """The tenant's persona spec, confined to its namespace extent.

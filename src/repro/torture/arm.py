@@ -94,22 +94,14 @@ class TortureArm:
 
     # ---- lifecycle -------------------------------------------------------
 
-    def attach(self, armed: Optional[Tuple[str, int]] = None, ftl=None) -> "TortureArm":
-        """Subscribe (last!) and optionally arm ``(kind, index)``.
-
-        ``ftl`` is the device's FTL when one is at hand: any attached
-        batch-replay kernel is detached, because kernels fuse many page
-        operations into one vectorised step and would sail straight
-        past a per-event crash point (and past the counting itself).
-        """
+    def attach(self, armed: Optional[Tuple[str, int]] = None) -> "TortureArm":
+        """Subscribe (last!) and optionally arm ``(kind, index)``."""
         if self._attached:
             raise RuntimeError("TortureArm is already attached")
         if armed is not None and armed[0] not in self.counts:
             raise ValueError(
                 f"unknown crash kind {armed[0]!r}; available: {CRASH_KINDS}"
             )
-        if ftl is not None:
-            ftl.detach_kernel()
         self._armed = armed
         self.fired = None
         for kind in self.counts:

@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.conformance.matrix import FAULT_PLANS, _fold_seed, ftl_supports_faults
-from repro.conformance.sketches import splitmix64
+from repro.conformance.matrix import FAULT_PLANS, ftl_supports_faults
 from repro.controller.device import SimulatedSSD
 from repro.flash.geometry import SSDGeometry
 from repro.perf.fingerprint import ftl_fingerprint
+from repro.seeding import fold_seed, splitmix64
 from repro.sim.request import IoRequest
 from repro.torture.arm import CRASH_KINDS, TortureArm, TortureCrash
 from repro.torture.ledger import AckLedger
@@ -175,7 +175,7 @@ class TortureCampaign:
                     cell = TortureCell(ftl=ftl, workload=workload, fault_plan=plan)
                     out.append(TortureCell(
                         ftl=ftl, workload=workload, fault_plan=plan,
-                        seed=_fold_seed(cfg.base_seed, cell.cell_id),
+                        seed=fold_seed(cfg.base_seed, cell.cell_id),
                     ))
         return out
 
@@ -250,7 +250,7 @@ class TortureCampaign:
         """Counting-only replay: per-kind crash-point counts and the
         no-crash reference fingerprint."""
         ssd = self._make_ssd(cell, sanitize=False)
-        arm = TortureArm().attach(armed=None, ftl=ssd.ftl)
+        arm = TortureArm().attach(armed=None)
         try:
             self._run_trace(ssd, self._fresh_requests(base))
             counts = dict(arm.counts)
@@ -286,7 +286,7 @@ class TortureCampaign:
         stream_iter = iter(requests) if self.config.stream else None
         # Subscribed last: the sanitizer's shadow model and the ledger
         # must both observe the triggering event before the arm raises.
-        arm = TortureArm().attach(armed=point, ftl=ftl)
+        arm = TortureArm().attach(armed=point)
         result = PointResult(kind=point[0], index=point[1], fired=False,
                              double=double)
         try:

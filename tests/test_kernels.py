@@ -1,28 +1,33 @@
-"""Kernel/scalar equivalence: ``batch_kernels`` on vs off is bit-identical.
+"""Golden replay sweep: the one DLOOP page path against recorded behaviour.
 
-The batch-kernel layer (``repro.perf.kernels``) only engages on the
-plain DLOOP FTL with copy-back on, tracing off and no fault injection —
-everywhere else the constructor, ``attach_faults()`` or the TraceBus
-guard drops the replay back onto the scalar path.  These tests pin the
-*contract*, not the engagement: for every FTL × admission mode × queue
-depth × fault plan, a replay with ``batch_kernels=True`` must be
-bit-identical to ``batch_kernels=False`` — same determinism fingerprint
-(final clock repr, flash/GC counters, mapping-table CRCs), same
-completed count, same request-stats accumulators down to the last
-Welford update and reservoir slot.
+``tests/fixtures/replay_sweep_fingerprints.json`` was recorded at the
+last commit that carried two implementations of the DLOOP page protocol,
+from the layered reference one (``batch_kernels=False``): for every FTL
+x admission mode x queue depth x fault plan, the determinism fingerprint
+(final clock repr, flash/GC counters, mapping-table CRCs), the completed
+count and the request-stats accumulators down to the last Welford update
+and reservoir slot.  The replays here must reproduce it bit for bit;
+``SimSanitizer``'s shadow NAND model and the dict-model replay in
+``test_golden_fingerprints.py`` remain the independent formulations.
 
-The same file pins the two supporting batch surfaces:
+The same file pins:
 
+* that an observer never changes which code runs, and that the clock
+  alone holds the resource timelines;
 * the fused generator ``stream_io_requests`` against the unfused
   ``io_requests(stream_workload(...))`` pipeline (same values, same
   Python scalar types, any chunk size);
-* the :class:`FlashTimekeeper` batch APIs against per-op scalar calls
+* the :class:`FlashTimekeeper` multi-op helpers against per-op calls
   (same completion times, same timelines, same counters).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -35,14 +40,16 @@ from functools import lru_cache
 
 from repro.ftl.registry import available_ftls, create_ftl
 from repro.metrics.streaming import StreamingRequestStats
+from repro.obs.tracebus import BUS
 from repro.perf.fingerprint import engine_fingerprint, ftl_fingerprint
 from repro.traces.model import KB, SizeMix, WorkloadSpec
 from repro.traces.stream import io_requests, stream_io_requests, stream_workload
 
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "replay_sweep_fingerprints.json")
+
 
 def _geometry() -> SSDGeometry:
-    # Small enough for a fast sweep, big enough that GC actually runs
-    # (the scalar-fallback seams the kernels must agree with).
+    # Small enough for a fast sweep, big enough that GC actually runs.
     return SSDGeometry(
         channels=2,
         dies_per_chip=1,
@@ -85,40 +92,45 @@ FAULTS = {
 }
 
 
-def _stats_snapshot(stats) -> tuple:
+def _digest(values) -> list:
+    """``[count, sha256]`` of a float sequence's ``repr`` image."""
+    image = "\n".join(map(repr, values)).encode("ascii")
+    return [len(values), hashlib.sha256(image).hexdigest()]
+
+
+def _stats_snapshot(stats) -> list:
     """Bit-exact digest of either request-stats implementation.
 
     ``repr`` on the floats (not ``==`` on rounded summaries) so a
     single ULP of drift in any Welford update or reservoir slot fails
     the sweep.
     """
-    common = (
+    common = [
         stats.pages_read, stats.pages_written, stats.pages_trimmed,
         stats.failed_requests, stats.retried_requests,
         stats.total_retries, stats.lost_pages,
-    )
+    ]
     if isinstance(stats, StreamingRequestStats):
-        moments = tuple(
-            (m.count, repr(m.mean), repr(m._m2), repr(m.min), repr(m.max))
+        moments = [
+            [m.count, repr(m.mean), repr(m._m2), repr(m.min), repr(m.max)]
             for m in (stats.overall, stats.reads, stats.writes)
-        )
-        reservoir = (stats.reservoir.seen, tuple(map(repr, stats.reservoir.values)))
-        return ("streaming",) + common + moments + (reservoir,)
+        ]
+        reservoir = [stats.reservoir.seen, _digest(stats.reservoir.values)]
+        return ["streaming"] + common + moments + [reservoir]
     assert isinstance(stats, RequestStats)
-    return ("list",) + common + tuple(
-        tuple(map(repr, xs))
+    return ["list"] + common + [
+        _digest(xs)
         for xs in (stats.response_us, stats.read_response_us, stats.write_response_us)
-    )
+    ]
 
 
-def _replay(ftl_name: str, mode: str, faults: bool, batch_kernels: bool,
+def _replay(ftl_name: str, mode: str, faults: bool,
             *, n: int = 1200, sanitize: bool = False) -> dict:
     geometry = _geometry()
     ssd = SimulatedSSD(
         geometry,
         TimingParams(),
         ftl=ftl_name,
-        batch_kernels=batch_kernels,
         faults=FAULTS if faults else None,
         sanitize=sanitize,
     )
@@ -139,8 +151,13 @@ def _replay(ftl_name: str, mode: str, faults: bool, batch_kernels: bool,
     return fingerprint
 
 
-#: The benchmarked FTL families: DLOOP is where the kernels engage,
-#: the rest prove the ``batch_kernels`` switch is inert elsewhere.
+@lru_cache(maxsize=None)
+def _golden() -> dict:
+    with open(FIXTURE, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+#: The benchmarked FTL families.
 SWEEP_FTLS = ("dloop", "dftl", "fast", "pagemap")
 SWEEP_MODES = ("materialized", "stream-qd8", "stream-qd32")
 
@@ -151,10 +168,9 @@ SWEEP_MODES = ("materialized", "stream-qd8", "stream-qd32")
 def test_kernel_equivalence_sweep(ftl_name, mode, faults):
     if faults and not _supports_faults(ftl_name):
         pytest.skip(f"{ftl_name} has no fault-injection seams")
-    scalar = _replay(ftl_name, mode, faults, batch_kernels=False)
-    kernel = _replay(ftl_name, mode, faults, batch_kernels=True)
-    assert kernel == scalar, (
-        f"{ftl_name}/{mode}/faults={faults}: batch_kernels changed behaviour"
+    cell = f"{ftl_name}/{mode}/{'faults' if faults else 'nofaults'}"
+    assert _replay(ftl_name, mode, faults) == _golden()["sweep"][cell], (
+        f"{cell}: replay diverged from the recorded layered reference"
     )
 
 
@@ -162,32 +178,67 @@ def test_kernel_equivalence_sweep(ftl_name, mode, faults):
 def test_every_ftl_equivalent_under_faults_and_sanitizer(ftl_name):
     # The acceptance sweep: every registered FTL, faults injected
     # (where the FTL has seams) and the shadow-model sanitizer attached
-    # (which also enables the TraceBus, exercising the kernels'
-    # tracing fallback).
+    # (so the TraceBus is enabled and every emit site runs).
     faults = _supports_faults(ftl_name)
-    scalar = _replay(ftl_name, "stream-qd32", faults, batch_kernels=False,
-                     n=700, sanitize=True)
-    kernel = _replay(ftl_name, "stream-qd32", faults, batch_kernels=True,
-                     n=700, sanitize=True)
-    assert kernel == scalar
+    observed = _replay(ftl_name, "stream-qd32", faults, n=700, sanitize=True)
+    assert observed == _golden()["sanitized_faults"][ftl_name]
 
 
-def test_dloop_kernel_actually_engages():
-    # Guard against the sweep passing vacuously: on the plain DLOOP
-    # path with tracing off, batch_kernels=True must install a kernel.
+# ---- one implementation, whoever is watching ---------------------------------
+
+
+def _functions_entered(observed: bool) -> set:
+    """``repro.core``/``repro.ftl``/``repro.flash`` functions a small
+    GC-heavy DLOOP replay enters, with or without a TraceBus subscriber."""
     geometry = _geometry()
-    on = SimulatedSSD(geometry, TimingParams(), ftl="dloop", batch_kernels=True)
-    off = SimulatedSSD(geometry, TimingParams(), ftl="dloop", batch_kernels=False)
-    assert on.ftl._kernel is not None
-    assert off.ftl._kernel is None
+    ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop")
+    ssd.precondition(0.5)
+    requests = list(stream_io_requests(_spec(geometry), geometry))
+    entered = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith(("repro.core", "repro.ftl", "repro.flash")):
+                code = frame.f_code
+                entered.add((module, code.co_name, code.co_firstlineno))
+
+    def subscriber(event) -> None:
+        pass
+
+    if observed:
+        BUS.subscribe(subscriber)
+    sys.setprofile(profiler)
+    try:
+        ssd.run(requests)
+    finally:
+        sys.setprofile(None)
+        if observed:
+            BUS.unsubscribe(subscriber)
+    assert ssd.ftl.gc_stats.passes > 0 and ssd.ftl.gc_stats.moved_pages > 0
+    return entered
 
 
-def test_faults_detach_the_kernel():
+def test_observer_does_not_change_which_code_runs():
+    # ``BUS.enabled`` means "emit", never "switch implementation".
+    assert _functions_entered(observed=True) == _functions_entered(observed=False)
+
+
+def test_rebound_clock_holds_the_whole_timeline():
+    # No object but the clock holds its timelines: a device whose clock
+    # is replaced by a fresh FlashTimekeeper before preconditioning
+    # replays exactly like one that keeps the clock it was built with.
     geometry = _geometry()
-    ssd = SimulatedSSD(
-        geometry, TimingParams(), ftl="dloop", batch_kernels=True, faults=FAULTS
-    )
-    assert ssd.ftl._kernel is None
+
+    def replay(rebind: bool) -> dict:
+        ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop")
+        if rebind:
+            ssd.ftl.clock = ssd.ftl.tm.clock = FlashTimekeeper(geometry, ssd.timing)
+        ssd.precondition(0.5)
+        requests = stream_io_requests(_spec(geometry, n=600), geometry)
+        return ftl_fingerprint(ssd.ftl, ssd.run_stream(requests, queue_depth=8))
+
+    assert replay(rebind=True) == replay(rebind=False)
 
 
 # ---- fused generator vs unfused pipeline -----------------------------------

@@ -436,7 +436,7 @@ def test_midstream_crash_clears_admission_state():
     spec = _replay_spec(n=400)
     ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
     ssd.precondition(0.6)
-    arm = TortureArm().attach(armed=("program", 25), ftl=ssd.ftl)
+    arm = TortureArm().attach(armed=("program", 25))
     try:
         with pytest.raises(TortureCrash):
             ssd.run_stream(

@@ -10,6 +10,7 @@ force-retire window) must recover cleanly.
 """
 
 import json
+import os
 import random
 
 import numpy as np
@@ -199,7 +200,7 @@ def _crashed_and_recovered(geometry, *, point=("program", 30), seed=42):
     ledger.attach_bus()
     ssd.controller.ledger = ledger
     ssd.controller.on_complete.append(ledger.completed)
-    arm = TortureArm().attach(armed=point, ftl=ssd.ftl)
+    arm = TortureArm().attach(armed=point)
     try:
         with pytest.raises(TortureCrash):
             ssd.run(_write_workload(geometry, 400, seed))
@@ -375,62 +376,47 @@ class TestCampaign:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: batch kernel vs armed crash points
+# Satellite: armed crash points against the recorded layered reference
 # ---------------------------------------------------------------------------
 
 
 class TestKernelInteraction:
-    def test_attach_detaches_kernel(self, small_geometry):
-        ssd = SimulatedSSD(small_geometry, ftl="dloop")
-        assert ssd.ftl._kernel is not None
-        arm = TortureArm().attach(armed=None, ftl=ssd.ftl)
-        try:
-            assert ssd.ftl._kernel is None
-            assert ssd.ftl.tm.kernel is None
-        finally:
-            arm.detach()
-
     def test_kernel_armed_crash_equivalence(self, small_geometry):
-        """A device built with batch kernels must count the same crash
-        points — and crash into the same recovered state — as one built
-        on the scalar path, because arming detaches the kernel."""
+        """Crash-point counts, fingerprints and the recovered state of an
+        armed DLOOP replay, pinned to the values the layered reference
+        path produced at the last commit that carried it (recorded in
+        ``fixtures/replay_sweep_fingerprints.json``)."""
+        fixture = os.path.join(
+            os.path.dirname(__file__), "fixtures", "replay_sweep_fingerprints.json"
+        )
+        with open(fixture, "r", encoding="utf-8") as fh:
+            golden = json.load(fh)["torture_armed_crash"]
         workload = _write_workload(small_geometry, 300, seed=5)
 
-        def build(batch):
-            ssd = SimulatedSSD(
-                small_geometry, ftl="dloop", batch_kernels=batch
-            )
+        def build():
+            ssd = SimulatedSSD(small_geometry, ftl="dloop")
             ssd.precondition(0.7)
             return ssd
 
-        counts, fingerprints = {}, {}
-        for batch in (True, False):
-            ssd = build(batch)
-            arm = TortureArm().attach(armed=None, ftl=ssd.ftl)
-            try:
-                ssd.run(_fresh(workload))
-            finally:
-                arm.detach()
-            counts[batch] = dict(arm.counts)
-            fingerprints[batch] = ftl_fingerprint(ssd.ftl, ssd.engine.now)
-        assert counts[True] == counts[False]
-        assert fingerprints[True] == fingerprints[False]
+        ssd = build()
+        arm = TortureArm().attach(armed=None)
+        try:
+            ssd.run(_fresh(workload))
+        finally:
+            arm.detach()
+        assert dict(arm.counts) == golden["counts"]
+        assert ftl_fingerprint(ssd.ftl, ssd.engine.now) == golden["fingerprint"]
 
-        recovered = {}
-        for batch in (True, False):
-            ssd = build(batch)
-            arm = TortureArm().attach(armed=("program", 50), ftl=ssd.ftl)
-            try:
-                with pytest.raises(TortureCrash):
-                    ssd.run(_fresh(workload))
-            finally:
-                arm.detach()
-            summary = ssd.crash()
-            recovered[batch] = (
-                summary["recovered_mappings"],
-                ftl_fingerprint(ssd.ftl, ssd.engine.now),
-            )
-        assert recovered[True] == recovered[False]
+        ssd = build()
+        arm = TortureArm().attach(armed=("program", 50))
+        try:
+            with pytest.raises(TortureCrash):
+                ssd.run(_fresh(workload))
+        finally:
+            arm.detach()
+        summary = ssd.crash()
+        assert summary["recovered_mappings"] == golden["recovered_mappings"]
+        assert ftl_fingerprint(ssd.ftl, ssd.engine.now) == golden["recovered_fingerprint"]
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +452,7 @@ def _fault_ssd(faults):
 def _discover_events(faults, workload):
     """Replay once (scalar path) and return the raw event list."""
     ssd = _fault_ssd(faults)
-    arm = TortureArm().attach(armed=None, ftl=ssd.ftl)
+    arm = TortureArm().attach(armed=None)
     events = []
     try:
         BUS.subscribe(events.append)
@@ -503,7 +489,7 @@ def _replay_fault_point(faults, workload, point):
     ledger.attach_bus()
     ssd.controller.ledger = ledger
     ssd.controller.on_complete.append(ledger.completed)
-    arm = TortureArm().attach(armed=point, ftl=ssd.ftl)
+    arm = TortureArm().attach(armed=point)
     try:
         with pytest.raises(TortureCrash):
             ssd.run(_fresh(workload))
