@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Build your own FTL in ~60 lines (docs/ftl-guide.md, runnable).
+"""Build your own FTL in ~40 lines (docs/ftl-guide.md, runnable).
 
 Implements **RoundRobinFtl**: writes rotate over planes in strict
 round-robin order (ignoring the LPN), with base-class GC doing the
@@ -65,41 +65,17 @@ class RoundRobinFtl(Ftl):
         self.page_table[lpn] = new_ppn
         return self._maybe_gc(plane, t)
 
-    # -- GC hooks for the base orchestration --------------------------------
+    # -- GC policy for the base orchestration -------------------------------
+    # Victim selection, the move loop, the erase and the emergency paths are
+    # Ftl's; an FTL says which blocks are off limits and where moved pages go.
+    # (use_copyback stays False: placement ignores the LPN, so a page's
+    # copies rarely share a plane and copy-back would seldom be legal.)
 
     def _gc_exclude(self, plane):
         return self.allocators[plane].active_blocks()
 
-    def _gc_max_valid(self, plane):
-        allocator = self.allocators[plane]
-        current_free = (
-            self.array.block_free_pages(allocator.current_block)
-            if allocator.current_block is not None
-            else 0
-        )
-        ppb = self.geometry.pages_per_block
-        return current_free + max(0, self.array.free_block_count(plane) - 1) * ppb
-
-    def _gc_alloc_any(self, owner):
-        counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
-        dst = max(range(self.num_planes), key=lambda p: counts[p])
-        return self.allocators[dst].allocate(owner)
-
-    def _collect(self, plane, victim, now):
-        t = now
-        for ppn in list(self.array.valid_pages_in_block(victim)):
-            lpn = self.array.owner_of(ppn)
-            new_ppn = self.allocators[plane].allocate(lpn)
-            t = self.clock.inter_plane_copy(plane, plane, t)  # no copy-back here
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(ppn)
-            self.page_table[lpn] = new_ppn
-        t = self.clock.erase_block(plane, t)
-        self.array.erase(victim)
-        self.array.release_block(victim)
-        self.gc_stats.erased_blocks += 1
-        return t
+    def _gc_destinations(self, plane):
+        return self.allocators[plane], self.allocators[plane]
 
 
 def main() -> None:

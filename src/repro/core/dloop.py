@@ -18,13 +18,12 @@ Key behaviours, each tied to the paper:
 
 from __future__ import annotations
 
-from repro.flash.address import OWNER_NONE, decode_translation_owner
+from repro.flash.address import OWNER_NONE
 from repro.flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator
 from repro.ftl.base import OutOfSpaceError
-from repro.ftl.gcontrol import parity_minimizing_order
 from repro.ftl.translation import DemandPagedFtl
 from repro.obs.tracebus import BUS
 
@@ -32,8 +31,8 @@ from repro.obs.tracebus import BUS
 class DloopFtl(DemandPagedFtl):
     """The paper's plane-parallel page-mapping FTL.
 
-    ``read_page`` (inherited), ``write_page`` and ``_collect`` are the
-    page protocol every run executes — benchmarked, traced, sanitized,
+    ``write_page`` and the inherited ``read_page`` and ``_collect`` are
+    the page protocol every run executes — benchmarked, traced, sanitized,
     faulted or subclassed alike.  They are straight-line code: each
     costs a handful of calls (into the translation manager, the write
     point, the array and the timekeeper), because a Python call per
@@ -197,28 +196,8 @@ class DloopFtl(DemandPagedFtl):
     # ---- preconditioning --------------------------------------------------------
 
     def bulk_fill(self, count: int) -> None:
-        """Vectorised sequential fill: Eq. 1 striping, whole blocks at a time."""
-        import numpy as np
-
-        ppb = self.geometry.pages_per_block
-        for plane in range(self.num_planes):
-            lpns = np.arange(plane, count, self.num_planes, dtype=np.int64)
-            full = (len(lpns) // ppb) * ppb
-            for start in range(0, full, ppb):
-                block = self.array.allocate_block(plane)
-                ppns = self.array.bulk_fill_block(block, lpns[start : start + ppb])
-                self.page_table_np[lpns[start : start + ppb]] = ppns
-        # the striped tails go through the normal write path
-        for plane in range(self.num_planes):
-            lpns = np.arange(plane, count, self.num_planes, dtype=np.int64)
-            full = (len(lpns) // ppb) * ppb
-            for lpn in lpns[full:]:
-                self.write_page(int(lpn), 0.0)
-        # materialise the translation pages covering the filled range so
-        # demand paging starts from a realistic aged state
-        if count > 0:
-            for tvpn in range(self.gtd.tvpn_of(count - 1) + 1):
-                self.tm.write_back(tvpn, 0.0)
+        self._bulk_fill_striped(count)
+        self._bulk_fill_translation(count)
 
     # ---- garbage collection (Section III.C, Fig. 5) ------------------------------
 
@@ -228,127 +207,8 @@ class DloopFtl(DemandPagedFtl):
             | self._gc_destination_allocator(plane).active_blocks()
         )
 
-    def _gc_close_active(self, plane: int):
-        allocator = self.allocators[plane]
-        block = allocator.current_block
-        if block is None or self.array.block_invalid[block] == 0:
-            return None
-        allocator.current_block = None
-        return block
-
-    def _gc_max_valid(self, plane: int):
-        """Victims must fit the plane's own space (GC stays intra-plane).
-
-        One free block is held back for the pass's translation
-        write-backs.  Parity-minimising move ordering keeps same-parity
-        waste near the even/odd imbalance (paper: "rarely happens"), so
-        the bound is the raw space; if waste still overruns it mid-pass,
-        ``_collect`` degrades the remaining moves to cross-plane
-        controller copies instead of failing.
-        """
+    def _gc_destinations(self, plane: int) -> tuple:
+        # Data and translation pages alike stay on the victim's plane,
+        # which is what makes every move copy-back eligible.
         allocator = self._gc_destination_allocator(plane)
-        current_free = (
-            self.array.block_free_pages(allocator.current_block)
-            if allocator.current_block is not None
-            else 0
-        )
-        ppb = self.geometry.pages_per_block
-        avail = current_free + max(0, self.array.free_block_count(plane) - 1) * ppb
-        # Allow for parity waste up to ~half the moves; overruns degrade
-        # gracefully to cross-plane controller copies in _collect.
-        return (avail * 2) // 3 if self.use_copyback else avail
-
-    def _collect(self, plane: int, victim: int, now: float) -> float:
-        """Reclaim one victim block; returns time after the erase."""
-        array = self.array
-        clock = self.clock
-        gc_stats = self.gc_stats
-        page_owner = array.page_owner
-        pages_per_plane = self._pages_per_plane
-        first_ppn = victim * self._pages_per_block
-        allocator = self._gc_destination_allocator(plane)
-        use_copyback = self.use_copyback
-        faults = self.faults
-        t = now
-        moved_data = []
-        valids = list(array.valid_pages_in_block(victim))
-        if use_copyback:
-            # Lazy: the generator re-reads the destination offset after
-            # each allocation so parities interleave correctly (and an
-            # empty pool raises out of the pass from there).
-            valids = parity_minimizing_order(valids, self.codec, allocator)
-        overflow = False  # plane space exhausted mid-pass: degrade moves
-        for ppn in valids:
-            owner = page_owner[ppn]
-            if array.page_gen is not None:
-                array.stage_copy_gen(ppn)
-            move_start = t
-            if overflow:
-                new_ppn = self._gc_alloc_any(owner)
-                t = clock.inter_plane_copy(plane, new_ppn // pages_per_plane, t)
-                gc_stats.controller_moves += 1
-            elif use_copyback:
-                parity = (ppn - first_ppn) & 1
-                try:
-                    if faults is None:
-                        new_ppn, skipped = allocator.allocate_with_parity(owner, parity)
-                    else:
-                        # Fault-aware copy-back: failed programs burn pages
-                        # and retry at the next same-parity page, same plane.
-                        new_ppn, skipped, t = faults.copyback(allocator, owner, parity, t)
-                except FlashStateError:
-                    overflow = True
-                    new_ppn = self._gc_alloc_any(owner)
-                    t = clock.inter_plane_copy(plane, new_ppn // pages_per_plane, t)
-                    gc_stats.controller_moves += 1
-                else:
-                    gc_stats.wasted_pages += skipped
-                    clock.counters.skipped_pages += skipped
-                    if faults is None:
-                        t = clock.copy_back(plane, t)
-                    gc_stats.copyback_moves += 1
-            else:
-                try:
-                    new_ppn = allocator.allocate(owner)
-                except FlashStateError:
-                    overflow = True
-                    new_ppn = self._gc_alloc_any(owner)
-                t = clock.inter_plane_copy(plane, plane, t)
-                gc_stats.controller_moves += 1
-            array.invalidate(ppn)
-            gc_stats.moved_pages += 1
-            if BUS.enabled:
-                BUS.emit("gc", "migrate", move_start, 0.0,
-                         {"plane": plane, "from_ppn": int(ppn), "to_ppn": int(new_ppn),
-                          "mode": "controller" if (overflow or not use_copyback)
-                          else "copyback"},
-                         None, "i")
-            if owner <= -2:  # is_translation_owner
-                # Relocating a translation page only touches the SRAM GTD.
-                self.gtd.update(decode_translation_owner(owner), new_ppn)
-            else:
-                self.page_table[owner] = new_ppn
-                moved_data.append((owner, new_ppn))
-        # Erase before the translation write-backs: the pool is at its
-        # low-water mark here, and the write-backs themselves consume pages.
-        t = clock.erase_block(plane, t)
-        array.erase(victim)
-        if faults is not None:
-            faults.check_erase(victim)
-        array.release_block(victim)
-        gc_stats.erased_blocks += 1
-        if moved_data:
-            before = self.tm.stats.gc_batched_updates
-            t = self.tm.gc_update_mappings(moved_data, t)
-            gc_stats.translation_updates += self.tm.stats.gc_batched_updates - before
-        return t
-
-    # ---- emergency relocation hooks -----------------------------------------------
-
-    def _gc_alloc_any(self, owner: int) -> int:
-        counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
-        dst = max(range(self.num_planes), key=lambda p: counts[p])
-        try:
-            return self.allocators[dst].allocate(owner)
-        except FlashStateError as exc:
-            raise OutOfSpaceError("no plane can absorb relocated pages — device full") from exc
+        return allocator, allocator

@@ -112,31 +112,14 @@ class FaultInjector:
         parity-skip count.
         """
         array = self.array
-        codec = array.codec
         ppb = array.geometry.pages_per_block
         t = now
         parity_skips = 0
         while True:
-            block = allocator._ensure_block()
-            offset = int(array.block_write_ptr[block])
-            if (offset & 1) != parity:
-                if offset == ppb - 1:
-                    # Last page has the wrong parity: waste it, open a
-                    # new block (parity 1 then needs one more skip).
-                    array.skip_page(codec.block_first_ppn(block) + offset)
-                    parity_skips += 1
-                    block = allocator._ensure_block()
-                    offset = int(array.block_write_ptr[block])
-                    if (offset & 1) != parity:
-                        array.skip_page(codec.block_first_ppn(block) + offset)
-                        parity_skips += 1
-                        offset += 1
-                else:
-                    array.skip_page(codec.block_first_ppn(block) + offset)
-                    parity_skips += 1
-                    offset += 1
-            ppn = codec.block_first_ppn(block) + offset
-            plane = codec.block_to_plane(block)
+            block, offset, skipped = allocator.seek_parity(parity)
+            parity_skips += skipped
+            ppn = block * ppb + offset
+            plane = allocator.plane
             if self.plan.next_program_fails():
                 array.skip_page(ppn)
                 self.clock.counters.skipped_pages += 1

@@ -54,12 +54,12 @@ class PlaneAllocator:
         array.program(ppn, owner)
         return ppn
 
-    def allocate_with_parity(self, owner: int, parity: int) -> Tuple[int, int]:
-        """Program ``owner`` into a page whose offset parity matches.
+    def seek_parity(self, parity: int) -> Tuple[int, int, int]:
+        """Advance the write point to its next page of ``parity``.
 
-        Returns ``(ppn, skipped)`` where ``skipped`` is the number of
-        free pages wasted to honour the same-parity copy-back rule
-        (0 or 1 — Fig. 5b).
+        Returns ``(block, offset, skipped)`` where ``skipped`` is the
+        number of free pages wasted to honour the same-parity copy-back
+        rule (0, 1 or — across a block boundary — 2; Fig. 5b).
         """
         if parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {parity}")
@@ -81,8 +81,14 @@ class PlaneAllocator:
                     offset += 1
             else:
                 offset += 1
-        ppn = block * ppb + offset
-        array.program(ppn, owner)
+        return block, offset, skipped
+
+    def allocate_with_parity(self, owner: int, parity: int) -> Tuple[int, int]:
+        """Program ``owner`` into a page whose offset parity matches;
+        returns ``(ppn, skipped)``."""
+        block, offset, skipped = self.seek_parity(parity)
+        ppn = block * self._ppb + offset
+        self.array.program(ppn, owner)
         return ppn, skipped
 
     def active_blocks(self) -> set:
@@ -92,6 +98,9 @@ class PlaneAllocator:
 
 class RoamingAllocator:
     """DFTL-style single active block roaming across planes."""
+
+    #: Not bound to a plane (:class:`PlaneAllocator` instances are).
+    plane = None
 
     def __init__(self, array: FlashArray, planes: Optional[range] = None):
         self.array = array

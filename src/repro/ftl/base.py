@@ -23,12 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.flash.address import OWNER_NONE, PageState, is_translation_owner
-from repro.flash.array import FlashArray
+from repro.flash.address import OWNER_NONE, PageState
+from repro.flash.array import FlashArray, FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.timing import TimingParams
-from repro.ftl.gcontrol import GcStats
+from repro.ftl.gcontrol import VICTIM_POLICIES, GcStats, parity_minimizing_order, select_victim
 from repro.obs.tracebus import BUS
 
 
@@ -54,6 +54,10 @@ class Ftl(abc.ABC):
     #: without them reject ``attach_faults`` rather than silently run a
     #: fault plan that can never fire.
     fault_injection_supported = False
+    #: Whether GC moves pages by copy-back (same plane, same parity,
+    #: Section III.A) when the destination allows it, or always through
+    #: the controller.
+    use_copyback = False
 
     def __init__(
         self,
@@ -66,8 +70,6 @@ class Ftl(abc.ABC):
         gc_policy_seed: int = 0,
         debug_checks: bool = False,
     ):
-        from repro.ftl.gcontrol import VICTIM_POLICIES
-
         if gc_victim_policy not in VICTIM_POLICIES:
             raise ValueError(f"gc_victim_policy must be one of {VICTIM_POLICIES}")
         if gc_threshold < 2:
@@ -156,7 +158,8 @@ class Ftl(abc.ABC):
     # ---- garbage-collection orchestration -----------------------------------
     #
     # Shared by the page-mapping FTLs (DLOOP, DFTL, PageMap).  A GC
-    # *pass* reclaims one victim block (subclass hook ``_collect``).
+    # *pass* reclaims one victim block (``_collect``); subclasses supply
+    # policy only: ``_gc_exclude``, ``_gc_destinations``, ``use_copyback``.
     # Passes never nest: a trigger that fires while a pass is running
     # (e.g. a translation write-back landing on another low plane) is
     # queued and drained between passes.  This mirrors how a real
@@ -167,27 +170,55 @@ class Ftl(abc.ABC):
         """Blocks GC must not victimise on ``plane`` (active write points)."""
         raise NotImplementedError
 
-    def _collect(self, plane: int, victim: int, now: float) -> float:
-        """Reclaim one victim block; subclass responsibility."""
+    def _gc_destinations(self, plane: int) -> tuple:
+        """``(data_allocator, translation_allocator)``: the write points
+        that take the pages GC moves off a victim on ``plane``."""
         raise NotImplementedError
 
     def _gc_close_active(self, plane: int) -> Optional[int]:
-        """Give up the plane's active write block for emergency GC.
+        """Give up the plane's GC write block for emergency GC.
 
         Returns the closed block (now a legal victim) or None.  Only
         called when the plane has zero free blocks and no other victim.
         """
-        return None
+        allocator = self._gc_destinations(plane)[0]
+        block = allocator.current_block
+        if allocator.plane != plane or block is None or self.array.block_invalid[block] == 0:
+            return None
+        allocator.current_block = None
+        return block
 
     def _gc_max_valid(self, plane: int) -> Optional[int]:
         """Most valid pages a victim on ``plane`` may carry (feasibility).
 
-        None means unconstrained (the FTL relocates to other planes, so
-        one plane's pool does not bound the move).  Subclasses whose GC
-        destination is the same plane must bound this by the space the
-        plane can provide mid-pass.
+        None means unconstrained: the destination roams, so one plane's
+        pool does not bound the move.  A destination bound to the plane
+        must fit the victim in the plane's own space, with one free
+        block held back for the pass's translation write-backs.
+        Parity-minimising move ordering keeps same-parity waste near the
+        even/odd imbalance (paper: "rarely happens"), so copy-back
+        allows for waste up to ~half the moves; if waste still overruns
+        the plane mid-pass, ``_collect`` degrades the remaining moves to
+        cross-plane controller copies instead of failing.
         """
-        return None
+        allocator = self._gc_destinations(plane)[0]
+        if allocator.plane != plane:
+            return None
+        block = allocator.current_block
+        current_free = self.array.block_free_pages(block) if block is not None else 0
+        ppb = self.geometry.pages_per_block
+        avail = current_free + max(0, self.array.free_block_count(plane) - 1) * ppb
+        return (avail * 2) // 3 if self.use_copyback else avail
+
+    def _gc_alloc_any(self, owner: int) -> int:
+        """Program ``owner`` on the plane with the most free blocks (the
+        cross-plane escape of overflowing and emergency passes)."""
+        pools = self.array._free_pools
+        dst = max(range(len(pools)), key=lambda p: len(pools[p]))
+        try:
+            return self._gc_destinations(dst)[0].allocate(owner)
+        except FlashStateError as exc:
+            raise OutOfSpaceError("no plane can absorb relocated pages — device full") from exc
 
     def _maybe_gc(self, plane: int, now: float) -> float:
         if self._gc_planes:
@@ -282,8 +313,6 @@ class Ftl(abc.ABC):
         return t, did_work
 
     def _gc_pass(self, plane: int, now: float) -> float:
-        from repro.ftl.gcontrol import select_victim
-
         exclude = self._gc_exclude(plane)
         victim = select_victim(
             self.array,
@@ -328,13 +357,12 @@ class Ftl(abc.ABC):
         copyback_before = self.gc_stats.copyback_moves
         self._gc_planes.add(plane)
         try:
-            if emergency:
-                t = self._collect_emergency(plane, victim, now)
-            else:
-                t = self._collect(plane, victim, now)
+            t = self._collect(plane, victim, now, emergency)
         finally:
             self._gc_planes.discard(plane)
         self.gc_stats.passes += 1
+        if emergency:
+            self.gc_stats.emergency_passes += 1
         if BUS.enabled:
             BUS.emit("gc", "gc_pass", now, t - now,
                      {"plane": plane, "victim": victim, "emergency": emergency,
@@ -343,11 +371,7 @@ class Ftl(abc.ABC):
                      f"plane:{plane}")
         return t
 
-    # -- emergency relocation (cross-plane, controller path) -------------------
-
-    def _gc_alloc_any(self, owner: int) -> int:
-        """Program ``owner`` somewhere with space (subclass provides)."""
-        raise NotImplementedError
+    # -- the relocate-and-erase procedure (Section III.C, Fig. 5) ------------------
 
     def _gc_note_move(self, owner: int, new_ppn: int, moved_data: list) -> None:
         """Record a relocated page's new home (default: data pages only)."""
@@ -358,26 +382,89 @@ class Ftl(abc.ABC):
         """Charge mapping-structure updates after moves (default: free)."""
         return now
 
-    def _collect_emergency(self, plane: int, victim: int, now: float) -> float:
+    def _collect(self, plane: int, victim: int, now: float, emergency: bool = False) -> float:
+        """Move ``victim``'s valid pages away, erase it, persist the
+        mapping updates; returns the time afterwards.
+
+        Pages go to the ``_gc_destinations`` write points — by copy-back
+        under the same-parity rule when ``use_copyback``, else through
+        the controller.  When the destination runs out of space mid-pass
+        the remaining moves degrade to controller copies onto whichever
+        plane has room (``_gc_alloc_any``); an *emergency* pass (the
+        plane is cornered, no victim fits it) starts out that way.
+        """
+        array = self.array
+        clock = self.clock
+        gc_stats = self.gc_stats
+        page_owner = array.page_owner
+        pages_per_plane = self.geometry.pages_per_plane
+        first_ppn = victim * self.geometry.pages_per_block
+        data_allocator, translation_allocator = self._gc_destinations(plane)
+        use_copyback = self.use_copyback and not emergency
+        faults = self.faults
         t = now
         moved_data: list = []
-        for ppn in list(self.array.valid_pages_in_block(victim)):
-            owner = self.array.owner_of(ppn)
-            self.array.stage_copy_gen(ppn)
-            new_ppn = self._gc_alloc_any(owner)
-            t = self.clock.inter_plane_copy(plane, self.codec.ppn_to_plane(new_ppn), t)
-            self.gc_stats.controller_moves += 1
-            self.array.invalidate(ppn)
-            self.gc_stats.moved_pages += 1
+        valids = list(array.valid_pages_in_block(victim))
+        if use_copyback:
+            # Lazy: the generator re-reads the destination offset after
+            # each allocation so parities interleave correctly (and an
+            # empty pool raises out of the pass from there).
+            valids = parity_minimizing_order(valids, self.codec, data_allocator)
+        overflow = emergency  # destination space exhausted: degrade moves
+        for ppn in valids:
+            owner = page_owner[ppn]
+            if array.page_gen is not None:
+                array.stage_copy_gen(ppn)
+            move_start = t
+            allocator = data_allocator if owner >= 0 else translation_allocator
+            if not overflow:
+                try:
+                    if not use_copyback:
+                        new_ppn = allocator.allocate(owner)
+                    elif faults is None:
+                        new_ppn, skipped = allocator.allocate_with_parity(
+                            owner, (ppn - first_ppn) & 1)
+                    else:
+                        # Fault-aware copy-back: failed programs burn pages
+                        # and retry at the next same-parity page, same plane.
+                        new_ppn, skipped, t = faults.copyback(
+                            allocator, owner, (ppn - first_ppn) & 1, t)
+                except FlashStateError:
+                    overflow = True
+            if overflow:
+                new_ppn = self._gc_alloc_any(owner)
+            through_controller = overflow or not use_copyback
+            if through_controller:
+                t = clock.inter_plane_copy(plane, new_ppn // pages_per_plane, t)
+                gc_stats.controller_moves += 1
+            else:
+                gc_stats.wasted_pages += skipped
+                clock.counters.skipped_pages += skipped
+                if faults is None:
+                    t = clock.copy_back(plane, t)
+                gc_stats.copyback_moves += 1
+            array.invalidate(ppn)
+            gc_stats.moved_pages += 1
+            if BUS.enabled:
+                BUS.emit("gc", "migrate", move_start, 0.0,
+                         {"plane": plane, "from_ppn": int(ppn), "to_ppn": int(new_ppn),
+                          "mode": "controller" if through_controller else "copyback"},
+                         None, "i")
             self._gc_note_move(owner, new_ppn, moved_data)
-        t = self.clock.erase_block(plane, t)
-        self.array.erase(victim)
+        # Erase before the mapping updates: the pool is at its low-water
+        # mark here, and translation write-backs themselves consume pages.
+        t = self._erase_block(victim, t)
+        return self._gc_mapping_updates(moved_data, t)
+
+    def _erase_block(self, block: int, now: float) -> float:
+        """Erase ``block`` and return it to its plane's pool (or retire
+        it, when the erase fails or wear-out says so)."""
+        t = self.clock.erase_block(self.codec.block_to_plane(block), now)
+        self.array.erase(block)
         if self.faults is not None:
-            self.faults.check_erase(victim)
-        self.array.release_block(victim)
+            self.faults.check_erase(block)
+        self.array.release_block(block)
         self.gc_stats.erased_blocks += 1
-        t = self._gc_mapping_updates(moved_data, t)
-        self.gc_stats.emergency_passes += 1
         return t
 
     # ---- fault injection (repro.faults) -----------------------------------------
@@ -510,6 +597,39 @@ class Ftl(abc.ABC):
         equivalent that produces the same end state.
         """
         for lpn in range(count):
+            self.write_page(lpn, 0.0)
+
+    def _bulk_fill_striped(self, count: int) -> None:
+        """Vectorised fill, LPN-striped layout (Eq. 1): plane
+        ``lpn % planes``, whole blocks at a time."""
+        ppb = self.geometry.pages_per_block
+        planes = self.geometry.num_planes
+        tails = []
+        for plane in range(planes):
+            lpns = np.arange(plane, count, planes, dtype=np.int64)
+            full = (len(lpns) // ppb) * ppb
+            for start in range(0, full, ppb):
+                block = self.array.allocate_block(plane)
+                chunk = lpns[start : start + ppb]
+                self.page_table_np[chunk] = self.array.bulk_fill_block(block, chunk)
+            tails.append(lpns[full:])
+        # the striped tails go through the normal write path
+        for tail in tails:
+            for lpn in tail:
+                self.write_page(int(lpn), 0.0)
+
+    def _bulk_fill_blocks(self, count: int) -> None:
+        """Vectorised fill, block-granular layout: consecutive LPNs fill
+        a block, blocks round-robin across planes (the balanced steady
+        state a roaming or random write point converges to)."""
+        ppb = self.geometry.pages_per_block
+        planes = self.geometry.num_planes
+        full_blocks = count // ppb
+        for i in range(full_blocks):
+            block = self.array.allocate_block(i % planes)
+            lpns = np.arange(i * ppb, (i + 1) * ppb, dtype=np.int64)
+            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
+        for lpn in range(full_blocks * ppb, count):
             self.write_page(lpn, 0.0)
 
     # ---- shared helpers -----------------------------------------------------
@@ -703,8 +823,3 @@ class Ftl(abc.ABC):
             "gc": self.gc_stats,
             "flash": self.clock.counters.as_dict(),
         }
-
-
-def is_translation_page(owner: int) -> bool:
-    """Convenience re-export used by GC loops."""
-    return is_translation_owner(owner)

@@ -129,11 +129,6 @@ class BastFtl(LogBlockMixin, Ftl):
         self.bast_stats.full_merges += 1
         return t
 
-    # ---- preconditioning ---------------------------------------------------------
-
-    def bulk_fill(self, count: int) -> None:
-        self._bulk_fill_data_blocks(count)
-
     # ---- introspection -------------------------------------------------------------
 
     def log_blocks_in_use(self) -> int:

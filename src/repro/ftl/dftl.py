@@ -15,14 +15,12 @@ DLOOP that the paper calls out (Sections II.B, V.B, V.D):
 
 from __future__ import annotations
 
-from repro.flash.address import decode_translation_owner, is_translation_owner
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator, RoamingAllocator
 from repro.flash.array import FlashStateError
 from repro.ftl.base import OutOfSpaceError
 from repro.ftl.translation import DemandPagedFtl
-from repro.obs.tracebus import BUS
 
 TRANSLATION_PLANE = 0
 
@@ -109,28 +107,19 @@ class DftlFtl(DemandPagedFtl):
     # ---- preconditioning --------------------------------------------------------
 
     def bulk_fill(self, count: int) -> None:
-        """Vectorised sequential fill: blocks round-robin across planes
-        (the balanced steady state the roaming allocator converges to)."""
-        import numpy as np
-
-        ppb = self.geometry.pages_per_block
-        planes = self.geometry.num_planes
-        full_blocks = count // ppb
-        for i in range(full_blocks):
-            plane = i % planes
-            block = self.array.allocate_block(plane)
-            lpns = np.arange(i * ppb, (i + 1) * ppb, dtype=np.int64)
-            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
-        for lpn in range(full_blocks * ppb, count):
-            self.write_page(lpn, 0.0)
-        if count > 0:
-            for tvpn in range(self.gtd.tvpn_of(count - 1) + 1):
-                self.tm.write_back(tvpn, 0.0)
+        self._bulk_fill_blocks(count)
+        self._bulk_fill_translation(count)
 
     # ---- garbage collection ---------------------------------------------------
 
     def _gc_exclude(self, plane: int) -> set:
         return self.data_allocator.active_blocks() | self.translation_allocator.active_blocks()
+
+    def _gc_destinations(self, plane: int) -> tuple:
+        # Translation pages stay on plane 0 while it has room; when it is
+        # exhausted mid-collection (or the pass is an emergency one) they
+        # roam like data — the GTD is in SRAM, so reads still find them.
+        return self.data_allocator, self.translation_allocator
 
     def _gc_close_active(self, plane: int):
         for allocator in (self.translation_allocator, self.data_allocator):
@@ -155,54 +144,3 @@ class DftlFtl(DemandPagedFtl):
         )
         ppb = self.geometry.pages_per_block
         return current_free + max(0, self.array.free_block_count(plane) - 2) * ppb
-
-    def _collect(self, plane: int, victim: int, now: float) -> float:
-        t = now
-        moved_data = []
-        for ppn in list(self.array.valid_pages_in_block(victim)):
-            owner = self.array.owner_of(ppn)
-            self.array.stage_copy_gen(ppn)
-            if is_translation_owner(owner):
-                try:
-                    new_ppn = self.translation_allocator.allocate(owner)
-                except FlashStateError:
-                    # Plane 0 exhausted mid-collection: let the page roam
-                    # (the GTD points anywhere).
-                    new_ppn = self.data_allocator.allocate(owner)
-            else:
-                new_ppn = self.data_allocator.allocate(owner)
-            dst_plane = self.codec.ppn_to_plane(new_ppn)
-            move_start = t
-            t = self.clock.inter_plane_copy(plane, dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.array.invalidate(ppn)
-            self.gc_stats.moved_pages += 1
-            if BUS.enabled:
-                BUS.emit("gc", "migrate", move_start, 0.0,
-                         {"plane": plane, "from_ppn": int(ppn), "to_ppn": int(new_ppn),
-                          "mode": "controller"},
-                         None, "i")
-            if is_translation_owner(owner):
-                self.gtd.update(decode_translation_owner(owner), new_ppn)
-            else:
-                self.page_table[owner] = new_ppn
-                moved_data.append((owner, new_ppn))
-        # Erase before the translation write-backs (pool low-water mark).
-        t = self.clock.erase_block(plane, t)
-        self.array.erase(victim)
-        if self.faults is not None:
-            self.faults.check_erase(victim)
-        self.array.release_block(victim)
-        self.gc_stats.erased_blocks += 1
-        if moved_data:
-            before = self.tm.stats.gc_batched_updates
-            t = self.tm.gc_update_mappings(moved_data, t)
-            self.gc_stats.translation_updates += self.tm.stats.gc_batched_updates - before
-        return t
-
-    # ---- emergency relocation hooks -----------------------------------------------
-
-    def _gc_alloc_any(self, owner: int) -> int:
-        # Emergency path: even translation pages may land off plane 0;
-        # the GTD is in SRAM so reads still find them.
-        return self.data_allocator.allocate(owner)

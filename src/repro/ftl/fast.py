@@ -33,11 +33,10 @@ from typing import Deque, Optional, Tuple
 import numpy as np
 
 from repro.flash.address import PageState
-from repro.flash.array import FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.base import Ftl, OutOfSpaceError
-from repro.ftl.logblock import MapJournal
+from repro.ftl.logblock import LogBlockMixin, MapJournal
 from repro.obs.tracebus import BUS
 
 
@@ -58,25 +57,7 @@ class FastStats:
     shifted_closes: int = 0
 
 
-class _BlockCursor:
-    """Adapter giving one fixed log block the allocator protocol the
-    fault injector drives.  Raises when the block fills (or is abandoned
-    by a retirement decision) so the FTL can demote it and retry."""
-
-    __slots__ = ("array", "current_block")
-
-    def __init__(self, array, block: int):
-        self.array = array
-        self.current_block = block
-
-    def _ensure_block(self) -> int:
-        block = self.current_block
-        if block is None or self.array.block_free_pages(block) == 0:
-            raise FlashStateError("log block exhausted mid-append")
-        return block
-
-
-class FastFtl(Ftl):
+class FastFtl(LogBlockMixin, Ftl):
     """Fully-associative sector translation hybrid FTL."""
 
     name = "fast"
@@ -141,59 +122,26 @@ class FastFtl(Ftl):
                 t = self._close_sw(t)
             block, t = self._alloc_log_block(t)
             self.sw = SwLog(block, lbn)
-            t = self._append(block, lpn, t)
+            t = self._append_log(block, lpn, t)
         elif (
             self.sw is not None
             and self.sw.lbn == lbn
             and int(self.array.block_write_ptr[self.sw.block]) == off
         ):
-            t = self._append(self.sw.block, lpn, t)
+            t = self._append_log(self.sw.block, lpn, t)
         else:
             t = self._append_rw(lpn, t)
         self._maybe_debug_check()
         return t
 
-    # ---- preconditioning --------------------------------------------------------
-
-    def bulk_fill(self, count: int) -> None:
-        """Vectorised sequential fill: whole logical blocks switch-merge
-        directly into data blocks (what the incremental path produces)."""
-        import numpy as np
-
-        ppb = self.pages_per_block
-        full_lbns = count // ppb
-        for lbn in range(full_lbns):
-            block = self._alloc_block(lbn % self.num_planes)
-            lpns = np.arange(lbn * ppb, (lbn + 1) * ppb, dtype=np.int64)
-            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
-            self.data_block[lbn] = block
-        for lpn in range(full_lbns * ppb, count):
-            self.write_page(lpn, 0.0)
-
     # ---- log management --------------------------------------------------------
 
-    def _append(self, block: int, lpn: int, now: float) -> float:
-        """Program the next page of a log block with ``lpn``."""
-        old_ppn = self.current_ppn(lpn)
-        faults = self.faults
-        if faults is None:
-            offset = int(self.array.block_write_ptr[block])
-            ppn = self.codec.block_first_ppn(block) + offset
-            self.array.program(ppn, lpn)
-            t = self.clock.program_page(self.codec.block_to_plane(block), now)
-        else:
-            try:
-                ppn, t = faults.program(_BlockCursor(self.array, block), lpn, now)
-            except FlashStateError:
-                # The log block filled up (or was queued for retirement)
-                # under program failures: demote it to the RW queue and
-                # restart the write in a fresh RW log block.
-                self._demote_log_block(block)
-                return self._append_rw(lpn, now)
-        if old_ppn != -1:
-            self.array.invalidate(old_ppn)
-        self.page_table[lpn] = ppn
-        return t
+    def _log_block_failed(self, block: int, lpn: int, now: float) -> float:
+        # The log block filled up (or was queued for retirement) under
+        # program failures: demote it to the RW queue and restart the
+        # write in a fresh RW log block.
+        self._demote_log_block(block)
+        return self._append_rw(lpn, now)
 
     def _demote_log_block(self, block: int) -> None:
         """Strip ``block`` of its SW/current-RW role and queue it with
@@ -213,7 +161,7 @@ class FastFtl(Ftl):
             self.current_rw = None
         if self.current_rw is None:
             self.current_rw, t = self._alloc_log_block(t)
-        return self._append(self.current_rw, lpn, t)
+        return self._append_log(self.current_rw, lpn, t)
 
     def _alloc_log_block(self, now: float) -> Tuple[int, float]:
         """Take a block into log duty, reclaiming space if at budget."""
@@ -234,16 +182,6 @@ class FastFtl(Ftl):
         self._log_count += 1
         return block, t
 
-    def _alloc_block(self, preferred_plane: int) -> int:
-        """Free block from the preferred plane, else the fullest pool."""
-        if self.array.free_block_count(preferred_plane) > 0:
-            return self.array.allocate_block(preferred_plane)
-        counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
-        best = int(np.argmax(counts))
-        if counts[best] == 0:
-            raise OutOfSpaceError("no free blocks on any plane")
-        return self.array.allocate_block(best)
-
     # ---- merges (Section II.A) -------------------------------------------------
 
     def _close_sw(self, now: float) -> float:
@@ -253,7 +191,6 @@ class FastFtl(Ftl):
         self.sw = None
         block, lbn = sw.block, sw.lbn
         filled = int(self.array.block_write_ptr[block])
-        old_block = int(self.data_block[lbn])
         t = now
         if self.faults is not None and not self._sw_block_aligned(block, lbn, filled):
             # Program failures shifted the stream inside the log block,
@@ -277,11 +214,8 @@ class FastFtl(Ftl):
         else:
             self.fast_stats.switch_merges += 1
             merge_kind = "switch_merge"
-        self.data_block[lbn] = block
         self._log_count -= 1
-        t = self.map_journal.record_update(t, lbn, block)
-        if old_block != -1:
-            t = self._erase_data_block(old_block, t)
+        t = self._switch_merge(block, lbn, t)
         if BUS.enabled:
             BUS.emit("gc", merge_kind, now, t - now,
                      {"lbn": lbn, "log_block": block},
@@ -299,25 +233,6 @@ class FastFtl(Ftl):
                     and self.array.owner_of(ppn) != base + off):
                 return False
         return True
-
-    def _fill_tail(self, block: int, lbn: int, first_off: int, now: float) -> float:
-        """Copy offsets ``first_off..P-1``'s latest copies into ``block``."""
-        t = now
-        dst_plane = self.codec.block_to_plane(block)
-        base_lpn = lbn * self.pages_per_block
-        first_ppn = self.codec.block_first_ppn(block)
-        for off in range(first_off, self.pages_per_block):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue  # hole: page never written; leave it free
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
-        return t
 
     def _full_merge(self, now: float) -> float:
         """Scrub the oldest RW log block (the costly merge)."""
@@ -342,12 +257,7 @@ class FastFtl(Ftl):
             self.fast_stats.merged_lbns += 1
         if self.array.block_valid[victim] != 0:
             raise AssertionError(f"full merge left valid pages in victim {victim}")
-        t = self.clock.erase_block(self.codec.block_to_plane(victim), t)
-        self.array.erase(victim)
-        if self.faults is not None:
-            self.faults.check_erase(victim)
-        self.array.release_block(victim)
-        self.gc_stats.erased_blocks += 1
+        t = self._erase_block(victim, t)
         self._log_count -= 1
         self.fast_stats.full_merges += 1
         if BUS.enabled:
@@ -358,7 +268,6 @@ class FastFtl(Ftl):
 
     def _merge_lbn(self, lbn: int, now: float) -> float:
         """Rebuild one logical block into a fresh physical block."""
-        t = now
         if self.sw is not None and self.sw.lbn == lbn:
             # The merge is about to supersede every page of the active SW
             # log; keep appending to it afterwards and the later
@@ -367,37 +276,16 @@ class FastFtl(Ftl):
             # next full merge erases it for free).
             self.rw_blocks.append(self.sw.block)
             self.sw = None
-        new_block = self._alloc_block(lbn % self.num_planes)
-        dst_plane = self.codec.block_to_plane(new_block)
-        first_ppn = self.codec.block_first_ppn(new_block)
-        base_lpn = lbn * self.pages_per_block
-        for off in range(self.pages_per_block):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
+        return self._gather_merge_lbn(lbn, now)
+
+    def _switch_merge(self, block: int, lbn: int, now: float) -> float:
+        # As the mixin's, with the table change journalled before the
+        # block it supersedes is erased.
         old_block = int(self.data_block[lbn])
-        self.data_block[lbn] = new_block
-        t = self.map_journal.record_update(t, lbn, new_block)
+        self.data_block[lbn] = block
+        t = self.map_journal.record_update(now, lbn, block)
         if old_block != -1:
             t = self._erase_data_block(old_block, t)
-        return t
-
-    def _erase_data_block(self, block: int, now: float) -> float:
-        if self.array.block_valid[block] != 0:
-            raise AssertionError(f"retiring data block {block} with valid pages")
-        t = self.clock.erase_block(self.codec.block_to_plane(block), now)
-        self.array.erase(block)
-        if self.faults is not None:
-            self.faults.check_erase(block)
-        self.array.release_block(block)
-        self.gc_stats.erased_blocks += 1
         return t
 
     # ---- fault handling (repro.faults) -------------------------------------------

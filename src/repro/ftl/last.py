@@ -233,11 +233,6 @@ class LastFtl(LogBlockMixin, Ftl):
         t = self._erase_data_block(victim, t)
         return t
 
-    # ---- preconditioning ---------------------------------------------------------
-
-    def bulk_fill(self, count: int) -> None:
-        self._bulk_fill_data_blocks(count)
-
     # ---- introspection -------------------------------------------------------------
 
     def log_blocks_in_use(self) -> int:

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.flash.address import OWNER_NONE
+from repro.flash.array import FlashStateError
 from repro.ftl.base import OutOfSpaceError
 from repro.obs.tracebus import BUS
 
@@ -114,30 +115,52 @@ class MapJournal:
     def _advance_ring(self, now: float) -> float:
         t = now
         if len(self._ring) >= self.ring_blocks:
-            oldest = self._ring.pop(0)
-            t = self.clock.erase_block(self.PLANE, t)
-            self.array.erase(oldest)
-            self.array.release_block(oldest)
+            t = self._recycle_oldest(t)
         if self.array.free_block_count(self.PLANE) == 0:
             if not self._ring:
                 # plane 0 exhausted before the journal ever owned a
                 # block (extreme scaled geometries): disable persistence
                 self._current = None
                 return t
-            # recycle our oldest ring block (journal data is superseded)
-            oldest = self._ring.pop(0)
-            t = self.clock.erase_block(self.PLANE, t)
-            self.array.erase(oldest)
-            self.array.release_block(oldest)
+            t = self._recycle_oldest(t)
         block = self.array.allocate_block(self.PLANE)
         self._ring.append(block)
         self._current = block
         return t
 
+    def _recycle_oldest(self, now: float) -> float:
+        # journal data is superseded by construction: nothing to copy out
+        oldest = self._ring.pop(0)
+        t = self.clock.erase_block(self.PLANE, now)
+        self.array.erase(oldest)
+        self.array.release_block(oldest)
+        return t
+
+
+class _BlockCursor:
+    """Adapter giving one fixed log block the allocator protocol the
+    fault injector drives.  Raises when the block fills (or is abandoned
+    by a retirement decision) so the FTL can demote it and retry."""
+
+    __slots__ = ("array", "current_block")
+
+    def __init__(self, array, block: int):
+        self.array = array
+        self.current_block = block
+
+    def _ensure_block(self) -> int:
+        block = self.current_block
+        if block is None or self.array.block_free_pages(block) == 0:
+            raise FlashStateError("log block exhausted mid-append")
+        return block
+
 
 class LogBlockMixin:
     """Common helpers; the host class must be an ``Ftl`` with
-    ``pages_per_block``, ``num_planes`` and ``data_block`` attributes."""
+    ``pages_per_block``, ``num_planes``, ``data_block`` and
+    ``map_journal`` attributes.  A host with fault-injection seams also
+    provides ``_log_block_failed(block, lpn, now)``: where the write
+    goes when program failures used up its log block."""
 
     def _alloc_block(self, preferred_plane: int) -> int:
         """Free block from the preferred plane, else the fullest pool."""
@@ -153,81 +176,31 @@ class LogBlockMixin:
         """Erase and pool a block whose pages are all invalid."""
         if self.array.block_valid[block] != 0:
             raise AssertionError(f"retiring block {block} with valid pages")
-        t = self.clock.erase_block(self.codec.block_to_plane(block), now)
-        self.array.erase(block)
-        self.array.release_block(block)
-        self.gc_stats.erased_blocks += 1
-        return t
+        return self._erase_block(block, now)
 
     def _append_log(self, block: int, lpn: int, now: float) -> float:
         """Program the next sequential page of a log block with ``lpn``."""
         old_ppn = self.current_ppn(lpn)
-        offset = int(self.array.block_write_ptr[block])
-        ppn = self.codec.block_first_ppn(block) + offset
-        self.array.program(ppn, lpn)
-        t = self.clock.program_page(self.codec.block_to_plane(block), now)
+        faults = self.faults
+        if faults is None:
+            offset = int(self.array.block_write_ptr[block])
+            ppn = self.codec.block_first_ppn(block) + offset
+            self.array.program(ppn, lpn)
+            t = self.clock.program_page(self.codec.block_to_plane(block), now)
+        else:
+            try:
+                ppn, t = faults.program(_BlockCursor(self.array, block), lpn, now)
+            except FlashStateError:
+                return self._log_block_failed(block, lpn, now)
         if old_ppn != -1:
             self.array.invalidate(old_ppn)
         self.page_table[lpn] = ppn
         return t
 
-    def _gather_merge_lbn(self, lbn: int, now: float) -> float:
-        """Rebuild one logical block into a fresh physical block.
-
-        Gathers the latest valid copy of every page (data block, any log
-        block) through the controller — the "full merge" of Section II.A.
-        """
-        t = now
-        ppb = self.pages_per_block
-        new_block = self._alloc_block(lbn % self.num_planes)
-        dst_plane = self.codec.block_to_plane(new_block)
-        first_ppn = self.codec.block_first_ppn(new_block)
-        base_lpn = lbn * ppb
-        for off in range(ppb):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
-        old_block = int(self.data_block[lbn])
-        self.data_block[lbn] = new_block
-        if old_block != -1:
-            t = self._erase_data_block(old_block, t)
-        return t
-
-    def _log_is_switchable(self, block: int, lbn: int) -> bool:
-        """True when the log block holds every page of ``lbn`` in place
-        (valid, offset-aligned) — eligible for a switch merge."""
-        ppb = self.pages_per_block
-        if int(self.array.block_write_ptr[block]) != ppb:
-            return False
-        first = self.codec.block_first_ppn(block)
-        base_lpn = lbn * ppb
-        for off in range(ppb):
-            ppn = first + off
-            if self.array.owner_of(ppn) != base_lpn + off:
-                return False
-            if self.current_ppn(base_lpn + off) != ppn:
-                return False
-        return True
-
-    def _switch_merge(self, block: int, lbn: int, now: float) -> float:
-        """Promote a fully sequential log block to the data block."""
-        old_block = int(self.data_block[lbn])
-        self.data_block[lbn] = block
-        t = now
-        if old_block != -1:
-            t = self._erase_data_block(old_block, t)
-        return t
-
     def _fill_tail(self, block: int, lbn: int, first_off: int, now: float) -> float:
         """Copy offsets ``first_off..P-1``'s latest copies into ``block``
-        (the partial-merge move of Section II.A)."""
+        through the controller: the partial-merge move of Section II.A,
+        and from offset 0 the gather of a full merge."""
         t = now
         ppb = self.pages_per_block
         dst_plane = self.codec.block_to_plane(block)
@@ -246,8 +219,45 @@ class LogBlockMixin:
             self.page_table[base_lpn + off] = first_ppn + off
         return t
 
-    def _bulk_fill_data_blocks(self, count: int) -> None:
-        """Vectorised sequential preconditioning shared by the hybrids."""
+    def _gather_merge_lbn(self, lbn: int, now: float) -> float:
+        """Rebuild one logical block into a fresh physical block.
+
+        Gathers the latest valid copy of every page (data block, any log
+        block) through the controller — the "full merge" of Section II.A.
+        """
+        new_block = self._alloc_block(lbn % self.num_planes)
+        t = self._fill_tail(new_block, lbn, 0, now)
+        return self._switch_merge(new_block, lbn, t)
+
+    def _log_is_switchable(self, block: int, lbn: int) -> bool:
+        """True when the log block holds every page of ``lbn`` in place
+        (valid, offset-aligned) — eligible for a switch merge."""
+        ppb = self.pages_per_block
+        if int(self.array.block_write_ptr[block]) != ppb:
+            return False
+        first = self.codec.block_first_ppn(block)
+        base_lpn = lbn * ppb
+        for off in range(ppb):
+            ppn = first + off
+            if self.array.owner_of(ppn) != base_lpn + off:
+                return False
+            if self.current_ppn(base_lpn + off) != ppn:
+                return False
+        return True
+
+    def _switch_merge(self, block: int, lbn: int, now: float) -> float:
+        """Install ``block`` as ``lbn``'s data block and erase the one it
+        replaces: the whole of a switch merge, the tail of the others."""
+        old_block = int(self.data_block[lbn])
+        self.data_block[lbn] = block
+        t = now
+        if old_block != -1:
+            t = self._erase_data_block(old_block, t)
+        return t
+
+    def bulk_fill(self, count: int) -> None:
+        """Vectorised sequential fill: whole logical blocks switch-merge
+        directly into data blocks (what the incremental path produces)."""
         ppb = self.pages_per_block
         full_lbns = count // ppb
         for lbn in range(full_lbns):

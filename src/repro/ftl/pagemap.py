@@ -18,7 +18,6 @@ from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator, RoamingAllocator
 from repro.flash.array import FlashStateError
 from repro.ftl.base import Ftl, OutOfSpaceError
-from repro.obs.tracebus import BUS
 
 STRIPING_POLICIES = ("lpn", "roaming", "random")
 
@@ -52,7 +51,8 @@ class PageMapFtl(Ftl):
         if striping not in STRIPING_POLICIES:
             raise ValueError(f"striping must be one of {STRIPING_POLICIES}")
         self.striping = striping
-        self.use_copyback = use_copyback
+        # the roaming block may sit on another plane: no copy-back there
+        self.use_copyback = use_copyback and striping != "roaming"
         self.num_planes = geometry.num_planes
         self._rng = random.Random(seed)
         if striping == "roaming":
@@ -119,125 +119,16 @@ class PageMapFtl(Ftl):
     # ---- preconditioning --------------------------------------------------------
 
     def bulk_fill(self, count: int) -> None:
-        """Vectorised sequential fill matching each placement policy."""
-        import numpy as np
-
-        ppb = self.geometry.pages_per_block
-        planes = self.num_planes
         if self.striping == "lpn":
-            for plane in range(planes):
-                lpns = np.arange(plane, count, planes, dtype=np.int64)
-                full = (len(lpns) // ppb) * ppb
-                for start in range(0, full, ppb):
-                    block = self.array.allocate_block(plane)
-                    self.page_table_np[lpns[start : start + ppb]] = self.array.bulk_fill_block(
-                        block, lpns[start : start + ppb]
-                    )
-                for lpn in lpns[full:]:
-                    self.write_page(int(lpn), 0.0)
-            return
-        # roaming / random converge to block-granular round-robin
-        full_blocks = count // ppb
-        for i in range(full_blocks):
-            plane = i % planes
-            block = self.array.allocate_block(plane)
-            lpns = np.arange(i * ppb, (i + 1) * ppb, dtype=np.int64)
-            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
-        for lpn in range(full_blocks * ppb, count):
-            self.write_page(lpn, 0.0)
+            self._bulk_fill_striped(count)
+        else:
+            self._bulk_fill_blocks(count)
 
     # ---- garbage collection ---------------------------------------------------------
 
     def _gc_exclude(self, plane: int) -> set:
         return self._active_blocks(plane)
 
-    def _gc_close_active(self, plane: int):
-        if self.roaming is not None:
-            return None  # the roaming block may sit on another plane
-        allocator = self.allocators[plane]
-        block = allocator.current_block
-        if block is None or self.array.block_invalid[block] == 0:
-            return None
-        allocator.current_block = None
-        return block
-
-    def _gc_max_valid(self, plane: int):
-        if self.roaming is not None:
-            return None  # destinations roam to other planes
-        allocator = self.allocators[plane]
-        current_free = (
-            self.array.block_free_pages(allocator.current_block)
-            if allocator.current_block is not None
-            else 0
-        )
-        ppb = self.geometry.pages_per_block
-        avail = current_free + max(0, self.array.free_block_count(plane) - 1) * ppb
-        # Allow for parity waste up to ~half the moves; overruns degrade
-        # gracefully to cross-plane controller copies in _collect.
-        return (avail * 2) // 3 if self.use_copyback else avail
-
-    def _gc_alloc_any(self, owner: int) -> int:
-        if self.roaming is not None:
-            return self.roaming.allocate(owner)
-        counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
-        dst = max(range(self.num_planes), key=lambda p: counts[p])
-        return self.allocators[dst].allocate(owner)
-
-    def _collect(self, plane: int, victim: int, now: float) -> float:
-        t = now
-        valids = list(self.array.valid_pages_in_block(victim))
-        if self.roaming is None and self.use_copyback:
-            from repro.ftl.gcontrol import parity_minimizing_order
-
-            valids = parity_minimizing_order(valids, self.codec, self.allocators[plane])
-        overflow = False
-        for ppn in valids:
-            lpn = self.array.owner_of(ppn)
-            self.array.stage_copy_gen(ppn)
-            move_start = t
-            if self.roaming is not None:
-                new_ppn = self.roaming.allocate(lpn)
-                dst_plane = self.codec.ppn_to_plane(new_ppn)
-                t = self.clock.inter_plane_copy(plane, dst_plane, t)
-                self.gc_stats.controller_moves += 1
-            elif overflow:
-                new_ppn = self._gc_alloc_any(lpn)
-                t = self.clock.inter_plane_copy(plane, self.codec.ppn_to_plane(new_ppn), t)
-                self.gc_stats.controller_moves += 1
-            elif self.use_copyback:
-                parity = self.codec.page_parity(ppn)
-                try:
-                    new_ppn, skipped = self.allocators[plane].allocate_with_parity(lpn, parity)
-                except FlashStateError:
-                    overflow = True
-                    new_ppn = self._gc_alloc_any(lpn)
-                    t = self.clock.inter_plane_copy(plane, self.codec.ppn_to_plane(new_ppn), t)
-                    self.gc_stats.controller_moves += 1
-                else:
-                    self.gc_stats.wasted_pages += skipped
-                    self.clock.counters.skipped_pages += skipped
-                    t = self.clock.copy_back(plane, t)
-                    self.gc_stats.copyback_moves += 1
-            else:
-                try:
-                    new_ppn = self.allocators[plane].allocate(lpn)
-                except FlashStateError:
-                    overflow = True
-                    new_ppn = self._gc_alloc_any(lpn)
-                t = self.clock.inter_plane_copy(plane, plane, t)
-                self.gc_stats.controller_moves += 1
-            self.array.invalidate(ppn)
-            self.page_table[lpn] = new_ppn
-            self.gc_stats.moved_pages += 1
-            if BUS.enabled:
-                BUS.emit("gc", "migrate", move_start, 0.0,
-                         {"plane": plane, "from_ppn": int(ppn), "to_ppn": int(new_ppn),
-                          "mode": "copyback" if (self.roaming is None and
-                                                 self.use_copyback and not overflow)
-                          else "controller"},
-                         None, "i")
-        t = self.clock.erase_block(plane, t)
-        self.array.erase(victim)
-        self.array.release_block(victim)
-        self.gc_stats.erased_blocks += 1
-        return t
+    def _gc_destinations(self, plane: int) -> tuple:
+        allocator = self.roaming if self.roaming is not None else self.allocators[plane]
+        return allocator, allocator

@@ -172,6 +172,7 @@ class SuperblockFtl(Ftl):
                 dst_block, t = self._write_point_excluding(sb, victim, t)
                 offset = int(self.array.block_write_ptr[dst_block])
                 new_ppn = self.codec.block_first_ppn(dst_block) + offset
+                self.array.stage_copy_gen(ppn)
                 self.array.program(new_ppn, owner)
                 t = self.clock.inter_plane_copy(
                     self.codec.ppn_to_plane(ppn), self.codec.block_to_plane(dst_block), t
@@ -182,10 +183,7 @@ class SuperblockFtl(Ftl):
                 self.page_table[owner] = new_ppn
         else:
             self.sb_stats.dead_reclaims += 1
-        t = self.clock.erase_block(self.codec.block_to_plane(victim), t)
-        self.array.erase(victim)
-        self.array.release_block(victim)
-        self.gc_stats.erased_blocks += 1
+        t = self._erase_block(victim, t)
         owned.remove(victim)
         if self._current.get(sb) == victim:
             self._current.pop(sb)
@@ -203,6 +201,39 @@ class SuperblockFtl(Ftl):
         self._blocks[sb].append(block)
         self._current[sb] = block
         return block, t
+
+    # ---- power-loss recovery -------------------------------------------------------
+
+    def on_power_loss(self) -> None:
+        super().on_power_loss()
+        # Superblock membership, the write points and the journal's ring
+        # bookkeeping all live in SRAM.
+        self._blocks.clear()
+        self._current.clear()
+        self.map_journal.reset_volatile()
+
+    def _post_recovery(self) -> None:
+        """Rebuild superblock membership from the pages' owners.
+
+        A block belongs to the superblock of the pages it holds (oldest
+        first, as they were claimed); fully stale blocks (the old journal
+        ring, dead members) are erased and pooled.  Open blocks are not
+        re-adopted as write points: their free tail waits for local GC.
+        """
+        array = self.array
+        members = []
+        for block in range(self.geometry.num_physical_blocks):
+            if array.is_block_free(block) or array.is_block_bad(block):
+                continue
+            if array.block_valid[block] > 0:
+                members.append(block)
+            else:
+                array.erase(block)
+                array.release_block(block)
+        members.sort(key=lambda b: (int(array.block_write_stamp[b]), b))
+        for block in members:
+            owner = array.owner_of(next(array.valid_pages_in_block(block)))
+            self._blocks.setdefault(self.superblock_of(owner), []).append(block)
 
     # ---- preconditioning ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Optional, Protocol, Tuple
 
-from repro.flash.address import OWNER_NONE, decode_translation_owner, is_translation_owner
+from repro.flash.address import OWNER_NONE, decode_translation_owner
 from repro.flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashArray, FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timekeeper import FlashTimekeeper
@@ -402,14 +402,29 @@ class DemandPagedFtl(Ftl):
     # ---- GC relocation hooks ------------------------------------------------------
 
     def _gc_note_move(self, owner: int, new_ppn: int, moved_data: list) -> None:
-        if is_translation_owner(owner):
+        if owner <= -2:  # is_translation_owner
             # Relocating a translation page only touches the SRAM GTD.
             self.gtd.update(decode_translation_owner(owner), new_ppn)
         else:
-            super()._gc_note_move(owner, new_ppn, moved_data)
+            self.page_table[owner] = new_ppn
+            moved_data.append((owner, new_ppn))
 
     def _gc_mapping_updates(self, moved_data: list, now: float) -> float:
-        return self.tm.gc_update_mappings(moved_data, now) if moved_data else now
+        if not moved_data:
+            return now
+        before = self.tm.stats.gc_batched_updates
+        t = self.tm.gc_update_mappings(moved_data, now)
+        self.gc_stats.translation_updates += self.tm.stats.gc_batched_updates - before
+        return t
+
+    # ---- preconditioning ----------------------------------------------------------
+
+    def _bulk_fill_translation(self, count: int) -> None:
+        """Materialise the translation pages covering LPNs ``0..count-1``
+        so demand paging starts from a realistic aged state."""
+        if count > 0:
+            for tvpn in range(self.gtd.tvpn_of(count - 1) + 1):
+                self.tm.write_back(tvpn, 0.0)
 
     # ---- integrity ------------------------------------------------------------------
 

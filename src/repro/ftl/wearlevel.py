@@ -44,7 +44,7 @@ class StaticWearLeveler:
             raise ValueError("gap_threshold must be >= 1")
         if check_interval_erases < 1:
             raise ValueError("check_interval_erases must be >= 1")
-        if type(ftl)._gc_alloc_any is Ftl._gc_alloc_any:
+        if type(ftl)._gc_destinations is Ftl._gc_destinations:
             raise TypeError(
                 f"{ftl.name}: FTL does not support page-granular relocation "
                 "(hybrid log-block FTLs keep block-aligned data)"
@@ -87,6 +87,7 @@ class StaticWearLeveler:
         moved: list = []
         for ppn in list(array.valid_pages_in_block(victim)):
             owner = array.owner_of(ppn)
+            array.stage_copy_gen(ppn)
             new_ppn = self.ftl._gc_alloc_any(owner)
             t = self.ftl.clock.inter_plane_copy(
                 self.ftl.codec.ppn_to_plane(ppn), self.ftl.codec.ppn_to_plane(new_ppn), t
