@@ -28,8 +28,31 @@ from repro.flash.array import FlashArray, FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.timing import TimingParams
+from repro.ftl.coherence import (
+    FORWARD_OWNER,
+    FORWARD_STATE,
+    REVERSE,
+    coherence_findings,
+    mapping_stores,
+    translation_tvpn,
+)
 from repro.ftl.gcontrol import VICTIM_POLICIES, GcStats, parity_minimizing_order, select_victim
 from repro.obs.tracebus import BUS
+
+
+def _integrity_text(stores, kind: str, bad: np.ndarray) -> str:
+    """``verify_integrity``'s message for one coherence finding."""
+    if kind == FORWARD_STATE:
+        return f"mapped lpns pointing at non-valid pages: {bad[:10]}"
+    if kind == FORWARD_OWNER:
+        return f"page owner mismatch for lpns: {bad[:10]}"
+    if kind == REVERSE:
+        return "valid data page not referenced by page_table"
+    if len(stores) == 3:  # no GTD: no page may carry a non-data owner
+        return f"unexpected translation pages: {bad[:10]}"
+    ppn = int(bad[0])
+    tvpn = translation_tvpn(int(stores[2][ppn]))
+    return f"GTD stale for tvpn {tvpn}: {stores[3][tvpn]} != {ppn}"
 
 
 class OutOfSpaceError(RuntimeError):
@@ -784,29 +807,9 @@ class Ftl(abc.ABC):
         owner; block counters match page states.
         """
         self.array.check_consistency()
-        mapped = self.mapped_lpns()
-        ppns = self.page_table_np[mapped]
-        states = self.array.page_state_np[ppns]
-        if np.any(states != PageState.VALID):
-            bad = mapped[states != PageState.VALID]
-            raise AssertionError(f"mapped lpns pointing at non-valid pages: {bad[:10]}")
-        owners = self.array.page_owner_np[ppns]
-        if np.any(owners != mapped):
-            bad = mapped[owners != mapped]
-            raise AssertionError(f"page owner mismatch for lpns: {bad[:10]}")
-        # Reverse direction: valid data pages must be reachable.
-        valid_ppns = np.flatnonzero(self.array.page_state_np == PageState.VALID)
-        owners = self.array.page_owner_np[valid_ppns]
-        data_mask = owners >= 0
-        back = self.page_table_np[owners[data_mask]]
-        if np.any(back != valid_ppns[data_mask]):
-            raise AssertionError("valid data page not referenced by page_table")
-        self.extra_integrity_checks(valid_ppns[~data_mask], owners[~data_mask])
-
-    def extra_integrity_checks(self, translation_ppns: np.ndarray, translation_owners: np.ndarray) -> None:
-        """Hook for subclasses with translation pages; default: none allowed."""
-        if len(translation_ppns):
-            raise AssertionError(f"unexpected translation pages: {translation_ppns[:10]}")
+        stores = mapping_stores(self)
+        for kind, bad in coherence_findings(stores):
+            raise AssertionError(_integrity_text(stores, kind, bad))
 
     def _maybe_debug_check(self) -> None:
         if self.debug_checks:

@@ -439,9 +439,3 @@ class DemandPagedFtl(Ftl):
             self.gtd.update(decode_translation_owner(int(owner)), int(ppn))
         self.cmt = CachedMappingTable(self.cmt.capacity)
         self.tm.cmt = self.cmt
-
-    def extra_integrity_checks(self, translation_ppns, translation_owners) -> None:
-        for ppn, owner in zip(translation_ppns, translation_owners):
-            tvpn = decode_translation_owner(int(owner))
-            if self.gtd.lookup(tvpn) != ppn:
-                raise AssertionError(f"GTD stale for tvpn {tvpn}: {self.gtd.lookup(tvpn)} != {ppn}")

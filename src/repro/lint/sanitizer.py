@@ -17,7 +17,19 @@ subscribes to the PR-1 :data:`~repro.obs.tracebus.BUS` and checks:
 * **mapping-coherence** — after every GC pass (and at
   :meth:`finalize`), every mapped LPN points at a VALID page whose
   owner is that LPN, every VALID data page is reachable, and (when the
-  FTL has a GTD) every materialised translation page round-trips;
+  FTL has a GTD) every materialised translation page round-trips.  The
+  first sweep and :meth:`finalize` recheck the whole device; the sweeps
+  in between diff the mapping stores against snapshots of the last
+  clean sweep and recheck only the instances reading a changed cell
+  (the check body is :func:`repro.ftl.coherence.coherence_findings`,
+  shared with ``Ftl.verify_integrity``), so a sweep costs a few linear
+  compares plus work proportional to what changed since the last one;
+* **shadow-divergence** — the shadow NAND model must equal the array
+  it shadows: page states at the cells that changed on every sweep and
+  in full at the first sweep and :meth:`finalize`, write pointers and
+  free-pool flags in full every sweep.  Holds while the sanitizer has
+  seen every ``array`` event since construction; :meth:`detach` ends
+  that, and the rule with it;
 * **free-accounting** — per-plane free-pool sizes match the array's
   free-block mask, and no active write block sits in a pool;
 * **event-order** — engine dispatch timestamps never run backwards and
@@ -45,11 +57,19 @@ or from the CLI: ``repro-sim simulate --sanitize ...``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.flash.address import PageState, decode_translation_owner
+from repro.flash.address import PageState
+from repro.ftl.coherence import (
+    FORWARD_OWNER,
+    FORWARD_STATE,
+    REVERSE,
+    coherence_findings,
+    mapping_stores,
+    translation_tvpn,
+)
 from repro.obs import schema
 from repro.obs.tracebus import BUS, TraceBus, TraceEvent
 
@@ -120,6 +140,7 @@ class SimSanitizer:
         self._shadow_ptr = array.block_write_ptr_np.copy()
         self._shadow_free = array.block_free_mask.copy()
         self._shadow_erased = np.zeros(n_blocks, dtype=bool)
+        self._shadow_synced = True
         # Event-order tracking.
         self._last_engine_ts = -np.inf
         self._last_engine_seq = -1
@@ -133,8 +154,17 @@ class SimSanitizer:
         self.events_checked = 0
         self.migrations_checked = 0
         self.spans_checked = 0
-        self.sweeps = 0
         self.violations = 0
+        # Delta-sweep state: copies of the mapping stores as of the last
+        # clean sweep (None until the first), and counters that stay out
+        # of report() — its keys feed byte-compared reports — except as
+        # their sum, ``sweeps``.
+        self._base: Optional[List[np.ndarray]] = None
+        self.full_sweeps = 0
+        self.delta_sweeps = 0
+        #: candidate cells (LPNs + PPNs) the delta sweeps rechecked; a
+        #: full sweep rechecks ``num_lpns + num_physical_pages``.
+        self.cells_rechecked = 0
         self._attached = False
 
     # ---- lifecycle -------------------------------------------------------
@@ -149,12 +179,20 @@ class SimSanitizer:
         if self._attached:
             self.bus.unsubscribe(self)
             self._attached = False
+            # Array events go unseen from here on: the shadow model is
+            # no longer evidence of anything (shadow-divergence is off).
+            self._shadow_synced = False
 
     def finalize(self) -> dict:
-        """Run the closing coherence sweep, detach, and report."""
-        self.check_now()
+        """Run the closing coherence sweep (always the full form, whatever
+        the delta state says), detach, and report."""
+        self._sweep(full=True)
         self.detach()
         return self.report()
+
+    @property
+    def sweeps(self) -> int:
+        return self.full_sweeps + self.delta_sweeps
 
     def report(self) -> dict:
         return {
@@ -448,89 +486,119 @@ class SimSanitizer:
     # ---- coherence sweeps ------------------------------------------------
 
     def check_now(self) -> None:
-        """Full mapping + accounting sweep against live FTL state.
+        """Mapping + accounting sweep against live FTL state.
 
-        Runs after every GC pass and at :meth:`finalize`; vectorised so
-        the cost stays proportional to device size, not run length.
+        Runs after every GC pass, when a run drains and after crash
+        recovery.  The first sweep rechecks every cell and snapshots the
+        mapping stores; each later one diffs the live stores against the
+        snapshots of the last clean sweep (linear compares, so a
+        mutation that emitted no event is still seen) and rechecks only
+        the invariant instances that read a changed cell — cost
+        proportional to what changed since the last sweep, plus the
+        compares.  :meth:`finalize` always runs the full form.
         """
-        self.sweeps += 1
-        self._check_mapping_coherence()
-        self._check_free_accounting()
+        self._sweep(full=self._base is None)
 
-    def _check_mapping_coherence(self) -> None:
-        ftl = self.ftl
-        array = ftl.array
-        page_table = ftl.page_table_np
-        mapped = np.flatnonzero(page_table != -1)
-        if len(mapped):
-            ppns = page_table[mapped]
-            states = array.page_state_np[ppns]
-            bad = mapped[states != PageState.VALID]
-            if len(bad):
-                lpn = int(bad[0])
+    def _sweep(self, *, full: bool) -> None:
+        stores = mapping_stores(self.ftl)
+        if full:
+            self.full_sweeps += 1
+            lpns = ppns = None
+        else:
+            self.delta_sweeps += 1
+            changed = [np.flatnonzero(store != base) for store, base in zip(stores, self._base)]
+            lpns, ppns = self._closure(stores, changed)
+            self.cells_rechecked += len(lpns) + len(ppns)
+        self._check_mapping_coherence(stores, lpns, ppns)
+        self._check_free_accounting()
+        self._check_shadow(stores[1], ppns)
+        # Clean: this state is the base the next delta is taken from (a
+        # failed sweep raised above and never becomes one).
+        if full:
+            self._base = [store.copy() for store in stores]
+        else:
+            for store, base, cells in zip(stores, self._base, changed):
+                base[cells] = store[cells]
+
+    def _closure(self, stores, changed) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidates whose invariant instance reads a changed cell.
+
+        Each instance reads ``pt[l]``, ``state[p]``/``owner[p]`` and
+        ``gtd[t]`` for one coherent ``(l, p)`` or ``(t, p)`` pair, so the
+        instances a changed cell can break are named by the cell itself
+        and by its partner before (coherent base) and after the change.
+        Everything else reads only unchanged cells and held at the base:
+        by induction from the first full sweep, rechecking the closure
+        is rechecking the device.
+        """
+        page_table, _, page_owner = stores[:3]
+        base_table, _, base_owner = self._base[:3]
+        d_lpn, d_state, d_owner = changed[:3]
+        d_ppn = np.concatenate([d_state, d_owner])
+        lpn_parts = [d_lpn, base_owner[d_ppn], page_owner[d_ppn]]
+        ppn_parts = [d_ppn, base_table[d_lpn], page_table[d_lpn]]
+        if len(stores) > 3:
+            d_tvpn = changed[3]
+            ppn_parts += [self._base[3][d_tvpn], stores[3][d_tvpn]]
+        lpns = np.unique(np.concatenate(lpn_parts))
+        ppns = np.unique(np.concatenate(ppn_parts))
+        # Drop the "no partner" sentinels (unmapped, OWNER_NONE,
+        # translation owners, unmaterialised tvpn): all negative.
+        return lpns[lpns >= 0], ppns[ppns >= 0]
+
+    def _check_mapping_coherence(self, stores, lpns, ppns) -> None:
+        array = self.ftl.array
+        page_table = stores[0]
+        for kind, bad in coherence_findings(stores, lpns, ppns):
+            first = int(bad[0])
+            if kind == FORWARD_STATE:
+                ppn = int(page_table[first])
                 self._fail(
                     "mapping-coherence",
-                    f"lpn {lpn} maps to ppn {int(page_table[lpn])} whose state is "
-                    f"{PageState(array.page_state[int(page_table[lpn])]).name}, not VALID "
+                    f"lpn {first} maps to ppn {ppn} whose state is "
+                    f"{PageState(array.page_state[ppn]).name}, not VALID "
                     f"({len(bad)} such entries)",
-                    self._mapping_snapshot(lpn),
+                    self._mapping_snapshot(first),
                 )
-            owners = array.page_owner_np[ppns]
-            bad = mapped[owners != mapped]
-            if len(bad):
-                lpn = int(bad[0])
+            elif kind == FORWARD_OWNER:
+                ppn = int(page_table[first])
                 self._fail(
                     "mapping-coherence",
-                    f"reverse map broken: ppn {int(page_table[lpn])} is owned by "
-                    f"{int(array.page_owner[int(page_table[lpn])])}, not lpn {lpn} "
+                    f"reverse map broken: ppn {ppn} is owned by "
+                    f"{int(array.page_owner[ppn])}, not lpn {first} "
                     f"({len(bad)} such entries)",
-                    self._mapping_snapshot(lpn),
+                    self._mapping_snapshot(first),
                 )
-        # Reverse direction: every VALID data page must be reachable.
-        valid_ppns = np.flatnonzero(array.page_state_np == PageState.VALID)
-        owners = array.page_owner_np[valid_ppns]
-        data_mask = owners >= 0
-        back = page_table[owners[data_mask]]
-        stray = valid_ppns[data_mask][back != valid_ppns[data_mask]]
-        if len(stray):
-            ppn = int(stray[0])
-            self._fail(
-                "mapping-coherence",
-                f"valid data page {ppn} (owner lpn {int(array.page_owner[ppn])}) "
-                f"is not referenced by the page table ({len(stray)} such pages)",
-                {"ppn": ppn},
-            )
-        # Translation pages round-trip through the GTD, when there is one.
-        gtd = getattr(ftl, "gtd", None)
-        if gtd is not None:
-            t_ppns = valid_ppns[~data_mask]
-            t_owners = owners[~data_mask]
-            for ppn, owner in zip(t_ppns, t_owners):
-                tvpn = decode_translation_owner(int(owner))
-                if gtd.lookup(tvpn) != int(ppn):
-                    self._fail(
-                        "mapping-coherence",
-                        f"GTD stale: tvpn {tvpn} -> {gtd.lookup(tvpn)} but the "
-                        f"valid translation page lives at ppn {int(ppn)}",
-                        {"tvpn": tvpn},
-                    )
+            elif kind == REVERSE:
+                self._fail(
+                    "mapping-coherence",
+                    f"valid data page {first} (owner lpn {int(array.page_owner[first])}) "
+                    f"is not referenced by the page table ({len(bad)} such pages)",
+                    {"ppn": first},
+                )
+            elif len(stores) > 3:  # with no GTD, non-data owners are not policed
+                tvpn = translation_tvpn(int(array.page_owner[first]))
+                self._fail(
+                    "mapping-coherence",
+                    f"GTD stale: tvpn {tvpn} -> {int(stores[3][tvpn])} but the "
+                    f"valid translation page lives at ppn {first}",
+                    {"tvpn": tvpn},
+                )
 
     def _check_free_accounting(self) -> None:
         ftl = self.ftl
         array = ftl.array
-        geometry = ftl.geometry
         mask = array.block_free_mask
-        for plane in range(geometry.num_planes):
-            blocks = array.plane_blocks(plane)
-            mask_count = int(np.count_nonzero(mask[blocks.start : blocks.stop]))
-            pool_count = array.free_block_count(plane)
-            if mask_count != pool_count:
-                self._fail(
-                    "free-accounting",
-                    f"plane {plane}: free pool holds {pool_count} blocks but the "
-                    f"free mask counts {mask_count}",
-                    {"plane": plane},
-                )
+        num_planes = ftl.geometry.num_planes
+        mask_counts = mask.reshape(num_planes, -1).sum(axis=1)
+        pool_counts = [array.free_block_count(plane) for plane in range(num_planes)]
+        for plane in np.flatnonzero(mask_counts != pool_counts):
+            self._fail(
+                "free-accounting",
+                f"plane {plane}: free pool holds {pool_counts[plane]} blocks but the "
+                f"free mask counts {mask_counts[plane]}",
+                {"plane": int(plane)},
+            )
         for allocator in getattr(ftl, "allocators", None) or ():
             block = getattr(allocator, "current_block", None)
             if block is not None and mask[block]:
@@ -539,6 +607,44 @@ class SimSanitizer:
                     f"active write block {block} of plane "
                     f"{getattr(allocator, 'plane', '?')} sits in the free pool",
                     {"block": int(block)},
+                )
+
+    def _check_shadow(self, page_state: np.ndarray, ppns: Optional[np.ndarray]) -> None:
+        """The event-derived shadow model must equal the array it shadows.
+
+        Page states are compared at ``ppns`` (every page when ``None``);
+        the per-block write pointers and free flags are small enough to
+        compare whole on every sweep.
+        """
+        if not self._shadow_synced:
+            return
+        array = self.ftl.array
+        if ppns is None:
+            bad = np.flatnonzero(self._shadow_state != page_state)
+        else:
+            bad = ppns[self._shadow_state[ppns] != page_state[ppns]]
+        if len(bad):
+            ppn = int(bad[0])
+            self._fail(
+                "shadow-divergence",
+                f"ppn {ppn} is {PageState(array.page_state[ppn]).name} in the array "
+                f"but {PageState(self._shadow_state[ppn]).name} by the array events "
+                f"seen ({len(bad)} such pages)",
+                {"ppn": ppn, "block": ppn // self._pages_per_block},
+            )
+        for what, shadow, live in (
+            ("write pointer", self._shadow_ptr, array.block_write_ptr_np),
+            ("free-pool flag", self._shadow_free, array.block_free_mask),
+        ):
+            bad = np.flatnonzero(shadow != live)
+            if len(bad):
+                block = int(bad[0])
+                self._fail(
+                    "shadow-divergence",
+                    f"block {block} {what} is {int(live[block])} in the array but "
+                    f"{int(shadow[block])} by the array events seen "
+                    f"({len(bad)} such blocks)",
+                    {"block": block},
                 )
 
     def _mapping_snapshot(self, lpn: int) -> dict:

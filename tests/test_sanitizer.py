@@ -10,9 +10,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.controller.device import SimulatedSSD
 from repro.flash.address import PageState
+from repro.flash.geometry import SSDGeometry
 from repro.lint import SanitizerError, SimSanitizer
 from repro.obs.tracebus import BUS
 from repro.sim.request import IoOp, IoRequest
@@ -316,3 +319,238 @@ class TestFacade:
         result = run_simulation(generate(spec), config, sanitize=True)
         assert result.extras["sanitizer"]["violations"] == 0
         assert BUS.subscriber_count == 0
+
+
+# ---------------------------------------------------------------------------
+# delta sweeps — after one clean sweep only the changed cells' closure is
+# rechecked; each sabotage below fails if the delta path skipped the cell
+
+
+@pytest.fixture(params=["dloop"])
+def swept(request, small_geometry):
+    """A lightly-used SSD whose sanitizer already holds a clean base."""
+    ssd = SimulatedSSD(small_geometry, ftl=request.param)
+    ssd.precondition(0.5)
+    sanitizer = SimSanitizer(ssd.ftl).attach()
+    sanitizer.check_now()
+    assert (sanitizer.full_sweeps, sanitizer.delta_sweeps) == (1, 0)
+    yield ssd, sanitizer
+    sanitizer.detach()
+
+
+def expect_delta_rule(rule, sanitizer):
+    err = expect_rule(rule, sanitizer.check_now)
+    # the verdict came from the delta path, not a second full sweep
+    assert (sanitizer.full_sweeps, sanitizer.delta_sweeps) == (1, 1)
+    return err
+
+
+class TestDeltaSweeps:
+    def test_clean_delta_sweep_rechecks_nothing(self, swept):
+        ssd, sanitizer = swept
+        sanitizer.check_now()
+        assert sanitizer.delta_sweeps == 1
+        assert sanitizer.cells_rechecked == 0
+
+    def test_mapping_repointed_at_free_page(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn = int(ftl.mapped_lpns()[0])
+        free_ppns = np.flatnonzero(ftl.array.page_state_np == PageState.FREE)
+        ftl.page_table[lpn] = int(free_ppns[-1])
+        err = expect_delta_rule("mapping-coherence", sanitizer)
+        assert err.snapshot["lpn"] == lpn
+
+    def test_two_lpns_sharing_one_page(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn_a, lpn_b = (int(l) for l in ftl.mapped_lpns()[:2])
+        ftl.page_table[lpn_a] = ftl.page_table[lpn_b]
+        expect_delta_rule("mapping-coherence", sanitizer)
+
+    def test_owner_rewritten_state_untouched(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn_a, lpn_b = (int(l) for l in ftl.mapped_lpns()[:2])
+        ftl.array.page_owner[ftl.page_table[lpn_a]] = lpn_b
+        expect_delta_rule("mapping-coherence", sanitizer)
+
+    def test_state_flipped_with_no_event(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn = int(ftl.mapped_lpns()[0])
+        ftl.array.page_state[ftl.page_table[lpn]] = int(PageState.INVALID)
+        expect_delta_rule("mapping-coherence", sanitizer)
+
+    def test_valid_page_orphaned_by_unmapping(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn = int(ftl.mapped_lpns()[0])
+        ppn = int(ftl.page_table[lpn])
+        ftl.page_table[lpn] = -1
+        err = expect_delta_rule("mapping-coherence", sanitizer)
+        assert err.snapshot["ppn"] == ppn
+
+    @pytest.mark.parametrize("swept", ["dftl", "dloop"], indirect=True)
+    def test_gtd_entry_repointed(self, swept):
+        ssd, sanitizer = swept
+        gtd = ssd.ftl.gtd
+        tvpn = next(t for t in range(gtd.num_tpages) if gtd.is_mapped(t))
+        free_ppns = np.flatnonzero(ssd.ftl.array.page_state_np == PageState.FREE)
+        gtd.update(tvpn, int(free_ppns[-1]))
+        err = expect_delta_rule("mapping-coherence", sanitizer)
+        assert err.snapshot["tvpn"] == tvpn
+
+    def test_failed_sweep_does_not_become_the_base(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn = int(ftl.mapped_lpns()[0])
+        ftl.page_table[lpn] = -1
+        expect_rule("mapping-coherence", sanitizer.check_now)
+        # still broken, still reported: the bad state was not snapshotted
+        expect_rule("mapping-coherence", sanitizer.check_now)
+
+    def test_finalize_is_full_even_with_tampered_snapshots(self, swept):
+        ssd, sanitizer = swept
+        ftl = ssd.ftl
+        lpn = int(ftl.mapped_lpns()[0])
+        ftl.page_table[lpn] = -1
+        sanitizer._base[0][lpn] = -1  # hide the change from the diff
+        sanitizer.check_now()  # the delta sweep is blind to it ...
+        assert sanitizer.delta_sweeps == 1
+        expect_rule("mapping-coherence", sanitizer.finalize)  # ... finalize is not
+        assert sanitizer.full_sweeps == 2
+
+    def test_public_surface_is_unchanged(self, swept):
+        ssd, sanitizer = swept
+        import inspect
+
+        assert not inspect.signature(sanitizer.check_now).parameters
+        assert list(sanitizer.report()) == [
+            "events_checked", "migrations_checked", "spans_checked",
+            "sweeps", "violations",
+        ]
+        assert sanitizer.report()["sweeps"] == (
+            sanitizer.full_sweeps + sanitizer.delta_sweeps
+        )
+
+    def test_steady_state_sweeps_are_proportional_to_change(self):
+        geometry = SSDGeometry(
+            channels=2, packages_per_channel=1, chips_per_package=1,
+            dies_per_chip=1, planes_per_die=2, blocks_per_plane=64,
+            pages_per_block=32, page_size=512, extra_blocks_percent=10.0,
+        )
+        ssd = SimulatedSSD(geometry, ftl="dloop", sanitize=True)
+        ssd.precondition(0.9)
+        ssd.run(update_heavy_workload(geometry, n=3000))
+        sanitizer = ssd.sanitizer
+        assert ssd.ftl.gc_stats.passes > 100  # guard: steady-state GC
+        assert sanitizer.full_sweeps == 1
+        assert sanitizer.delta_sweeps >= ssd.ftl.gc_stats.passes
+        full_cells = geometry.num_lpns + geometry.num_physical_pages
+        per_sweep = sanitizer.cells_rechecked / sanitizer.delta_sweeps
+        assert per_sweep < 0.05 * full_cells
+        assert sanitizer.finalize()["violations"] == 0
+        assert sanitizer.full_sweeps == 2
+
+
+@st.composite
+def corruptions(draw):
+    """1-3 in-range single-cell overwrites of the mapping stores."""
+    return draw(st.lists(
+        st.tuples(st.sampled_from(["table", "state", "owner", "gtd"]),
+                  st.integers(0, 2**31), st.integers(0, 2**31)),
+        min_size=1, max_size=3,
+    ))
+
+
+def corrupt(ftl, cells):
+    array = ftl.array
+    n_lpns, n_pages = len(ftl.page_table), len(array.page_state)
+    for store, where, what in cells:
+        if store == "table":
+            ftl.page_table[where % n_lpns] = what % (n_pages + 1) - 1
+        elif store == "state":
+            array.page_state[where % n_pages] = what % 3
+        elif store == "owner":
+            # OWNER_NONE, a data owner or (with a GTD) a translation owner
+            gtd = getattr(ftl, "gtd", None)
+            low = -1 if gtd is None else -1 - gtd.num_tpages
+            array.page_owner[where % n_pages] = low + what % (n_lpns - low)
+        elif getattr(ftl, "gtd", None) is not None:
+            ftl.gtd.update(where % ftl.gtd.num_tpages, what % (n_pages + 1) - 1)
+
+
+def verdict(sanitizer):
+    try:
+        sanitizer.check_now()
+    except SanitizerError as err:
+        return err.rule
+    return None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ftl_name=st.sampled_from(["dloop", "dftl", "fast", "pagemap"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(20, 200),
+    cells=corruptions(),
+)
+def test_delta_and_full_sweeps_agree(ftl_name, seed, n, cells):
+    geometry = SSDGeometry(
+        channels=2, packages_per_channel=1, chips_per_package=1,
+        dies_per_chip=1, planes_per_die=2, blocks_per_plane=16,
+        pages_per_block=8, page_size=256, extra_blocks_percent=25.0,
+    )
+    try:
+        ssd = SimulatedSSD(geometry, ftl=ftl_name, sanitize=True)
+        ssd.precondition(0.7)
+        ssd.run(update_heavy_workload(geometry, n=n, seed=seed))
+        delta = ssd.sanitizer
+        swept_before = delta.delta_sweeps
+        # Same shadow model (seeded now, no event follows), no base yet:
+        # its first sweep is the full form.
+        full = SimSanitizer(ssd.ftl)
+        corrupt(ssd.ftl, cells)
+        assert verdict(delta) == verdict(full)
+        assert (delta.full_sweeps, delta.delta_sweeps) == (1, swept_before + 1)
+        assert (full.full_sweeps, full.delta_sweeps) == (1, 0)
+    finally:
+        BUS.clear()
+
+
+# ---------------------------------------------------------------------------
+# shadow-divergence — the array drifting from what its own events said
+
+
+class TestShadowDivergence:
+    def test_page_state_mutated_behind_the_bus(self, swept):
+        ssd, sanitizer = swept
+        array = ssd.ftl.array
+        # FREE -> INVALID breaks no mapping invariant: only the shadow knows
+        ppn = int(np.flatnonzero(array.page_state_np == PageState.FREE)[-1])
+        array.page_state[ppn] = int(PageState.INVALID)
+        err = expect_delta_rule("shadow-divergence", sanitizer)
+        assert err.snapshot["ppn"] == ppn
+
+    def test_event_with_no_array_mutation_is_caught_at_finalize(self, swept):
+        ssd, sanitizer = swept
+        ppn = int(np.flatnonzero(ssd.ftl.array.page_state_np == PageState.VALID)[0])
+        BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": ppn}, None, "i")
+        expect_rule("shadow-divergence", sanitizer.finalize)
+
+    def test_write_pointer_mutated_behind_the_bus(self, swept):
+        ssd, sanitizer = swept
+        array = ssd.ftl.array
+        block = int(np.flatnonzero(array.block_write_ptr_np > 0)[0])
+        array.block_write_ptr[block] -= 1
+        err = expect_delta_rule("shadow-divergence", sanitizer)
+        assert err.snapshot["block"] == block
+
+    def test_detached_sanitizer_stops_vouching_for_its_shadow(self, swept):
+        ssd, sanitizer = swept
+        sanitizer.detach()
+        lpn = int(ssd.ftl.mapped_lpns()[0])
+        ssd.ftl.write_page(lpn, 0.0)  # array moves on, nobody is listening
+        sanitizer.check_now()  # mapping is coherent; the stale shadow is ignored
