@@ -447,7 +447,7 @@ class FlashArray:
         return self._pages_per_block - self.block_write_ptr[block]
 
     def plane_blocks(self, plane: int) -> range:
-        bpp = self.geometry.physical_blocks_per_plane
+        bpp = self.codec._blocks_per_plane
         return range(plane * bpp, (plane + 1) * bpp)
 
     def utilization(self) -> float:

@@ -145,12 +145,61 @@ class FlashTimekeeper:
         return end
 
     def inter_plane_copy(self, src_plane: int, dst_plane: int, start: float) -> float:
-        """Traditional copy through the controller buffer (Fig. 2)."""
-        after_read = self.read_page(src_plane, start)
-        end = self.program_page(dst_plane, after_read)
-        # read_page/program_page already counted a read and a program;
-        # additionally tally the composite operation.
-        self.counters.interplane_copies += 1
+        """Traditional copy through the controller buffer (Fig. 2).
+
+        ``program_page(dst_plane, read_page(src_plane, start))`` plus the
+        composite tally, as one body: the same arithmetic, counters and
+        events in the same order, one call per relocated page instead of
+        three.
+        """
+        plane_free = self.plane_free
+        channel_free = self.channel_free
+        page_xfer = self._page_xfer
+        counters = self.counters
+        channel_busy_us = counters.channel_busy_us
+        plane_ops = counters.plane_ops
+        plane_busy_us = counters.plane_busy_us
+        # read_page(src_plane, start)
+        pf = plane_free[src_plane]
+        sense_start = pf if pf > start else start
+        sense_end = sense_start + self._read_us
+        src_channel = self._plane_channel[src_plane]
+        cf = channel_free[src_channel]
+        out_start = cf if cf > sense_end else sense_end
+        after_read = out_start + page_xfer
+        plane_free[src_plane] = after_read
+        channel_free[src_channel] = after_read
+        counters.reads += 1
+        channel_busy_us[src_channel] += after_read - out_start
+        plane_ops[src_plane] += 1
+        plane_busy_us[src_plane] += after_read - sense_start
+        if BUS.enabled:
+            ids = {"plane": src_plane, "channel": src_channel}
+            BUS.emit("flash", "read", sense_start, after_read - sense_start, ids,
+                     f"plane:{src_plane}")
+            BUS.emit("flash", "xfer_out", out_start, after_read - out_start, ids,
+                     f"channel:{src_channel}")
+        # program_page(dst_plane, after_read)
+        dst_channel = self._plane_channel[dst_plane]
+        cf = channel_free[dst_channel]
+        in_start = cf if cf > after_read else after_read
+        in_end = in_start + page_xfer
+        channel_free[dst_channel] = in_end
+        pf = plane_free[dst_plane]
+        prog_start = pf if pf > in_end else in_end
+        end = prog_start + self._program_us
+        plane_free[dst_plane] = end
+        counters.programs += 1
+        channel_busy_us[dst_channel] += in_end - in_start
+        plane_ops[dst_plane] += 1
+        plane_busy_us[dst_plane] += end - in_start
+        if BUS.enabled:
+            ids = {"plane": dst_plane, "channel": dst_channel}
+            BUS.emit("flash", "program", prog_start, end - prog_start, ids,
+                     f"plane:{dst_plane}")
+            BUS.emit("flash", "xfer_in", in_start, in_end - in_start, ids,
+                     f"channel:{dst_channel}")
+        counters.interplane_copies += 1
         if BUS.enabled:
             BUS.emit("flash", "inter_plane_copy", start, 0.0,
                      {"src_plane": src_plane, "dst_plane": dst_plane}, None, "i")

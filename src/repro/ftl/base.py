@@ -261,9 +261,7 @@ class Ftl(abc.ABC):
         # or its garbage is stranded forever.
         pools = self.array._free_pools
         threshold = self.gc_threshold
-        queue = {
-            p for p in range(self.geometry.num_planes) if len(pools[p]) < threshold
-        }
+        queue = {p for p, pool in enumerate(pools) if len(pool) < threshold}
         if not queue:
             return now
         self.gc_stats.invocations += 1
@@ -278,6 +276,7 @@ class Ftl(abc.ABC):
         # next operation — incremental reclamation, never a device-wide
         # stop-the-world sweep per write.
         budget = self.max_gc_passes
+        gc_stats = self.gc_stats
         while queue and budget > 0:
             # The triggering plane first — its caller is about to
             # allocate on it; then most-starved planes.
@@ -290,14 +289,27 @@ class Ftl(abc.ABC):
             queue.discard(p)
             if len(pools[p]) >= threshold:
                 continue
+            passes_before = gc_stats.passes
             t = self._gc_pass(p, t)
             budget -= 1
             if len(pools[p]) < threshold:
                 queue.add(p)
             queue |= self._gc_pending
             self._gc_pending.clear()
+            if gc_stats.passes == passes_before:
+                # A fruitless pass (no feasible victim, plane not
+                # cornered) changed nothing: no array or allocator
+                # state, no RNG draw (``select_victim`` draws only among
+                # candidates), no event.  ``p`` is still low, so it is
+                # back in ``queue`` and would be picked again — the
+                # trigger plane by the first branch, otherwise as the
+                # minimum it already was; what ``_gc_pending`` merged in
+                # is either queued already or not low, never the
+                # minimum — with the same outcome until the budget ran
+                # out.  Stop here instead.
+                break
         self._gc_pending |= queue
-        self.gc_stats.busy_us += t - now
+        gc_stats.busy_us += t - now
         return t
 
     def background_collect(self, now: float, target_free: Optional[int] = None) -> tuple:
@@ -658,8 +670,10 @@ class Ftl(abc.ABC):
     # ---- shared helpers -----------------------------------------------------
 
     def check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < self.geometry.num_lpns:
-            raise ValueError(f"lpn {lpn} outside logical space [0, {self.geometry.num_lpns})")
+        # The page table holds one entry per logical page; its length is
+        # ``geometry.num_lpns`` without the four-property walk.
+        if not 0 <= lpn < len(self.page_table):
+            raise ValueError(f"lpn {lpn} outside logical space [0, {len(self.page_table)})")
 
     def current_ppn(self, lpn: int) -> int:
         """Physical location of an LPN, or -1 if never written."""

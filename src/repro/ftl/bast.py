@@ -70,7 +70,8 @@ class BastFtl(LogBlockMixin, Ftl):
     # ---- host interface ---------------------------------------------------
 
     def read_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_reads += 1
         ppn = self.current_ppn(lpn)
         if ppn == -1:
@@ -81,7 +82,8 @@ class BastFtl(LogBlockMixin, Ftl):
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
         lbn = lpn // self.pages_per_block
         t = start

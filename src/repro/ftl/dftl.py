@@ -72,7 +72,8 @@ class DftlFtl(DemandPagedFtl):
     # ---- host interface ---------------------------------------------------
 
     def write_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < self._num_lpns:
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
         t = self.tm.charge_lookup(lpn, start)
         try:

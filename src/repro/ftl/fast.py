@@ -98,7 +98,8 @@ class FastFtl(LogBlockMixin, Ftl):
     # ---- host interface ---------------------------------------------------
 
     def read_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_reads += 1
         ppn = self.current_ppn(lpn)
         if ppn == -1:
@@ -112,7 +113,8 @@ class FastFtl(LogBlockMixin, Ftl):
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
         lbn, off = divmod(lpn, self.pages_per_block)
         t = start

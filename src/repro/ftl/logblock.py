@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.flash.address import OWNER_NONE
-from repro.flash.array import FlashStateError
+from repro.flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashStateError
 from repro.ftl.base import OutOfSpaceError
 from repro.obs.tracebus import BUS
 
@@ -180,43 +180,132 @@ class LogBlockMixin:
 
     def _append_log(self, block: int, lpn: int, now: float) -> float:
         """Program the next sequential page of a log block with ``lpn``."""
-        old_ppn = self.current_ppn(lpn)
+        array = self.array
+        page_table = self.page_table
+        old_ppn = page_table[lpn]
+        ppb = self.pages_per_block
         faults = self.faults
         if faults is None:
-            offset = int(self.array.block_write_ptr[block])
-            ppn = self.codec.block_first_ppn(block) + offset
-            self.array.program(ppn, lpn)
-            t = self.clock.program_page(self.codec.block_to_plane(block), now)
+            # FlashArray.program, less the call: its checks, generation
+            # stamp and event are kept (the ascending-order check cannot
+            # fail — this is the block's next page).
+            offset = array.block_write_ptr[block]
+            ppn = block * ppb + offset
+            if array.page_state[ppn] != PAGE_FREE:
+                raise FlashStateError(f"program of non-free page {ppn}")
+            if array._block_is_free[block]:
+                raise FlashStateError(f"program into unallocated block {block}")
+            array.block_write_ptr[block] = offset + 1
+            array.page_state[ppn] = PAGE_VALID
+            array.page_owner[ppn] = lpn
+            array.block_valid[block] += 1
+            array.write_stamp = stamp = array.write_stamp + 1
+            array.block_write_stamp[block] = stamp
+            if array.page_gen is not None:
+                gen = array.stamp_gen(ppn, lpn)
+                if BUS.enabled:
+                    BUS.emit("array", "program", 0.0, 0.0,
+                             {"ppn": ppn, "owner": lpn, "gen": gen}, None, "i")
+            elif BUS.enabled:
+                BUS.emit("array", "program", 0.0, 0.0, {"ppn": ppn, "owner": lpn}, None, "i")
+            t = self.clock.program_page(block // self.codec._blocks_per_plane, now)
         else:
             try:
-                ppn, t = faults.program(_BlockCursor(self.array, block), lpn, now)
+                ppn, t = faults.program(_BlockCursor(array, block), lpn, now)
             except FlashStateError:
                 return self._log_block_failed(block, lpn, now)
         if old_ppn != -1:
-            self.array.invalidate(old_ppn)
-        self.page_table[lpn] = ppn
+            # FlashArray.invalidate(old_ppn), less the call
+            if array.page_state[old_ppn] != PAGE_VALID:
+                raise FlashStateError(f"invalidate of non-valid page {old_ppn}")
+            old_block = old_ppn // ppb
+            array.page_state[old_ppn] = PAGE_INVALID
+            array.page_owner[old_ppn] = OWNER_NONE
+            array.block_valid[old_block] -= 1
+            array.block_invalid[old_block] += 1
+            if BUS.enabled:
+                BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": old_ppn}, None, "i")
+        page_table[lpn] = ppn
         return t
 
     def _fill_tail(self, block: int, lbn: int, first_off: int, now: float) -> float:
         """Copy offsets ``first_off..P-1``'s latest copies into ``block``
         through the controller: the partial-merge move of Section II.A,
-        and from offset 0 the gather of a full merge."""
+        and from offset 0 the gather of a full merge.
+
+        Per page, in this order: program the destination, price the
+        copy, count it, invalidate the source, remap.  The order is
+        load-bearing — between the program and the invalidate two VALID
+        pages carry one owner, the state recovery's duplicate-owner
+        scrub resolves, and the torture arm crashes from inside either
+        ``array`` event — so the loop hoists its lookups, spells the two
+        ``FlashArray`` transitions out with their checks, and changes
+        nothing else.
+        """
         t = now
         ppb = self.pages_per_block
-        dst_plane = self.codec.block_to_plane(block)
+        array = self.array
+        page_table = self.page_table
+        page_state = array.page_state
+        page_owner = array.page_owner
+        block_valid = array.block_valid
+        block_invalid = array.block_invalid
+        block_write_ptr = array.block_write_ptr
+        block_write_stamp = array.block_write_stamp
+        block_is_free = array._block_is_free
+        gc_stats = self.gc_stats
+        # Bound per call, not per instance: observers rebind the clock's
+        # methods on the instance after construction.
+        inter_plane_copy = self.clock.inter_plane_copy
+        pages_per_plane = self.codec._blocks_per_plane * ppb
+        dst_plane = block // self.codec._blocks_per_plane
         base_lpn = lbn * ppb
-        first_ppn = self.codec.block_first_ppn(block)
+        first_ppn = block * ppb
         for off in range(first_off, ppb):
-            src_ppn = self.current_ppn(base_lpn + off)
+            lpn = base_lpn + off
+            src_ppn = page_table[lpn]
             if src_ppn == -1:
                 continue  # hole: page never written; leave it free
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
+            if array.page_gen is not None:
+                array.stage_copy_gen(src_ppn)
+            # FlashArray.program(new_ppn, lpn), less the call
+            new_ppn = first_ppn + off
+            if page_state[new_ppn] != PAGE_FREE:
+                raise FlashStateError(f"program of non-free page {new_ppn}")
+            if off < block_write_ptr[block]:
+                raise FlashStateError(
+                    f"out-of-order program: page {off} of block {block}, "
+                    f"write ptr at {block_write_ptr[block]}"
+                )
+            if block_is_free[block]:
+                raise FlashStateError(f"program into unallocated block {block}")
+            block_write_ptr[block] = off + 1
+            page_state[new_ppn] = PAGE_VALID
+            page_owner[new_ppn] = lpn
+            block_valid[block] += 1
+            array.write_stamp = stamp = array.write_stamp + 1
+            block_write_stamp[block] = stamp
+            if array.page_gen is not None:
+                gen = array.stamp_gen(new_ppn, lpn)
+                if BUS.enabled:
+                    BUS.emit("array", "program", 0.0, 0.0,
+                             {"ppn": new_ppn, "owner": lpn, "gen": gen}, None, "i")
+            elif BUS.enabled:
+                BUS.emit("array", "program", 0.0, 0.0, {"ppn": new_ppn, "owner": lpn}, None, "i")
+            t = inter_plane_copy(src_ppn // pages_per_plane, dst_plane, t)
+            gc_stats.controller_moves += 1
+            gc_stats.moved_pages += 1
+            # FlashArray.invalidate(src_ppn), less the call
+            if page_state[src_ppn] != PAGE_VALID:
+                raise FlashStateError(f"invalidate of non-valid page {src_ppn}")
+            src_block = src_ppn // ppb
+            page_state[src_ppn] = PAGE_INVALID
+            page_owner[src_ppn] = OWNER_NONE
+            block_valid[src_block] -= 1
+            block_invalid[src_block] += 1
+            if BUS.enabled:
+                BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": src_ppn}, None, "i")
+            page_table[lpn] = new_ppn
         return t
 
     def _gather_merge_lbn(self, lbn: int, now: float) -> float:

@@ -82,7 +82,8 @@ class PageMapFtl(Ftl):
     # ---- host interface ----------------------------------------------------------
 
     def read_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_reads += 1
         ppn = self.current_ppn(lpn)
         if ppn == -1:
@@ -91,7 +92,8 @@ class PageMapFtl(Ftl):
         return self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
 
     def write_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
         try:
             if self.roaming is not None:

@@ -124,7 +124,8 @@ class SuperblockFtl(Ftl):
     # ---- host interface ----------------------------------------------------------
 
     def read_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_reads += 1
         ppn = self.current_ppn(lpn)
         if ppn == -1:
@@ -135,7 +136,8 @@ class SuperblockFtl(Ftl):
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < len(self.page_table):
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
         sb = self.superblock_of(lpn)
         block, t = self._write_point(sb, start)

@@ -177,9 +177,10 @@ class EventSchema:
 _TIMEKEEPER = ("repro.flash.timekeeper",)
 _COMMANDS = ("repro.flash.commands",)
 _ARRAY = ("repro.flash.array",)
-#: program/invalidate are also emitted where the DLOOP page path inlines
-#: the transition (host write, translation write-back).
-_ARRAY_PAGE = _ARRAY + ("repro.core.dloop", "repro.ftl.translation")
+#: program/invalidate are also emitted where a page path inlines the
+#: transition: DLOOP's host write and translation write-back, the
+#: log-block family's append and merge copy.
+_ARRAY_PAGE = _ARRAY + ("repro.core.dloop", "repro.ftl.translation", "repro.ftl.logblock")
 _CONTROLLER = ("repro.controller.controller",)
 _BASE_FAST = ("repro.ftl.base", "repro.ftl.fast")
 

@@ -14,6 +14,14 @@ The cells must not go vacuous: ``test_recorded_cells_take_their_paths``
 asserts on the *recorded* values that each cell takes the path it is
 named after.  The tests below it pin what the per-FTL copies of the
 loop got wrong (each fails at the recording commit).
+
+``replay_sweep_fingerprints.json["merge_event_streams"]`` pins, for the
+cells whose pages move through the controller (the hybrids' merges and
+``_collect``'s controller branch), the whole TraceBus stream — every
+event, in emission order — with OOB generations disarmed and armed.  It
+was recorded at the last commit whose log-block gather loop called
+``FlashArray`` and ``FlashTimekeeper.read_page``/``program_page`` per
+page, so a flattened loop must emit the same events in the same order.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import zlib
+from collections import Counter
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -238,9 +248,9 @@ def observe(cell: dict, instrument=None) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _golden() -> dict:
+def _golden(section: str = "reclaim_paths") -> dict:
     with open(FIXTURE, "r", encoding="utf-8") as fh:
-        return json.load(fh)["reclaim_paths"]
+        return json.load(fh)[section]
 
 
 @pytest.mark.parametrize("cell_id", sorted(CELLS))
@@ -274,6 +284,80 @@ def test_recorded_cells_take_their_paths():
     assert golden["last/merges"]["ftl_stats"]["partial_merges"] > 0
     assert golden["last/merges"]["ftl_stats"]["full_merges"] > 0
     assert golden["superblock/local-gc"]["ftl_stats"]["local_gcs"] > 0
+
+
+# ---- a fruitless pass ends the GC invocation -----------------------------------------
+
+#: Fruitless ``_gc_pass`` calls (no feasible victim, plane not cornered)
+#: over the whole cell: one per invocation that meets one, where the
+#: recording commit repeated each until the pass budget ran out.
+FRUITLESS_PASSES = {"dftl/cornered": 1236, "dloop/cornered": 727,
+                    "pagemap-roaming/cornered": 696}
+
+
+@pytest.mark.parametrize("cell_id", sorted(FRUITLESS_PASSES))
+def test_a_fruitless_pass_ends_the_invocation(cell_id):
+    fruitless = Counter()
+
+    def instrument(ftl) -> None:
+        gc_pass = ftl._gc_pass
+
+        def spy(plane, now):
+            before = ftl.gc_stats.passes
+            t = gc_pass(plane, now)
+            if ftl.gc_stats.passes == before:
+                assert t == now
+                fruitless[ftl.gc_stats.invocations] += 1
+            return t
+
+        ftl._gc_pass = spy
+
+    assert observe(CELLS[cell_id], instrument) == _golden()[cell_id]
+    assert max(fruitless.values()) == 1
+    assert sum(fruitless.values()) == FRUITLESS_PASSES[cell_id]
+
+
+# ---- the event stream of a controller copy ----------------------------------------
+
+#: Cells whose relocations go through ``inter_plane_copy``: the log-block
+#: family's gather/append loops and ``_collect``'s controller branch.
+MERGE_STREAM_CELLS = ("fast/merge-mix", "fast/shifted-close", "bast/merges", "last/merges",
+                      "superblock/local-gc", "dftl/cornered", "dloop-nocb/cornered")
+
+
+def _arm_generations(ftl) -> None:
+    """Arm OOB generations and issue a new one per host write, as the
+    torture ledger does, so every ``array/program`` event carries a
+    ``gen`` that tells a host write from a relocated copy."""
+    ftl.array.enable_oob_generations()
+    lpn_gen = ftl.array.lpn_gen
+    write_page = ftl.write_page
+
+    def stamped_write(lpn, start):
+        if 0 <= lpn < len(lpn_gen):
+            lpn_gen[lpn] += 1
+        return write_page(lpn, start)
+
+    ftl.write_page = stamped_write
+
+
+def merge_event_stream(cell_id: str, armed: bool) -> dict:
+    """Event count and CRC32 of a cell's whole TraceBus stream."""
+    with BUS.capture() as events:
+        observe(CELLS[cell_id], _arm_generations if armed else None)
+    crc = 0
+    for event in events:
+        record = (event.category, event.name, event.ts_us, event.duration_us,
+                  sorted((event.args or {}).items()))
+        crc = zlib.crc32(repr(record).encode(), crc)
+    return {"events": len(events), "crc32": crc}
+
+
+@pytest.mark.parametrize("armed", (False, True), ids=("disarmed", "armed"))
+@pytest.mark.parametrize("cell_id", MERGE_STREAM_CELLS)
+def test_merge_event_stream(cell_id, armed):
+    key = f"{cell_id}|{'armed' if armed else 'disarmed'}"
+    assert merge_event_stream(cell_id, armed) == _golden("merge_event_streams")[key]
 
 
 # ---- what the copies hid -------------------------------------------------------

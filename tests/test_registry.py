@@ -24,6 +24,30 @@ def test_unknown_name(small_geometry):
         create_ftl("nope", small_geometry)
 
 
+#: ``len(vars(ftl))`` per registry entry.  CPython 3.11 stores instance
+#: attributes inline only while an instance carries at most 30 of them.
+INLINE_SLOT_LIMIT = 30
+INSTANCE_ATTRIBUTES = {
+    "pagemap": 23, "dftl": 25, "dloop": 26, "dloop-nocb": 26, "bast": 26, "dloop-mp": 28,
+    "fast": 29, "superblock": 29,
+    # known exceptions, already past the limit
+    "dloop-hc": 31, "last": 33, "dloop-hot": 34,
+}
+
+
+def test_ftl_instances_stay_within_the_inline_slot_limit(small_geometry):
+    assert sorted(INSTANCE_ATTRIBUTES) == available_ftls()
+    for name, recorded in INSTANCE_ATTRIBUTES.items():
+        count = len(vars(create_ftl(name, small_geometry)))
+        if recorded <= INLINE_SLOT_LIMIT:
+            assert count <= INLINE_SLOT_LIMIT, (
+                f"{name}: {count} instance attributes (was {recorded}); past "
+                f"{INLINE_SLOT_LIMIT} every self.x in its loops becomes a dictionary lookup "
+                "(+3 % measured on build_fast_mat) — see docs/performance.md, the paragraph "
+                "on CPython's inline attribute slots, before caching anything on an FTL"
+            )
+
+
 def test_dloop_nocb_flag(small_geometry):
     ftl = create_ftl("dloop-nocb", small_geometry)
     assert ftl.use_copyback is False

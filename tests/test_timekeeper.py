@@ -1,9 +1,14 @@
 """Timing model: operation latencies, resource contention, parallelism."""
 
+from dataclasses import asdict
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.timing import TimingParams
+from repro.obs.tracebus import BUS
 
 
 @pytest.fixture
@@ -111,6 +116,44 @@ def test_inter_plane_copy_counts_read_and_program(clock):
     assert clock.counters.programs == 1
     assert clock.counters.plane_ops[0] == 1
     assert clock.counters.plane_ops[1] == 1
+
+
+_TIMES = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+
+
+# the fixtures are frozen dataclasses: sharing them across examples is safe
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    plane_free=st.lists(_TIMES, min_size=4, max_size=4),
+    channel_free=st.lists(_TIMES, min_size=2, max_size=2),
+    copies=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _TIMES),
+                    min_size=1, max_size=6),
+)
+def test_inter_plane_copy_is_read_then_program(small_geometry, timing, plane_free, channel_free,
+                                               copies):
+    """The flat body against the composition it replaced: completion
+    time, both timelines, every counter (the float accumulators bit for
+    bit) and the emitted events — ``src == dst`` and same-channel pairs
+    (planes 0/2 and 1/3) included."""
+    flat = FlashTimekeeper(small_geometry, timing)
+    twin = FlashTimekeeper(small_geometry, timing)
+    for clock in (flat, twin):
+        clock.plane_free[:] = plane_free
+        clock.channel_free[:] = channel_free
+    for src, dst, start in copies:
+        with BUS.capture() as flat_events:
+            flat_end = flat.inter_plane_copy(src, dst, start)
+        with BUS.capture() as twin_events:
+            twin_end = twin.program_page(dst, twin.read_page(src, start))
+            twin.counters.interplane_copies += 1
+            BUS.emit("flash", "inter_plane_copy", start, 0.0,
+                     {"src_plane": src, "dst_plane": dst}, None, "i")
+        assert flat_end == twin_end
+        assert flat_events == twin_events
+        assert flat.plane_free == twin.plane_free
+        assert flat.channel_free == twin.channel_free
+        assert asdict(flat.counters) == asdict(twin.counters)
 
 
 def test_reset_measurements_zeros_everything(clock):
