@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import List
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from repro.ftl.base import Ftl, OutOfSpaceError
 from repro.obs.tracebus import BUS
 from repro.sim.engine import Engine
-from repro.sim.request import IoOp, IoRequest
+from repro.sim.request import OP_TRIM, OP_WRITE, IoRequest
 
 
 class StreamOrderError(ValueError):
@@ -164,7 +165,14 @@ class Controller:
         response time still runs from the original arrival, so host-side
         queueing delay shows up in the latency stats.  ``None`` means
         unbounded: every request arrives exactly at its timestamp, and
-        the run is event-for-event identical to :meth:`submit_many`.
+        the run is event-for-event identical to :meth:`submit_many`
+        unless an arrival ties an earlier request's completion; then
+        completions posted earlier fire first (a streamed arrival takes
+        its sequence number when its predecessor arrives, not up
+        front).  The FTL sees the same calls in the same order either
+        way; ``peak_outstanding``, ``queue_depth`` counter events and
+        ``on_idle`` can differ
+        (``tests/test_stream.py::test_arrival_tying_an_older_completion``).
         """
         if queue_depth is not None and queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
@@ -179,7 +187,12 @@ class Controller:
         self._admit()
 
     def _admit(self) -> None:
-        """Schedule the next streamed arrival, if any and window permits."""
+        """Schedule the next streamed arrival, if any and window permits.
+
+        The body for ``submit_stream``'s first pull and ``_complete``'s
+        deferred admission; ``_arrive_streamed`` spells the same steps
+        inline for the per-request case.
+        """
         if self._stream is None:
             return
         if self._stream_depth is not None and self._stream_window >= self._stream_depth:
@@ -191,15 +204,7 @@ class Controller:
             return
         arrival = request.arrival_us
         if arrival < self._stream_last_arrival:
-            if not self._stream_normalize:
-                self.abort_stream()
-                raise StreamOrderError(
-                    f"streamed arrival {arrival} precedes predecessor "
-                    f"{self._stream_last_arrival}; sort the trace or pass "
-                    "on_unordered='normalize'"
-                )
-            arrival = self._stream_last_arrival
-            request.arrival_us = arrival
+            arrival = self._admit_unordered(request)
         else:
             self._stream_last_arrival = arrival
         request.streamed = True
@@ -209,6 +214,20 @@ class Controller:
         engine.post(
             arrival if arrival > now else now, self._arrive_streamed, request
         )
+
+    def _admit_unordered(self, request: IoRequest) -> float:
+        """A streamed arrival earlier than its predecessor (the rare
+        branch of admission): raise, or clamp it under ``normalize``."""
+        predecessor = self._stream_last_arrival
+        if not self._stream_normalize:
+            self.abort_stream()
+            raise StreamOrderError(
+                f"streamed arrival {request.arrival_us} precedes predecessor "
+                f"{predecessor}; sort the trace or pass "
+                "on_unordered='normalize'"
+            )
+        request.arrival_us = predecessor
+        return predecessor
 
     def abort_stream(self) -> None:
         """Drop all streaming admission state (power loss mid-stream).
@@ -229,7 +248,32 @@ class Controller:
         # Pull the successor *before* serving this request so the next
         # arrival is scheduled from the current clock — for monotone
         # traces this preserves submit_many's arrival processing order.
-        self._admit()
+        # This is ``_admit`` and its ``Engine.post``, less the two calls.
+        stream = self._stream
+        if stream is not None:
+            depth = self._stream_depth
+            if depth is not None and self._stream_window >= depth:
+                self._stream_deferred = True
+            else:
+                successor = next(stream, None)
+                if successor is None:
+                    self._stream = None
+                else:
+                    arrival = successor.arrival_us
+                    if arrival < self._stream_last_arrival:
+                        arrival = self._admit_unordered(successor)
+                    else:
+                        self._stream_last_arrival = arrival
+                    successor.streamed = True
+                    self._stream_window += 1
+                    engine = self.engine
+                    now = engine._now
+                    # Clamping to ``now`` is post's past-time guard here.
+                    heappush(
+                        engine._heap,
+                        (arrival if arrival > now else now, next(engine._seq),
+                         self._arrive_streamed, successor),
+                    )
         self._arrive(request)
 
     def _arrive(self, request: IoRequest) -> None:
@@ -269,11 +313,11 @@ class Controller:
         lpns = range(start_lpn, start_lpn + page_count)
         try:
             op = request.op
-            if op is IoOp.WRITE:
+            if op is OP_WRITE:
                 end = self.backend.write_pages(lpns, now)
                 completion = end if end > completion else completion
                 stats.pages_written += page_count
-            elif op is IoOp.TRIM:
+            elif op is OP_TRIM:
                 end = self.ftl.trim_pages(lpns, now)
                 completion = end if end > completion else completion
                 stats.pages_trimmed += page_count
@@ -317,7 +361,10 @@ class Controller:
                  "op": request.op.value, "span_us": completion - now},
                 "host:0", "i",
             )
-        engine.post(completion, self._complete, request)
+        # ``engine.post(completion, self._complete, request)``, less the call.
+        if completion < now:
+            raise ValueError(f"cannot schedule at {completion} before now ({now})")
+        heappush(engine._heap, (completion, next(engine._seq), self._complete, request))
 
     def _complete(self, request: IoRequest) -> None:
         outstanding = self.outstanding - 1
@@ -331,12 +378,13 @@ class Controller:
                 self._stream_deferred = False
                 self._admit()
         response = request.completion_us - request.arrival_us
+        error = request.error
         if BUS.enabled:
             args = {"lpn": request.start_lpn, "pages": request.page_count}
             # Only set under fault injection — the fault-free trace
             # stays byte-identical.
-            if request.error is not None:
-                args["error"] = request.error
+            if error is not None:
+                args["error"] = error
             if request.retries:
                 args["retries"] = request.retries
             if request.lost_pages:
@@ -350,16 +398,16 @@ class Controller:
                 "host:0",
             )
             BUS.counter("queue_depth", self.engine.now, {"outstanding": outstanding})
-        if self.on_complete:
-            for callback in self.on_complete:
-                callback(request)
+        for callback in self.on_complete:
+            callback(request)
         if outstanding == 0:
             for callback in self.on_idle:
                 callback()
-        if request.error is None:
-            self.stats.observe(response, request.op is IoOp.WRITE)
+        is_write = request.op is OP_WRITE
+        if error is None:
+            self.stats.observe(response, is_write)
         else:
             # ENOSPC'd requests still carry a completion time, but their
             # "response" measures rejection, not service — keep them out
             # of the success moments on both submit paths.
-            self.stats.observe_error(response, request.op is IoOp.WRITE)
+            self.stats.observe_error(response, is_write)

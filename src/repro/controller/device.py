@@ -155,7 +155,11 @@ class SimulatedSSD:
         not-yet-arrived request sits in the event queue, so replaying a
         multi-million-request trace costs O(1) simulator memory on top
         of the flash state.  With ``queue_depth=None`` the run is
-        event-identical to :meth:`run` on the materialized list.
+        event-identical to :meth:`run` on the materialized list unless
+        an arrival ties an earlier request's completion; then
+        completions posted earlier fire first (same FTL calls in the
+        same order; ``peak_outstanding`` can differ — see
+        :meth:`Controller.submit_stream`).
 
         ``streaming_stats`` swaps the controller's list-backed
         :class:`RequestStats` for the O(1)-memory

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class RunningMoments:
     """Exact single-pass moments (Welford) plus min/max."""
 
@@ -73,13 +73,22 @@ class DeterministicReservoir:
         self.seen = 0
         self.values: list = []
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
 
     def push(self, x: float) -> None:
-        self.seen += 1
+        seen = self.seen + 1
+        self.seen = seen
         if len(self.values) < self.capacity:
             self.values.append(x)
             return
-        j = self._rng.randrange(self.seen)
+        # ``Random.randrange(seen)``, less its two forwarding frames:
+        # the rejection loop of ``_randbelow_with_getrandbits`` draws
+        # the same bits from the same stream on CPython 3.11 and 3.12.
+        getrandbits = self._getrandbits
+        k = seen.bit_length()
+        j = getrandbits(k)
+        while j >= seen:
+            j = getrandbits(k)
         if j < self.capacity:
             self.values[j] = x
 
@@ -122,22 +131,33 @@ class StreamingRequestStats:
     # ---- accumulation (controller hot path) -------------------------------
 
     def observe(self, response_us: float, is_write: bool) -> None:
-        # One call per completed request: the Welford updates and the
-        # reservoir's append fast path are inlined (same arithmetic, in
-        # the same order, as RunningMoments.push / Reservoir.push — the
-        # moments stay bit-identical to the method-call form).
+        # One call per completed request: ``overall.push``, the lane's
+        # ``push`` and ``reservoir.push`` written out in that order
+        # (same arithmetic, same draws — the moments and the reservoir
+        # stay bit-identical to the method-call form).
         x = response_us
-        for m in (self.overall, self.writes if is_write else self.reads):
-            count = m.count + 1
-            m.count = count
-            delta = x - m.mean
-            mean = m.mean + delta / count
-            m.mean = mean
-            m._m2 += delta * (x - mean)
-            if x < m.min:
-                m.min = x
-            if x > m.max:
-                m.max = x
+        m = self.overall
+        count = m.count + 1
+        m.count = count
+        delta = x - m.mean
+        mean = m.mean + delta / count
+        m.mean = mean
+        m._m2 += delta * (x - mean)
+        if x < m.min:
+            m.min = x
+        if x > m.max:
+            m.max = x
+        m = self.writes if is_write else self.reads
+        count = m.count + 1
+        m.count = count
+        delta = x - m.mean
+        mean = m.mean + delta / count
+        m.mean = mean
+        m._m2 += delta * (x - mean)
+        if x < m.min:
+            m.min = x
+        if x > m.max:
+            m.max = x
         r = self.reservoir
         seen = r.seen + 1
         r.seen = seen
@@ -145,7 +165,11 @@ class StreamingRequestStats:
         if len(values) < r.capacity:
             values.append(x)
         else:
-            j = r._rng.randrange(seen)
+            getrandbits = r._getrandbits
+            k = seen.bit_length()
+            j = getrandbits(k)
+            while j >= seen:
+                j = getrandbits(k)
             if j < r.capacity:
                 values[j] = x
 

@@ -12,7 +12,8 @@ O(trace) buffer anywhere on the path (generator, parser, controller
 admission, latency accounting), a 1M-request replay blows straight
 through the cap and the job fails.
 
-Exit status 0 on success, 1 on a cap breach or a lost request.
+Exit status 0 on success, 1 on a cap breach, a lost request, or an
+event queue / in-flight count that did not return to zero.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ def run_memcheck(
     if completed != num_requests:
         print(
             f"memcheck: FAIL — {completed} of {num_requests} requests completed",
+            file=sys.stderr,
+        )
+        status = 1
+    # Two heap events per request: the derived ``Engine.pending`` must
+    # come back to zero over all of them, with nothing left in flight.
+    if ssd.engine.pending != 0:
+        print(
+            f"memcheck: FAIL — engine.pending is {ssd.engine.pending} after the replay drained",
+            file=sys.stderr,
+        )
+        status = 1
+    if ssd.controller.outstanding != 0:
+        print(
+            f"memcheck: FAIL — {ssd.controller.outstanding} requests still outstanding after the replay",
             file=sys.stderr,
         )
         status = 1

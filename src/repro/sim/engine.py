@@ -50,7 +50,8 @@ class Engine:
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._pending = 0
+        #: cancelled handles still sitting in the heap (lazy deletion)
+        self._cancelled = 0
 
     @property
     def now(self) -> float:
@@ -65,11 +66,13 @@ class Engine:
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1)).
 
-        Maintained live by ``schedule_at``/``cancel``/the run loop — it
-        is polled in loops by the background-GC and sampler re-arm
-        checks, so it must not scan the heap.
+        Derived: every heap entry is live except the cancelled handles
+        lazy deletion left in place, which ``cancel`` counts in and the
+        run loop counts out as it pops them.  Scheduling, posting and
+        dispatching therefore touch no counter, and the background-GC
+        and sampler re-arm polls still never scan the heap.
         """
-        return self._pending
+        return len(self._heap) - self._cancelled
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
@@ -82,7 +85,6 @@ class Engine:
         seq = next(self._seq)
         handle = EventHandle(time, seq, callback, args)
         heapq.heappush(self._heap, (time, seq, handle))
-        self._pending += 1
         return handle
 
     def post(self, time: float, callback: Callable[..., Any], arg: Any) -> None:
@@ -98,7 +100,6 @@ class Engine:
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before now ({self._now})")
         heapq.heappush(self._heap, (time, next(self._seq), callback, arg))
-        self._pending += 1
 
     def schedule_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
@@ -128,7 +129,6 @@ class Engine:
             handles.append(handle)
         if handles:
             heapq.heapify(heap)
-            self._pending += len(handles)
         return handles
 
     def clear_pending(self) -> int:
@@ -145,7 +145,7 @@ class Engine:
                 handle.cancelled = True
                 dropped += 1
         self._heap.clear()
-        self._pending = 0
+        self._cancelled = 0
         return dropped
 
     def cancel(self, handle: EventHandle) -> None:
@@ -154,7 +154,7 @@ class Engine:
         if handle.cancelled or handle.fired:
             return
         handle.cancelled = True
-        self._pending -= 1
+        self._cancelled += 1
 
     def step(self) -> bool:
         """Fire the next event.  Returns False if the queue is empty."""
@@ -164,7 +164,6 @@ class Engine:
             time = entry[0]
             x = entry[2]
             if x.__class__ is not EventHandle:
-                self._pending -= 1
                 self._now = time
                 self._events_processed += 1
                 if BUS.enabled:
@@ -172,9 +171,9 @@ class Engine:
                 x(entry[3])
                 return True
             if x.cancelled:
+                self._cancelled -= 1
                 continue
             x.fired = True
-            self._pending -= 1
             self._now = time
             self._events_processed += 1
             if BUS.enabled:
@@ -218,6 +217,7 @@ class Engine:
             if x.__class__ is handle_cls:
                 if x.cancelled:
                     pop(heap)
+                    self._cancelled -= 1
                     continue
                 time = entry[0]
                 if until is not None and time > until:
@@ -225,7 +225,6 @@ class Engine:
                     return until
                 pop(heap)
                 x.fired = True
-                self._pending -= 1
                 self._now = time
                 self._events_processed += 1
                 if bus.enabled:
@@ -237,7 +236,6 @@ class Engine:
                     self._now = until
                     return until
                 pop(heap)
-                self._pending -= 1
                 self._now = time
                 self._events_processed += 1
                 if bus.enabled:

@@ -18,6 +18,13 @@ class IoOp(enum.Enum):
     TRIM = "trim"
 
 
+# Module globals for per-request code: an attribute read on the enum
+# *class* goes through the metaclass (~0.1 us on CPython 3.11, against
+# ~0.01 us for a global), and the controller tests the op of every request.
+OP_WRITE = IoOp.WRITE
+OP_TRIM = IoOp.TRIM
+
+
 @dataclass(slots=True)
 class IoRequest:
     """A page-aligned host request.

@@ -119,28 +119,36 @@ def drr_merge(
             continue
         q = ring.popleft()
         q.deficit += quantum_pages * q.weight
-        while (q.head is not None and q.head.arrival_us <= clock
-               and q.head.page_count <= q.deficit):
+        # The head's fields are read once per emitted request; ``pop``
+        # hands the head over and pulls its successor.
+        head = q.head
+        while head is not None:
+            arrival = head.arrival_us
+            pages = head.page_count
+            if not (arrival <= clock and pages <= q.deficit):
+                break
             request = q.pop()
-            q.deficit -= request.page_count
-            if request.arrival_us < last_emitted:
-                request.arrival_us = last_emitted
+            q.deficit -= pages
+            if arrival < last_emitted:
+                request.arrival_us = arrival = last_emitted
             else:
-                last_emitted = request.arrival_us
+                last_emitted = arrival
             if bus.enabled:
                 bus.emit(
-                    "tenant", "admit", request.arrival_us, 0.0,
+                    "tenant", "admit", arrival, 0.0,
                     {"tenant": q.namespace.nsid, "lpn": request.start_lpn,
-                     "pages": request.page_count, "op": request.op.value},
+                     "pages": pages, "op": request.op.value},
                     "host:0", "i",
                 )
             yield request
-        if q.head is None or q.head.arrival_us > clock:
+            head = q.head
+        if head is None or head.arrival_us > clock:
             # Queue drained (for now): per classic DRR the deficit is
             # forfeited, and the tenant leaves the ring until its next
             # arrival is due.
             q.deficit = 0.0
             q.active = False
+            if head is None:
+                pending.remove(q)
         else:
             ring.append(q)
-        pending = [q for q in queues if q.head is not None]

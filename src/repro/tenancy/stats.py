@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.streaming import StreamingRequestStats
 from repro.obs.tracebus import BUS
-from repro.sim.request import IoOp, IoRequest
+from repro.sim.request import OP_WRITE, IoRequest
 from repro.tenancy.namespace import Namespace
 
 
@@ -81,7 +81,7 @@ class TenantStatsRouter:
         if lane is None:
             return
         response = request.completion_us - request.arrival_us
-        is_write = request.op is IoOp.WRITE
+        is_write = request.op is OP_WRITE
         if request.error is not None:
             lane.failed_requests += 1
             lane.stats.observe_error(response, is_write)

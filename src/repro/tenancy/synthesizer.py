@@ -19,12 +19,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.seeding import fold_seed
-from repro.sim.request import IoOp, IoRequest
+from repro.sim.request import IoRequest
 from repro.traces.model import TraceRequest, WorkloadSpec
-from repro.traces.stream import stream_workload
+from repro.traces.stream import PageExtent, stream_io_requests
 from repro.traces.synthetic import make_workload
 from repro.tenancy.namespace import Namespace
 
@@ -33,6 +33,12 @@ from repro.tenancy.namespace import Namespace
 #: that per-tenant peaks exist and are phase-shifted, not the absolute
 #: period.
 DEFAULT_DIURNAL_PERIOD_US = 10_000_000.0
+
+#: Generation block of one tenant's stream.  A fleet holds one block per
+#: tenant at once, so it is an eighth of the single-stream default
+#: (the trace is bit-identical for any block size): three tenants then
+#: keep ~0.6 MB resident instead of ~4.7 MB.
+TENANT_CHUNK_REQUESTS = 1024
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,32 @@ def parse_tenants_spec(spec: str, default_persona: str = "financial1") -> Tuple[
     return tuple(tenants)
 
 
+def _diurnal_time_map(
+    period_us: float, amplitude: float, phase_rad: float
+) -> Optional[Callable[[float], float]]:
+    """The diurnal map ``t -> t'`` (None when ``amplitude`` is 0: identity).
+
+    ``math.cos`` per arrival, on purpose: numpy's vector cosine is not
+    bit-equal to libm's, so a chunk-wide ``np.cos`` would move arrivals
+    in their last digits and with them every fingerprint downstream.
+    """
+    if not 0.0 <= amplitude < 1.0:
+        raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
+    if period_us <= 0.0:
+        raise ValueError("period_us must be positive")
+    if amplitude == 0.0:
+        return None
+    scale = amplitude * period_us / (2.0 * math.pi)
+    omega = 2.0 * math.pi / period_us
+    base = scale * (1.0 - math.cos(phase_rad))
+    cos = math.cos
+
+    def warp(t: float) -> float:
+        return t + scale * (1.0 - cos(omega * t + phase_rad)) - base
+
+    return warp
+
+
 def diurnal_warp(
     trace: Iterator[TraceRequest],
     period_us: float,
@@ -112,41 +144,21 @@ def diurnal_warp(
     A pure per-item map, so chunk invariance of the underlying stream
     is preserved and the warp is trivially deterministic.
     """
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
-    if period_us <= 0.0:
-        raise ValueError("period_us must be positive")
-    if amplitude == 0.0:
+    warp = _diurnal_time_map(period_us, amplitude, phase_rad)
+    if warp is None:
         yield from trace
         return
-    scale = amplitude * period_us / (2.0 * math.pi)
-    omega = 2.0 * math.pi / period_us
-    base = scale * (1.0 - math.cos(phase_rad))
     for r in trace:
-        warped = r.arrival_us + scale * (1.0 - math.cos(omega * r.arrival_us + phase_rad)) - base
-        yield dataclasses.replace(r, arrival_us=warped)
+        yield dataclasses.replace(r, arrival_us=warp(r.arrival_us))
 
 
-def _ns_io_requests(
-    trace: Iterator[TraceRequest], page_size: int, ns_bytes: int
+def _warp_arrivals(
+    requests: Iterator[IoRequest], warp: Callable[[float], float]
 ) -> Iterator[IoRequest]:
-    """Page-align byte-addressed requests inside a namespace extent.
-
-    The namespace-local mirror of :func:`repro.traces.stream.
-    io_requests`: offsets are already confined to the tenant footprint
-    (<= the extent), sizes are clamped to the extent edge.
-    """
-    for r in trace:
-        offset = r.offset_bytes
-        size = min(r.size_bytes, ns_bytes - offset)
-        first = offset // page_size
-        last = (offset + size - 1) // page_size
-        yield IoRequest(
-            r.arrival_us,
-            first,
-            last - first + 1,
-            IoOp.WRITE if r.is_write else IoOp.READ,
-        )
+    """Apply a time map to each request's arrival, in place."""
+    for request in requests:
+        request.arrival_us = warp(request.arrival_us)
+        yield request
 
 
 @dataclass(frozen=True)
@@ -221,14 +233,21 @@ class TrafficModel:
 
     def tenant_stream(self, index: int, namespace: Namespace,
                       page_size: int) -> Iterator[IoRequest]:
-        """The tenant's namespace-local, time-ordered request stream."""
+        """The tenant's namespace-local, time-ordered request stream.
+
+        Each :class:`IoRequest` is built once, by the fused persona
+        generator with the namespace extent standing in for the device
+        (the footprint lies inside the extent, so its wrap into the
+        capacity is the identity and its clamp is the extent edge); the
+        diurnal map then moves ``arrival_us`` in place.
+        """
         extent_bytes = namespace.num_lpns * page_size
         workload = self.tenant_workload(index, extent_bytes)
         phase = 2.0 * math.pi * index / len(self.tenants)
-        trace = diurnal_warp(
-            stream_workload(workload),
-            self.diurnal_period_us,
-            self.diurnal_amplitude,
-            phase,
+        warp = _diurnal_time_map(
+            self.diurnal_period_us, self.diurnal_amplitude, phase
         )
-        return _ns_io_requests(trace, page_size, extent_bytes)
+        requests = stream_io_requests(
+            workload, PageExtent(extent_bytes, page_size), TENANT_CHUNK_REQUESTS
+        )
+        return requests if warp is None else _warp_arrivals(requests, warp)

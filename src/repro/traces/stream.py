@@ -30,7 +30,7 @@ near-limit sequential requests to random ones (see docs/workloads.md).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -45,6 +45,16 @@ if TYPE_CHECKING:
 #: Default generation block: large enough to amortise numpy call
 #: overhead, small enough that resident state stays in the kilobytes.
 DEFAULT_CHUNK_REQUESTS = 8192
+
+
+class PageExtent(NamedTuple):
+    """A byte extent split into pages: all that the page-aligning
+    functions below read of a geometry.  Lets a slice of the device (a
+    tenant namespace) stand where the whole ``SSDGeometry`` usually does.
+    """
+
+    capacity_bytes: int
+    page_size: int
 
 
 def stream_workload(
@@ -127,7 +137,7 @@ def stream_workload(
 
 def stream_io_requests(
     spec: WorkloadSpec,
-    geometry: "SSDGeometry",
+    geometry: Union["SSDGeometry", PageExtent],
     chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
 ) -> Iterator[IoRequest]:
     """Fused ``io_requests(stream_workload(spec), geometry)``.

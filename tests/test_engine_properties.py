@@ -4,9 +4,10 @@ import io
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.flash.geometry import KB, SSDGeometry
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EventHandle
 from repro.traces.model import TraceRequest
 from repro.traces.parser import parse_disksim, parse_spc, write_disksim, write_spc
 
@@ -142,3 +143,71 @@ def test_disksim_round_trip_property(trace):
         assert a.is_write == b.is_write
         assert b.size_bytes >= a.size_bytes  # rounded up to sectors
         assert b.size_bytes - a.size_bytes < 512
+
+
+# ---- Engine.pending is derived, not counted ---------------------------------
+
+
+class PendingMachine(RuleBasedStateMachine):
+    """``engine.pending`` == a brute-force count of live heap entries
+    after every operation that can add, cancel, fire or drop an event."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = Engine()
+        self.handles = []
+
+    def _at(self, delay):
+        return self.engine.now + delay
+
+    @rule(delay=st.floats(0, 100, allow_nan=False))
+    def schedule_at(self, delay):
+        self.handles.append(self.engine.schedule_at(self._at(delay), int))
+
+    @rule(delay=st.floats(0, 100, allow_nan=False))
+    def post(self, delay):
+        self.engine.post(self._at(delay), int, 0)
+
+    @rule(delays=st.lists(st.floats(0, 100, allow_nan=False), max_size=5))
+    def schedule_many(self, delays):
+        self.handles.extend(
+            self.engine.schedule_many((self._at(d), int) for d in delays)
+        )
+
+    @rule(data=st.data())
+    def cancel(self, data):
+        # any handle ever returned: pending, cancelled before, fired, dropped
+        if self.handles:
+            self.engine.cancel(data.draw(st.sampled_from(self.handles)))
+
+    @rule()
+    def step(self):
+        self.engine.step()
+
+    @rule(delay=st.floats(0, 100, allow_nan=False))
+    def run_until(self, delay):
+        self.engine.run(until=self._at(delay))
+
+    @rule()
+    def run_dry(self):
+        self.engine.run()
+
+    @rule()
+    def clear_pending(self):
+        live = self._live()
+        assert self.engine.clear_pending() == live
+
+    def _live(self):
+        return sum(
+            1 for entry in self.engine._heap
+            if not (isinstance(entry[2], EventHandle) and entry[2].cancelled)
+        )
+
+    @invariant()
+    def pending_is_the_live_entries(self):
+        assert self.engine.pending == self._live()
+        assert self.engine.pending >= 0
+
+
+TestPendingMachine = PendingMachine.TestCase
+TestPendingMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -16,7 +16,7 @@ from repro.metrics.streaming import (
     StreamingRequestStats,
 )
 from repro.perf.fingerprint import engine_fingerprint, ftl_fingerprint
-from repro.sim.request import IoOp
+from repro.sim.request import IoOp, IoRequest
 from repro.traces.model import KB, SizeMix, WorkloadSpec
 from repro.traces.parser import (
     iter_disksim,
@@ -198,6 +198,58 @@ def test_unbounded_stream_is_fingerprint_identical(ftl_name):
     assert ssd.stats.mean_response_us() == pytest.approx(
         ref_stats.mean_response_us(), rel=1e-9
     )
+
+
+def test_arrival_tying_an_older_completion():
+    """Where ``run_stream(queue_depth=None)`` and ``run`` are *not*
+    event-for-event identical: an arrival that ties an earlier
+    request's completion.  ``submit_many`` numbers every arrival up
+    front, so the arrival fires first; a streamed arrival takes its
+    sequence number when its predecessor arrives — after the older
+    completion was posted — so the completion fires first.  The FTL
+    sees the same calls in the same order either way; the in-flight
+    high-water mark (and with it ``queue_depth`` counter events and
+    ``on_idle``) can differ.  Recorded as it is: this is what stands
+    between the two admission paths and a merge."""
+    from repro.obs.tracebus import BUS
+
+    def trace(third_arrival):
+        return [IoRequest(0.0, 0, 1, IoOp.WRITE),
+                IoRequest(10.0, 1, 1, IoOp.WRITE),
+                IoRequest(third_arrival, 2, 1, IoOp.WRITE)]
+
+    probe = trace(1e6)
+    SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="pagemap").run(probe)
+    tie = probe[0].completion_us
+    assert tie == pytest.approx(251.4)
+
+    def engine_events(run):
+        ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="pagemap")
+        names = []
+
+        def subscriber(event):
+            if event.category == "engine":
+                names.append(event.name.removeprefix("Controller."))
+
+        requests = trace(tie)
+        BUS.subscribe(subscriber)
+        try:
+            end = run(ssd, requests)
+        finally:
+            BUS.unsubscribe(subscriber)
+        return (names, ssd.controller.peak_outstanding,
+                [r.completion_us for r in requests], ftl_fingerprint(ssd.ftl, end))
+
+    listed = engine_events(lambda ssd, requests: ssd.run(requests))
+    streamed = engine_events(
+        lambda ssd, requests: ssd.run_stream(iter(requests), queue_depth=None))
+    assert listed[0] == ["_arrive", "_arrive", "_arrive",
+                         "_complete", "_complete", "_complete"]
+    assert streamed[0] == ["_arrive_streamed", "_arrive_streamed", "_complete",
+                           "_arrive_streamed", "_complete", "_complete"]
+    assert (listed[1], streamed[1]) == (3, 2)
+    # same service either way
+    assert listed[2:] == streamed[2:]
 
 
 @pytest.mark.parametrize("ftl_name", ["dloop", "dftl", "fast"])
@@ -396,6 +448,34 @@ def test_streaming_request_stats_summary():
     assert summary["reservoir_exact"] is True
 
 
+def test_observe_is_the_three_pushes_bit_for_bit():
+    """``StreamingRequestStats.observe`` writes ``RunningMoments.push``
+    (twice) and ``DeterministicReservoir.push`` out by hand: the same
+    floats and the same reservoir, well past the first eviction."""
+    capacity = 64
+    stats = StreamingRequestStats(reservoir_size=capacity, reservoir_seed=99)
+    overall, reads, writes = RunningMoments(), RunningMoments(), RunningMoments()
+    reservoir = DeterministicReservoir(capacity, seed=99)
+    # Algorithm R over Random.randrange: the spelling both pushes replace
+    by_randrange, randrange = [], random.Random(99).randrange
+    rng = random.Random(4)
+    for seen in range(1, 3 * capacity + 1):
+        x = rng.lognormvariate(5.0, 1.5)
+        is_write = rng.random() < 0.4
+        stats.observe(x, is_write)
+        overall.push(x)
+        (writes if is_write else reads).push(x)
+        reservoir.push(x)
+        if seen <= capacity:
+            by_randrange.append(x)
+        elif (j := randrange(seen)) < capacity:
+            by_randrange[j] = x
+    assert stats.overall == overall  # dataclass ==: exact float equality
+    assert stats.reads == reads and stats.writes == writes
+    assert stats.reservoir.seen == reservoir.seen == 3 * capacity
+    assert stats.reservoir.values == reservoir.values == by_randrange
+
+
 # ---- bounded memory ---------------------------------------------------------
 
 
@@ -489,7 +569,9 @@ def test_unordered_stream_raises_by_default():
 
     ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
     ssd.precondition(0.6)
-    with pytest.raises(StreamOrderError):
+    with pytest.raises(StreamOrderError, match=r"streamed arrival [\d.]+ precedes "
+                       r"predecessor [\d.]+; sort the trace or pass "
+                       r"on_unordered='normalize'"):
         ssd.run_stream(iter(_shuffled_requests()))
     # The aborted stream leaves no admission state behind.
     assert ssd.controller._stream is None

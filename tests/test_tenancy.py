@@ -25,6 +25,7 @@ from repro.tenancy import (
     run_tenant_workload,
 )
 from repro.tenancy.stats import TenantStats, TenantStatsRouter
+from repro.traces.synthetic import EXTRA_TRACE_NAMES, PAPER_TRACE_NAMES
 
 MB = 2**20
 GEOMETRY = SSDGeometry.from_capacity(8 * MB)
@@ -316,6 +317,68 @@ def test_tenant_streams_stay_inside_their_extent():
             request = queue.pop()
             assert ns.base_lpn <= request.start_lpn
             assert request.start_lpn + request.page_count <= ns.end_lpn
+
+
+def _composed_tenant_stream(model, index, namespace, page_size):
+    """``tenant_stream`` as the three stages it fuses (the reference):
+    persona stream -> diurnal warp -> page split inside the extent."""
+    from repro.traces.stream import stream_workload
+
+    extent_bytes = namespace.num_lpns * page_size
+    trace = diurnal_warp(
+        stream_workload(model.tenant_workload(index, extent_bytes)),
+        model.diurnal_period_us,
+        model.diurnal_amplitude,
+        2.0 * math.pi * index / len(model.tenants),
+    )
+    for r in trace:
+        size = min(r.size_bytes, extent_bytes - r.offset_bytes)
+        first = r.offset_bytes // page_size
+        last = (r.offset_bytes + size - 1) // page_size
+        yield IoRequest(r.arrival_us, first, last - first + 1,
+                        IoOp.WRITE if r.is_write else IoOp.READ)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.6])
+@pytest.mark.parametrize("persona", PAPER_TRACE_NAMES + EXTRA_TRACE_NAMES)
+def test_tenant_stream_equals_its_three_stage_composition(persona, amplitude):
+    model = TrafficModel(
+        tenants=tuple(TenantSpec(f"t{i}", persona) for i in range(3)),
+        total_requests=1500,
+        diurnal_amplitude=amplitude,
+        # short enough that every stream crosses several diurnal cycles
+        diurnal_period_us=50_000.0,
+    )
+    spaces = build_namespaces(GEOMETRY.num_lpns, [t.name for t in model.tenants])
+    for index, namespace in enumerate(spaces):
+        fused = list(model.tenant_stream(index, namespace, GEOMETRY.page_size))
+        composed = list(_composed_tenant_stream(
+            model, index, namespace, GEOMETRY.page_size))
+        assert len(fused) == model.tenant_request_counts()[index]
+        # == on IoRequest compares arrival (exact float), lpn, pages, op
+        assert fused == composed
+        assert all(r.completion_us == -1.0 and r.tenant is None and not r.streamed
+                   for r in fused)
+
+
+def test_tenant_stream_memory_is_o_chunk():
+    """The fused stream holds one generation chunk, like the persona
+    stream it is built on (tests/test_stream.py's O(chunk) test)."""
+    import tracemalloc
+
+    def peak(requests):
+        model = TrafficModel(tenants=(TenantSpec("a", "exchange"),),
+                             total_requests=requests)
+        namespace, = build_namespaces(GEOMETRY.num_lpns, ["a"])
+        tracemalloc.start()
+        count = sum(1 for _ in model.tenant_stream(0, namespace, GEOMETRY.page_size))
+        _, high = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert count == requests
+        return high
+
+    # five generation chunks against one: the same high-water mark
+    assert peak(5 * 8192) < 1.25 * peak(8192)
 
 
 # ---- per-tenant stats + SLOs ------------------------------------------------
