@@ -57,6 +57,9 @@ class FlashTimekeeper:
         self._read_us = timing.page_read_us
         self._program_us = timing.page_program_us
         self._copy_back_us = timing.copy_back_us()
+        # TraceBus track names, read only behind ``if BUS.enabled``.
+        self._plane_track = [f"plane:{plane}" for plane in range(geometry.num_planes)]
+        self._channel_track = [f"channel:{channel}" for channel in range(geometry.channels)]
 
     # ---- operations --------------------------------------------------------
 
@@ -81,8 +84,10 @@ class FlashTimekeeper:
         counters.plane_busy_us[plane] += end - sense_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
-            BUS.emit("flash", "read", sense_start, end - sense_start, ids, f"plane:{plane}")
-            BUS.emit("flash", "xfer_out", xfer_start, end - xfer_start, ids, f"channel:{channel}")
+            BUS.emit("flash", "read", sense_start, end - sense_start, ids,
+                     self._plane_track[plane])
+            BUS.emit("flash", "xfer_out", xfer_start, end - xfer_start, ids,
+                     self._channel_track[channel])
         return end
 
     def program_page(self, plane: int, start: float) -> float:
@@ -105,8 +110,10 @@ class FlashTimekeeper:
         counters.plane_busy_us[plane] += end - xfer_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
-            BUS.emit("flash", "program", prog_start, end - prog_start, ids, f"plane:{plane}")
-            BUS.emit("flash", "xfer_in", xfer_start, xfer_end - xfer_start, ids, f"channel:{channel}")
+            BUS.emit("flash", "program", prog_start, end - prog_start, ids,
+                     self._plane_track[plane])
+            BUS.emit("flash", "xfer_in", xfer_start, xfer_end - xfer_start, ids,
+                     self._channel_track[channel])
         return end
 
     def erase_block(self, plane: int, start: float) -> float:
@@ -125,7 +132,8 @@ class FlashTimekeeper:
         counters.plane_busy_us[plane] += end - cmd_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
-            BUS.emit("flash", "erase", erase_start, end - erase_start, ids, f"plane:{plane}")
+            BUS.emit("flash", "erase", erase_start, end - erase_start, ids,
+                     self._plane_track[plane])
         return end
 
     def copy_back(self, plane: int, start: float) -> float:
@@ -141,7 +149,7 @@ class FlashTimekeeper:
         counters.plane_busy_us[plane] += end - op_start
         if BUS.enabled:
             BUS.emit("flash", "copy_back", op_start, end - op_start,
-                     {"plane": plane}, f"plane:{plane}")
+                     {"plane": plane}, self._plane_track[plane])
         return end
 
     def inter_plane_copy(self, src_plane: int, dst_plane: int, start: float) -> float:
@@ -176,9 +184,9 @@ class FlashTimekeeper:
         if BUS.enabled:
             ids = {"plane": src_plane, "channel": src_channel}
             BUS.emit("flash", "read", sense_start, after_read - sense_start, ids,
-                     f"plane:{src_plane}")
+                     self._plane_track[src_plane])
             BUS.emit("flash", "xfer_out", out_start, after_read - out_start, ids,
-                     f"channel:{src_channel}")
+                     self._channel_track[src_channel])
         # program_page(dst_plane, after_read)
         dst_channel = self._plane_channel[dst_plane]
         cf = channel_free[dst_channel]
@@ -196,9 +204,9 @@ class FlashTimekeeper:
         if BUS.enabled:
             ids = {"plane": dst_plane, "channel": dst_channel}
             BUS.emit("flash", "program", prog_start, end - prog_start, ids,
-                     f"plane:{dst_plane}")
+                     self._plane_track[dst_plane])
             BUS.emit("flash", "xfer_in", in_start, in_end - in_start, ids,
-                     f"channel:{dst_channel}")
+                     self._channel_track[dst_channel])
         counters.interplane_copies += 1
         if BUS.enabled:
             BUS.emit("flash", "inter_plane_copy", start, 0.0,

@@ -41,6 +41,11 @@ subscribes to the PR-1 :data:`~repro.obs.tracebus.BUS` and checks:
   sharing an endpoint are legal; a ``flash/timeline_reset`` (emitted
   after preconditioning) drops accumulated history.
 
+Each event kind has one handler method; :meth:`SimSanitizer.trace_route`
+picks it, once per kind, for the TraceBus (which then calls the handler
+directly) and for ``sanitizer(event)`` alike.  The per-event rules run
+on flat Python buffers, the sweeps on numpy views of the same memory.
+
 Violations raise :class:`SanitizerError` immediately (fail fast) with
 the rule name and a diagnostic snapshot of the relevant state.  The
 sanitizer is a pure observer: a sanitized run is bit-identical to an
@@ -57,6 +62,7 @@ or from the CLI: ``repro-sim simulate --sanitize ...``.
 
 from __future__ import annotations
 
+from array import array as scalar_array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,7 +77,7 @@ from repro.ftl.coherence import (
     translation_tvpn,
 )
 from repro.obs import schema
-from repro.obs.tracebus import BUS, TraceBus, TraceEvent
+from repro.obs.tracebus import BUS, Subscriber, TraceBus, TraceEvent
 
 #: ``flash`` events whose span occupies a plane for its full duration.
 _PLANE_SPAN_EVENTS = frozenset(
@@ -101,6 +107,21 @@ _FREE, _VALID, _INVALID = (
     int(PageState.VALID),
     int(PageState.INVALID),
 )
+
+
+def _distinct_cells(parts: List[np.ndarray]) -> np.ndarray:
+    """The sorted distinct non-negative values of ``parts``.
+
+    Negative values are the "no partner" sentinels (unmapped,
+    OWNER_NONE, translation owners, unmaterialised tvpn).  What
+    ``np.unique`` plus a compare computes, without their bookkeeping.
+    """
+    cells = np.concatenate(parts)
+    cells.sort()
+    cells = cells[np.searchsorted(cells, 0):]
+    if len(cells) > 1:
+        cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+    return cells
 
 
 class SanitizerError(AssertionError):
@@ -134,13 +155,22 @@ class SimSanitizer:
         # Shadow NAND model, seeded from the array's state *now* (the
         # device may already be preconditioned) and advanced only by
         # bus events afterwards — an independent re-derivation, so a
-        # bookkeeping bug in FlashArray itself is caught too.
+        # bookkeeping bug in FlashArray itself is caught too.  Flat
+        # Python buffers for the per-event handlers' scalar touches,
+        # with zero-copy numpy views (``_shadow_*``) for the sweeps —
+        # FlashArray's ``page_state`` / ``page_state_np`` idiom.
         array = ftl.array
-        self._shadow_state = array.page_state_np.copy()
-        self._shadow_ptr = array.block_write_ptr_np.copy()
-        self._shadow_free = array.block_free_mask.copy()
-        self._shadow_erased = np.zeros(n_blocks, dtype=bool)
+        self._page_state = bytearray(array.page_state)
+        self._write_ptr = scalar_array("q", array.block_write_ptr)
+        self._in_pool = bytearray(array.block_free_mask.tobytes())
+        self._erased = bytearray(n_blocks)
+        self._shadow_state = np.frombuffer(self._page_state, dtype=np.uint8)
+        self._shadow_ptr = np.frombuffer(self._write_ptr, dtype=np.int64)
+        self._shadow_free = np.frombuffer(self._in_pool, dtype=np.bool_)
+        self._shadow_erased = np.frombuffer(self._erased, dtype=np.bool_)
         self._shadow_synced = True
+        # Event kind -> bound handler, for direct calls (see __call__).
+        self._handlers: Dict[Tuple[str, str], Subscriber] = {}
         # Event-order tracking.
         self._last_engine_ts = -np.inf
         self._last_engine_seq = -1
@@ -205,32 +235,78 @@ class SimSanitizer:
 
     # ---- event dispatch --------------------------------------------------
 
-    def __call__(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        category = event.category
+    def trace_route(self, category: str, name: str) -> Subscriber:
+        """The bound handler for events of kind ``(category, name)``.
+
+        The TraceBus asks once per kind and then calls the handler
+        directly (:meth:`__call__` does the same for a direct call), so
+        this comparison chain is paid per kind, not per event.  Every
+        handler counts its event first: a kind nothing is checked on
+        still routes to :meth:`_count`.
+        """
         if category == "array":
-            self._on_array(event)
+            if name == "program":
+                return self._on_program
+            if name == "invalidate":
+                return self._on_invalidate
+            if name == "skip":
+                return self._on_skip
+            if name == "erase":
+                return self._on_erase
+            if name == "alloc_block":
+                return self._on_alloc_block
+            if name == "release_block":
+                return self._on_release_block
+            if name == "bulk_fill":
+                return self._on_bulk_fill
+            if name == "mark_bad":
+                return self._on_mark_bad
+            if name == "retire_block":
+                return self._on_retire_block
         elif category == "flash":
-            self._on_flash(event)
+            if name in _PLANE_SPAN_EVENTS:
+                return self._on_plane_span
+            if name in _CHANNEL_SPAN_EVENTS:
+                return self._on_channel_span
+            if name == schema.EV_TIMELINE_RESET:
+                return self._on_timeline_reset
         elif category == "gc":
-            if event.name == "migrate":
-                self._on_migrate(event)
-            elif event.name == "gc_pass":
-                self.check_now()
+            if name == "migrate":
+                return self._on_migrate
+            if name == "gc_pass":
+                return self._on_gc_pass
         elif category == "engine":
-            self._on_engine(event)
+            return self._on_engine
+        return self._count
+
+    def __call__(self, event: TraceEvent) -> None:
+        kind = (event.category, event.name)
+        try:
+            handler = self._handlers[kind]
+        except KeyError:
+            handler = self._handlers[kind] = self.trace_route(*kind)
+        handler(event)
 
     def _fail(self, rule: str, message: str, snapshot: Optional[dict] = None) -> None:
         self.violations += 1
         raise SanitizerError(rule, message, snapshot)
 
-    # ---- per-event checks ------------------------------------------------
+    # ---- per-kind handlers -----------------------------------------------
+
+    def _count(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+
+    def _on_gc_pass(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        # Looked up per event: callers may rebind check_now on the instance.
+        self.check_now()
 
     def _plane_of_ppn(self, ppn: int) -> int:
         return ppn // self._pages_per_plane
 
     def _on_migrate(self, event: TraceEvent) -> None:
         """Copy-back migrations must stay on-plane with matching parity."""
+        self.events_checked += 1
         args = event.args or {}
         if args.get("mode") != "copyback":
             return
@@ -256,54 +332,65 @@ class SimSanitizer:
                 {"event": args, "ts_us": event.ts_us},
             )
 
-    def _on_flash(self, event: TraceEvent) -> None:
-        """Plane/channel occupancy: busy intervals must never overlap."""
-        name = event.name
-        if name in _PLANE_SPAN_EVENTS:
-            plane = (event.args or {}).get("plane")
-            if plane is not None:
-                self._note_span(self._plane_busy, "plane", int(plane), event)
-        elif name in _CHANNEL_SPAN_EVENTS:
-            channel = (event.args or {}).get("channel")
-            if channel is not None:
-                self._note_span(self._channel_busy, "channel", int(channel), event)
-        elif name == schema.EV_TIMELINE_RESET:
-            # Timelines were zeroed (post-preconditioning); pre-reset
-            # busy history must not count against future spans.
-            self._plane_busy.clear()
-            self._channel_busy.clear()
+    # Plane/channel occupancy: busy intervals must never overlap.  Strict
+    # <: spans sharing an endpoint are legal back-to-back scheduling (the
+    # timekeeper starts ops at exactly the moment the resource frees), so
+    # no epsilon is needed.
 
-    def _note_span(
-        self,
-        table: Dict[int, Tuple[float, float, str]],
-        resource: str,
-        index: int,
-        event: TraceEvent,
-    ) -> None:
-        start = event.ts_us
-        end = start + event.duration_us
+    def _on_plane_span(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        plane = (event.args or {}).get("plane")
+        if plane is None:
+            return
         self.spans_checked += 1
-        prev = table.get(index)
-        # Strict <: spans sharing an endpoint are legal back-to-back
-        # scheduling (the timekeeper starts ops at exactly the moment
-        # the resource frees), so no epsilon is needed.
+        start = event.ts_us
+        busy = self._plane_busy
+        prev = busy.get(plane)
         if prev is not None and start < prev[1]:
-            self._fail(
-                f"{resource}-occupancy",
-                f"{event.name} on {resource} {index} starts at {start} us, "
-                f"inside the busy interval [{prev[0]}, {prev[1]}) us of "
-                f"{prev[2]}; two operations cannot occupy one {resource} "
-                "simultaneously",
-                {
-                    resource: index,
-                    "busy": [prev[0], prev[1], prev[2]],
-                    "span": [start, end, event.name],
-                },
-            )
-        table[index] = (start, end, event.name)
+            self._fail_occupancy("plane", plane, prev, event)
+        busy[plane] = (start, start + event.duration_us, event.name)
+
+    def _on_channel_span(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        channel = (event.args or {}).get("channel")
+        if channel is None:
+            return
+        self.spans_checked += 1
+        start = event.ts_us
+        busy = self._channel_busy
+        prev = busy.get(channel)
+        if prev is not None and start < prev[1]:
+            self._fail_occupancy("channel", channel, prev, event)
+        busy[channel] = (start, start + event.duration_us, event.name)
+
+    def _fail_occupancy(
+        self, resource: str, index: int, prev: Tuple[float, float, str], event: TraceEvent
+    ) -> None:
+        index = int(index)
+        start = event.ts_us
+        self._fail(
+            f"{resource}-occupancy",
+            f"{event.name} on {resource} {index} starts at {start} us, "
+            f"inside the busy interval [{prev[0]}, {prev[1]}) us of "
+            f"{prev[2]}; two operations cannot occupy one {resource} "
+            "simultaneously",
+            {
+                resource: index,
+                "busy": [prev[0], prev[1], prev[2]],
+                "span": [start, start + event.duration_us, event.name],
+            },
+        )
+
+    def _on_timeline_reset(self, event: TraceEvent) -> None:
+        # Timelines were zeroed (post-preconditioning); pre-reset busy
+        # history must not count against future spans.
+        self.events_checked += 1
+        self._plane_busy.clear()
+        self._channel_busy.clear()
 
     def _on_engine(self, event: TraceEvent) -> None:
         """Engine dispatch order must be (time, seq)-monotonic."""
+        self.events_checked += 1
         ts = event.ts_us
         seq = (event.args or {}).get("seq")
         if ts < self._last_engine_ts:
@@ -325,144 +412,143 @@ class SimSanitizer:
             self._last_engine_seq = int(seq)
         self._last_engine_ts = ts
 
-    def _on_array(self, event: TraceEvent) -> None:
-        """Advance the shadow NAND model and police block lifecycles."""
-        args = event.args or {}
-        name = event.name
-        if name == "program":
-            self._shadow_program(int(args["ppn"]))
-        elif name == "skip":
-            self._shadow_skip(int(args["ppn"]))
-        elif name == "invalidate":
-            self._shadow_invalidate(int(args["ppn"]))
-        elif name == "erase":
-            self._shadow_erase(int(args["block"]))
-        elif name == "alloc_block":
-            self._shadow_alloc(int(args["block"]))
-        elif name == "release_block":
-            self._shadow_release(int(args["block"]), bool(args.get("retired", False)))
-        elif name == "bulk_fill":
-            self._shadow_bulk_fill(int(args["block"]), int(args["count"]))
-        elif name == "mark_bad":
-            self._shadow_free[int(args["block"])] = False
-        elif name == "retire_block":
-            self._shadow_retire(int(args["block"]))
+    # The ``array`` handlers advance the shadow NAND model and police
+    # block lifecycles, on the scalar buffers.
 
-    def _shadow_program(self, ppn: int) -> None:
-        block, offset = divmod(ppn, self._pages_per_block)
-        if self._shadow_free[block]:
+    def _on_program(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        ppn = int(event.args["ppn"])
+        ppb = self._pages_per_block
+        block = ppn // ppb
+        offset = ppn - block * ppb
+        if self._in_pool[block]:
             self._fail(
                 "program-free-block",
                 f"program of ppn {ppn} into block {block} which is in the free pool",
-                {"block": int(block)},
+                {"block": block},
             )
-        if offset < self._shadow_ptr[block]:
+        if offset < self._write_ptr[block]:
             self._fail(
                 "program-order",
                 f"out-of-order program: offset {offset} of block {block} behind "
-                f"write pointer {int(self._shadow_ptr[block])}",
-                {"block": int(block)},
+                f"write pointer {self._write_ptr[block]}",
+                {"block": block},
             )
-        if self._shadow_state[ppn] != _FREE:
+        if self._page_state[ppn] != _FREE:
             self._fail(
                 "reprogram",
                 f"program of ppn {ppn} which was not erased since its last "
-                f"program (state {int(self._shadow_state[ppn])})",
-                {"block": int(block)},
+                f"program (state {self._page_state[ppn]})",
+                {"block": block},
             )
-        self._shadow_state[ppn] = _VALID
-        self._shadow_ptr[block] = offset + 1
-        self._shadow_erased[block] = False
+        self._page_state[ppn] = _VALID
+        self._write_ptr[block] = offset + 1
+        self._erased[block] = False
 
-    def _shadow_skip(self, ppn: int) -> None:
+    def _on_skip(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        ppn = int(event.args["ppn"])
         block, offset = divmod(ppn, self._pages_per_block)
-        if self._shadow_state[ppn] != _FREE or offset < self._shadow_ptr[block]:
+        if self._page_state[ppn] != _FREE or offset < self._write_ptr[block]:
             self._fail(
                 "program-order",
                 f"skip of non-free or behind-pointer ppn {ppn} in block {block}",
-                {"block": int(block)},
+                {"block": block},
             )
-        self._shadow_state[ppn] = _INVALID
-        self._shadow_ptr[block] = offset + 1
-        self._shadow_erased[block] = False
+        self._page_state[ppn] = _INVALID
+        self._write_ptr[block] = offset + 1
+        self._erased[block] = False
 
-    def _shadow_invalidate(self, ppn: int) -> None:
-        if self._shadow_state[ppn] != _VALID:
+    def _on_invalidate(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        ppn = int(event.args["ppn"])
+        if self._page_state[ppn] != _VALID:
             self._fail(
                 "invalidate-state",
-                f"invalidate of ppn {ppn} in state {int(self._shadow_state[ppn])} "
+                f"invalidate of ppn {ppn} in state {self._page_state[ppn]} "
                 "(must be VALID)",
                 {"block": ppn // self._pages_per_block},
             )
-        self._shadow_state[ppn] = _INVALID
+        self._page_state[ppn] = _INVALID
 
-    def _shadow_erase(self, block: int) -> None:
-        first = block * self._pages_per_block
-        states = self._shadow_state[first : first + self._pages_per_block]
-        n_valid = int(np.count_nonzero(states == _VALID))
-        if self._shadow_free[block]:
+    def _on_erase(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        block = int(event.args["block"])
+        if self._in_pool[block]:
             self._fail(
                 "double-erase",
                 f"erase of block {block} which sits in the free pool",
                 {"block": block},
             )
-        if self._shadow_erased[block]:
+        if self._erased[block]:
             self._fail(
                 "double-erase",
                 f"block {block} erased twice with no intervening program",
                 {"block": block},
             )
+        first = block * self._pages_per_block
+        n_valid = self._page_state.count(_VALID, first, first + self._pages_per_block)
         if n_valid:
             self._fail(
                 "erase-valid",
                 f"erase of block {block} still holding {n_valid} valid pages",
                 {"block": block, "valid": n_valid},
             )
-        states[:] = _FREE
-        self._shadow_ptr[block] = 0
-        self._shadow_erased[block] = True
+        self._shadow_state[first : first + self._pages_per_block] = _FREE
+        self._write_ptr[block] = 0
+        self._erased[block] = True
 
-    def _shadow_bulk_fill(self, block: int, count: int) -> None:
+    def _on_bulk_fill(self, event: TraceEvent) -> None:
         """Vectorised preconditioning fill (equivalent to ``count`` programs)."""
-        if self._shadow_free[block]:
+        self.events_checked += 1
+        block = int(event.args["block"])
+        count = int(event.args["count"])
+        if self._in_pool[block]:
             self._fail(
                 "program-free-block",
                 f"bulk fill into block {block} which is in the free pool",
                 {"block": block},
             )
-        if self._shadow_ptr[block] != 0:
+        if self._write_ptr[block] != 0:
             self._fail(
                 "program-order",
                 f"bulk fill into partially written block {block} (write pointer "
-                f"at {int(self._shadow_ptr[block])})",
+                f"at {self._write_ptr[block]})",
                 {"block": block},
             )
         first = block * self._pages_per_block
         self._shadow_state[first : first + count] = _VALID
-        self._shadow_ptr[block] = count
-        self._shadow_erased[block] = False
+        self._write_ptr[block] = count
+        self._erased[block] = False
 
-    def _shadow_alloc(self, block: int) -> None:
-        if not self._shadow_free[block]:
+    def _on_alloc_block(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        block = int(event.args["block"])
+        if not self._in_pool[block]:
             self._fail(
                 "alloc-in-use",
                 f"allocation of block {block} which is not in the free pool",
                 {"block": block},
             )
-        self._shadow_free[block] = False
+        self._in_pool[block] = False
 
-    def _shadow_retire(self, block: int) -> None:
+    def _on_mark_bad(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        self._in_pool[int(event.args["block"])] = False
+
+    def _on_retire_block(self, event: TraceEvent) -> None:
         """Runtime retirement: an in-use block leaves circulation with
         its pages un-erased; all live data must have been relocated."""
-        if self._shadow_free[block]:
+        self.events_checked += 1
+        block = int(event.args["block"])
+        if self._in_pool[block]:
             self._fail(
                 "retire-free-block",
                 f"runtime retirement of block {block} which sits in the free pool",
                 {"block": block},
             )
         first = block * self._pages_per_block
-        states = self._shadow_state[first : first + self._pages_per_block]
-        n_valid = int(np.count_nonzero(states == _VALID))
+        n_valid = self._page_state.count(_VALID, first, first + self._pages_per_block)
         if n_valid:
             self._fail(
                 "retire-valid",
@@ -472,16 +558,18 @@ class SimSanitizer:
             )
         # The block stays out of the free pool forever; nothing else to do.
 
-    def _shadow_release(self, block: int, retired: bool) -> None:
-        if self._shadow_ptr[block] != 0:
+    def _on_release_block(self, event: TraceEvent) -> None:
+        self.events_checked += 1
+        block = int(event.args["block"])
+        if self._write_ptr[block] != 0:
             self._fail(
                 "release-unerased",
                 f"release of block {block} with write pointer at "
-                f"{int(self._shadow_ptr[block])} (must be erased first)",
+                f"{self._write_ptr[block]} (must be erased first)",
                 {"block": block},
             )
-        if not retired:
-            self._shadow_free[block] = True
+        if not event.args.get("retired", False):
+            self._in_pool[block] = True
 
     # ---- coherence sweeps ------------------------------------------------
 
@@ -506,7 +594,7 @@ class SimSanitizer:
             lpns = ppns = None
         else:
             self.delta_sweeps += 1
-            changed = [np.flatnonzero(store != base) for store, base in zip(stores, self._base)]
+            changed = [(store != base).nonzero()[0] for store, base in zip(stores, self._base)]
             lpns, ppns = self._closure(stores, changed)
             self.cells_rechecked += len(lpns) + len(ppns)
         self._check_mapping_coherence(stores, lpns, ppns)
@@ -540,11 +628,7 @@ class SimSanitizer:
         if len(stores) > 3:
             d_tvpn = changed[3]
             ppn_parts += [self._base[3][d_tvpn], stores[3][d_tvpn]]
-        lpns = np.unique(np.concatenate(lpn_parts))
-        ppns = np.unique(np.concatenate(ppn_parts))
-        # Drop the "no partner" sentinels (unmapped, OWNER_NONE,
-        # translation owners, unmaterialised tvpn): all negative.
-        return lpns[lpns >= 0], ppns[ppns >= 0]
+        return _distinct_cells(lpn_parts), _distinct_cells(ppn_parts)
 
     def _check_mapping_coherence(self, stores, lpns, ppns) -> None:
         array = self.ftl.array
@@ -590,14 +674,15 @@ class SimSanitizer:
         array = ftl.array
         mask = array.block_free_mask
         num_planes = ftl.geometry.num_planes
-        mask_counts = mask.reshape(num_planes, -1).sum(axis=1)
+        mask_counts = mask.reshape(num_planes, -1).sum(axis=1).tolist()
         pool_counts = [array.free_block_count(plane) for plane in range(num_planes)]
-        for plane in np.flatnonzero(mask_counts != pool_counts):
+        if mask_counts != pool_counts:
+            plane = next(p for p in range(num_planes) if mask_counts[p] != pool_counts[p])
             self._fail(
                 "free-accounting",
                 f"plane {plane}: free pool holds {pool_counts[plane]} blocks but the "
                 f"free mask counts {mask_counts[plane]}",
-                {"plane": int(plane)},
+                {"plane": plane},
             )
         for allocator in getattr(ftl, "allocators", None) or ():
             block = getattr(allocator, "current_block", None)
@@ -620,7 +705,7 @@ class SimSanitizer:
             return
         array = self.ftl.array
         if ppns is None:
-            bad = np.flatnonzero(self._shadow_state != page_state)
+            bad = (self._shadow_state != page_state).nonzero()[0]
         else:
             bad = ppns[self._shadow_state[ppns] != page_state[ppns]]
         if len(bad):
@@ -636,7 +721,7 @@ class SimSanitizer:
             ("write pointer", self._shadow_ptr, array.block_write_ptr_np),
             ("free-pool flag", self._shadow_free, array.block_free_mask),
         ):
-            bad = np.flatnonzero(shadow != live)
+            bad = (shadow != live).nonzero()[0]
             if len(bad):
                 block = int(bad[0])
                 self._fail(

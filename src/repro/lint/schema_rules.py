@@ -24,7 +24,9 @@ exactly what the wildcard registry entry expresses for ``engine``.
 
 Consumer matches are comparisons/membership tests against
 ``event.category`` / ``event.name`` attributes (or locals bound from
-them), and payload-key lookups on ``event.args``-derived mappings.
+them, or the ``category`` / ``name`` parameters of a method named
+``trace_route`` — the TraceBus routing protocol), and payload-key
+lookups on ``event.args``-derived mappings.
 String constants may be spelled as literals or as ``CAT_*``/``EV_*``
 names imported from :mod:`repro.obs.schema`.
 """
@@ -423,6 +425,15 @@ def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_Cons
         # and args-derived mappings: ``args = event.args or {}``.
         field_aliases: Dict[str, str] = {}
         args_names: Set[str] = set()
+        if isinstance(scope, ast.FunctionDef) and scope.name == "trace_route":
+            # The TraceBus routing protocol: ``trace_route(category,
+            # name)`` receives the identity fields of the event kind it
+            # picks a handler for, so its comparisons are consumer matches.
+            field_aliases.update(
+                (arg.arg, arg.arg)
+                for arg in scope.args.args
+                if arg.arg in ("category", "name")
+            )
         for node in _scope_walk(scope):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]

@@ -35,3 +35,16 @@ def clean_consumer(event):
     if event.category == "flash" and event.name == "read":
         return (event.args or {}).get("plane")
     return None
+
+
+class RoutedConsumer:
+    def trace_route(self, category, name):
+        if category == "flash" and name == "raed":  # DL202: the parameters are the event's identity
+            return self.on_read
+        return self.on_any
+
+    def on_read(self, event):
+        return (event.args or {}).get("plane")
+
+    def on_any(self, event):
+        return None

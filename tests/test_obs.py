@@ -109,6 +109,196 @@ def test_counter_helper_emits_phase_c():
     assert events[0].args == {"outstanding": 3}
 
 
+# ---- TraceBus: kind-routed delivery ------------------------------------------
+
+
+class Routed:
+    """A subscriber that routes: one handler per category, plus a log of
+    every kind it was asked about."""
+
+    def __init__(self, label, log):
+        self.label = label
+        self.log = log
+        self.asked = []
+
+    def trace_route(self, category, name):
+        self.asked.append((category, name))
+        return self.on_flash if category == "flash" else self.on_other
+
+    def __call__(self, event):
+        raise AssertionError("a routing subscriber is called through its handlers")
+
+    def on_flash(self, event):
+        self.log.append((self.label, "flash", event.name))
+
+    def on_other(self, event):
+        self.log.append((self.label, "other", event.name))
+
+
+def test_trace_route_is_asked_once_per_kind_until_subscriptions_change():
+    bus = TraceBus()
+    log = []
+    routed = bus.subscribe(Routed("r", log))
+    for _ in range(3):
+        bus.emit("flash", "read", 0.0)
+        bus.emit("gc", "gc_pass", 0.0)
+    assert routed.asked == [("flash", "read"), ("gc", "gc_pass")]
+    assert log == [("r", "flash", "read"), ("r", "other", "gc_pass")] * 3
+    bus.subscribe(log.append)  # any subscription change drops the routes
+    bus.emit("flash", "read", 0.0)
+    assert routed.asked[2:] == [("flash", "read")]
+
+
+def test_order_is_kept_per_kind_across_routed_and_plain_subscribers():
+    bus = TraceBus()
+    log = []
+    bus.subscribe(lambda e: log.append(("a", e.name)))
+    bus.subscribe(Routed("b", log))
+    bus.subscribe(lambda e: log.append(("c", e.name)))
+    bus.subscribe(Routed("d", log))
+    bus.emit("flash", "read", 0.0)
+    bus.emit("cmt", "hit", 0.0)
+    bus.emit("flash", "read", 1.0)
+    per_event = [
+        [("a", "read"), ("b", "flash", "read"), ("c", "read"), ("d", "flash", "read")],
+        [("a", "hit"), ("b", "other", "hit"), ("c", "hit"), ("d", "other", "hit")],
+    ]
+    assert log == per_event[0] + per_event[1] + per_event[0]
+
+
+def test_unsubscribing_during_delivery_does_not_skip_the_next_subscriber():
+    # [a, b, c], a unsubscribes itself: the event still reaches b and c
+    # (a list iterator over the subscribers skipped b).
+    bus = TraceBus()
+    seen = []
+
+    def a(event):
+        seen.append("a")
+        bus.unsubscribe(a)
+
+    bus.subscribe(a)
+    bus.subscribe(lambda e: seen.append("b"))
+    bus.subscribe(lambda e: seen.append("c"))
+    bus.emit("c", "n", 0.0)
+    assert seen == ["a", "b", "c"]
+    bus.emit("c", "n", 1.0)  # ... and the change holds from the next emit
+    assert seen == ["a", "b", "c", "b", "c"]
+
+
+def test_subscribing_during_delivery_takes_effect_at_the_next_emit():
+    bus = TraceBus()
+    late = []
+
+    def recruiter(event):
+        if not late:
+            bus.subscribe(late.append)
+
+    bus.subscribe(recruiter)
+    bus.emit("c", "first", 0.0)
+    assert late == []
+    bus.emit("c", "second", 1.0)
+    assert [event.name for event in late] == ["second"]
+
+
+def test_raising_subscriber_shields_the_later_ones():
+    # The torture arm subscribes last for this reason: a checker that
+    # raises on an event keeps the arm from counting it.
+    bus = TraceBus()
+    log = []
+
+    def checker(event):
+        log.append("checker")
+        if event.name == "bad":
+            raise RuntimeError("rejected")
+
+    bus.subscribe(checker)
+    bus.subscribe(Routed("arm", log))
+    bus.emit("flash", "good", 0.0)
+    with pytest.raises(RuntimeError, match="rejected"):
+        bus.emit("flash", "bad", 1.0)
+    assert log == ["checker", ("arm", "flash", "good"), "checker"]
+
+
+def test_reentrant_emit_is_delivered_inside_the_outer_one():
+    bus = TraceBus()
+    log = []
+
+    def echo(event):
+        log.append(("echo", event.name))
+        if event.name == "outer":
+            bus.emit("c", "inner", 0.0)
+
+    bus.subscribe(echo)
+    bus.subscribe(lambda e: log.append(("tail", e.name)))
+    bus.emit("c", "outer", 0.0)
+    assert log == [("echo", "outer"), ("echo", "inner"), ("tail", "inner"), ("tail", "outer")]
+
+
+def test_nested_capture():
+    bus = TraceBus()
+    with bus.capture() as outer:
+        bus.emit("c", "one", 0.0)
+        with bus.capture() as inner:
+            bus.emit("c", "two", 1.0)
+        bus.emit("c", "three", 2.0)
+    assert [e.name for e in outer] == ["one", "two", "three"]
+    assert [e.name for e in inner] == ["two"]
+    assert bus.enabled is False and bus.subscriber_count == 0
+
+
+def test_paused_bus_still_delivers_a_direct_emit():
+    bus = TraceBus()
+    log = []
+    bus.subscribe(Routed("r", log))
+    bus.subscribe(log.append)
+    bus.enabled = False
+    bus.emit("flash", "read", 0.0)  # sites guard; a direct call delivers
+    assert log[0] == ("r", "flash", "read") and log[1].name == "read"
+
+
+def test_clear_mid_run_forgets_subscribers_and_routes():
+    bus = TraceBus()
+    first, second = [], []
+    bus.subscribe(first.append)
+    bus.emit("c", "n", 0.0)
+    bus.clear()
+    assert bus.enabled is False and bus.subscriber_count == 0
+    bus.emit("c", "n", 1.0)  # the stub again: nobody is listening
+    bus.subscribe(second.append)
+    bus.emit("c", "n", 2.0)  # same kind: the old route must not resurface
+    assert [e.ts_us for e in first] == [0.0]
+    assert [e.ts_us for e in second] == [2.0]
+
+
+def test_clear_from_inside_a_subscriber_finishes_the_delivery():
+    bus = TraceBus()
+    seen = []
+    bus.subscribe(lambda e: bus.clear())
+    bus.subscribe(seen.append)
+    bus.emit("c", "n", 0.0)
+    bus.emit("c", "n", 1.0)
+    assert [e.ts_us for e in seen] == [0.0]
+
+
+def test_bus_built_events_are_ordinary_trace_events():
+    import pickle
+
+    bus = TraceBus()
+    with bus.capture() as events:
+        bus.emit("flash", "read", 10.0, 25.0, {"plane": 3}, "plane:3")
+        bus.emit("gc", "gc_pass", 5.0)
+    built = TraceEvent("flash", "read", 10.0, 25.0, {"plane": 3}, "plane:3", "X")
+    assert events[0] == built
+    assert type(events[0]) is TraceEvent
+    assert events[1] == TraceEvent("gc", "gc_pass", 5.0, 0.0, None, None, "X")
+    category, name, ts_us, duration_us, args, track, ph = events[0]
+    assert (category, name, ts_us, duration_us, args, track, ph) == tuple(built)
+    assert events[0]._asdict() == built._asdict()
+    assert events[0]._replace(name="program").name == "program"
+    clone = pickle.loads(pickle.dumps(events[0]))
+    assert clone == built and type(clone) is TraceEvent
+
+
 # ---- MetricsRegistry -------------------------------------------------------
 
 

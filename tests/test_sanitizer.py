@@ -295,6 +295,187 @@ class TestOccupancyRaces:
 
 
 # ---------------------------------------------------------------------------
+# the per-kind handlers test the hot rules inline: rule name, message text
+# and snapshot below are the ones the layered checks raised before them
+
+
+def program_event(ppn):
+    BUS.emit("array", "program", 0.0, 0.0, {"ppn": ppn, "owner": 1}, None, "i")
+
+
+class TestInlinedFastPaths:
+    def test_program_into_pooled_block_text(self, watched):
+        ssd, sanitizer = watched
+        block = int(np.flatnonzero(ssd.ftl.array.block_free_mask)[0])
+        ppn = block * ssd.geometry.pages_per_block
+        err = expect_rule("program-free-block", lambda: program_event(ppn))
+        assert str(err) == (
+            f"[program-free-block] program of ppn {ppn} into block {block} which "
+            f"is in the free pool | snapshot: {{'block': {block}}}"
+        )
+        # the rejected event was counted and left the shadow model alone
+        assert sanitizer.report()["events_checked"] == 1
+        assert sanitizer._shadow_state[ppn] == PageState.FREE
+        assert sanitizer._shadow_ptr[block] == 0
+
+    def test_program_behind_the_write_pointer_text(self, watched):
+        ssd, sanitizer = watched
+        array = ssd.ftl.array
+        block = int(np.flatnonzero((array.block_write_ptr_np > 1) & ~array.block_free_mask)[0])
+        pointer = int(array.block_write_ptr[block])
+        ppn = block * ssd.geometry.pages_per_block
+        err = expect_rule("program-order", lambda: program_event(ppn))
+        assert str(err) == (
+            f"[program-order] out-of-order program: offset 0 of block {block} behind "
+            f"write pointer {pointer} | snapshot: {{'block': {block}}}"
+        )
+
+    def test_program_of_a_non_free_page_text(self, watched):
+        ssd, sanitizer = watched
+        ppb = ssd.geometry.pages_per_block
+        ppn = int(np.flatnonzero(ssd.ftl.array.page_state_np == PageState.VALID)[0])
+        # rewind the shadow write pointer so only the state check can fire
+        sanitizer._shadow_ptr[ppn // ppb] = ppn % ppb
+        err = expect_rule("reprogram", lambda: program_event(ppn))
+        assert str(err) == (
+            f"[reprogram] program of ppn {ppn} which was not erased since its last "
+            f"program (state 1) | snapshot: {{'block': {ppn // ppb}}}"
+        )
+
+    def test_invalidate_of_a_non_valid_page_text(self, watched):
+        ssd, sanitizer = watched
+        ppn = int(np.flatnonzero(ssd.ftl.array.page_state_np == PageState.FREE)[-1])
+        block = ppn // ssd.geometry.pages_per_block
+        err = expect_rule(
+            "invalidate-state",
+            lambda: BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": ppn}, None, "i"),
+        )
+        assert str(err) == (
+            f"[invalidate-state] invalidate of ppn {ppn} in state 0 (must be VALID) "
+            f"| snapshot: {{'block': {block}}}"
+        )
+        assert sanitizer._shadow_state[ppn] == PageState.FREE
+
+    def test_overlapping_plane_spans_text(self, watched):
+        ssd, sanitizer = watched
+        flash_span("program", 100.0, 50.0, plane=2, channel=1)
+        err = expect_rule(
+            "plane-occupancy", lambda: flash_span("read", 120.0, 10.0, plane=2, channel=1)
+        )
+        assert str(err) == (
+            "[plane-occupancy] read on plane 2 starts at 120.0 us, inside the busy "
+            "interval [100.0, 150.0) us of program; two operations cannot occupy one "
+            "plane simultaneously | snapshot: {'plane': 2, 'busy': [100.0, 150.0, "
+            "'program'], 'span': [120.0, 130.0, 'read']}"
+        )
+        # counted, not recorded: the plane is still busy with the program
+        assert sanitizer.spans_checked == 2
+        assert sanitizer._plane_busy == {2: (100.0, 150.0, "program")}
+
+    def test_overlapping_channel_spans_text(self, watched):
+        ssd, sanitizer = watched
+        flash_span("xfer_in", 100.0, 20.0, plane=0, channel=1)
+        err = expect_rule(
+            "channel-occupancy", lambda: flash_span("xfer_out", 110.0, 5.0, plane=1, channel=1)
+        )
+        assert str(err) == (
+            "[channel-occupancy] xfer_out on channel 1 starts at 110.0 us, inside the "
+            "busy interval [100.0, 120.0) us of xfer_in; two operations cannot occupy "
+            "one channel simultaneously | snapshot: {'channel': 1, 'busy': [100.0, "
+            "120.0, 'xfer_in'], 'span': [110.0, 115.0, 'xfer_out']}"
+        )
+        assert sanitizer._channel_busy == {1: (100.0, 120.0, "xfer_in")}
+
+    def test_span_without_its_resource_is_counted_but_not_checked(self, watched):
+        ssd, sanitizer = watched
+        BUS.emit("flash", "read", 100.0, 50.0, None, None, "X")
+        BUS.emit("flash", "xfer_in", 100.0, 50.0, {"plane": 0}, None, "X")
+        assert sanitizer.report()["events_checked"] == 2
+        assert sanitizer.spans_checked == 0
+
+
+# ---------------------------------------------------------------------------
+# one route to a handler: through the TraceBus or through ``sanitizer(event)``
+
+
+def _build_replay(geometry, n=300):
+    from repro.traces.stream import stream_io_requests
+    from repro.traces.synthetic import make_workload
+
+    spec = make_workload("build", n, int(geometry.capacity_bytes * 0.5), seed=7)
+    return stream_io_requests(spec, geometry)
+
+
+def _routing_state(sanitizer):
+    return {
+        "report": sanitizer.report(),
+        "shadow": [
+            bytes(view) for view in (
+                sanitizer._shadow_state, sanitizer._shadow_ptr,
+                sanitizer._shadow_free, sanitizer._shadow_erased,
+            )
+        ],
+        "busy": (sanitizer._plane_busy, sanitizer._channel_busy),
+        "sweeps": (sanitizer.full_sweeps, sanitizer.delta_sweeps, sanitizer.cells_rechecked),
+    }
+
+
+def _cells():
+    from repro.ftl.registry import available_ftls
+
+    return [(name, "plain") for name in available_ftls()] + [
+        ("dloop", "zero-rate-faults"), ("dloop", "crash"),
+    ]
+
+
+@pytest.mark.parametrize("ftl_name,plan", _cells())
+def test_routed_delivery_equals_direct_calls(ftl_name, plan):
+    """Two sanitizers watch one run: ``routed`` is attached (the bus asks
+    its ``trace_route`` per kind and calls the handlers), ``direct`` is
+    fed ``sanitizer(event)`` by a plain subscriber.  Same events, same
+    live state at every sweep: they must end indistinguishable."""
+    geometry = SSDGeometry(
+        channels=2, packages_per_channel=1, chips_per_package=1,
+        dies_per_chip=1, planes_per_die=2, blocks_per_plane=48,
+        pages_per_block=16, page_size=512, extra_blocks_percent=25.0,
+    )
+    ssd = SimulatedSSD(
+        geometry, ftl=ftl_name, faults={} if plan == "zero-rate-faults" else None
+    )
+    ssd.precondition(0.6)
+    routed = SimSanitizer(ssd.ftl).attach()
+    direct = SimSanitizer(ssd.ftl)
+    events = []
+
+    def feed(event):
+        events.append(event)
+        direct(event)
+
+    BUS.subscribe(feed)
+
+    def sweep_both():  # what SimulatedSSD(sanitize=True) does for its one
+        routed.check_now()
+        direct.check_now()
+
+    source = _build_replay(geometry)
+    if plan == "crash":
+        ssd.run_with_crash(source, 20_000.0, stream=True, queue_depth=8)
+        assert 0 < ssd.stats.count < 300  # guard: the cut fell mid-run
+        sweep_both()
+    ssd.run_stream(source, queue_depth=8)
+    sweep_both()
+    BUS.unsubscribe(feed)
+    routed_report, direct_report = routed.finalize(), direct.finalize()
+    assert routed_report == direct_report
+    assert routed_report["events_checked"] == len(events) > 0
+    assert routed_report["violations"] == 0
+    assert _routing_state(routed) == _routing_state(direct)
+    kinds = {(event.category, event.name) for event in events}
+    assert set(direct._handlers) == kinds  # every kind was routed, once
+    assert ("array", "program") in kinds and routed_report["spans_checked"] > 0
+
+
+# ---------------------------------------------------------------------------
 # facade integration
 
 

@@ -21,6 +21,7 @@ EXPECTED_FIXTURE_FINDINGS = [
     (20, 42, "DL202"),  # consumer matches undeclared name 'raed'
     (24, 12, "DL202"),  # consumer matches undeclared category
     (30, 16, "DL202"),  # consumer reads undeclared key 'voltage'
+    (42, 36, "DL202"),  # trace_route(category, name) matches undeclared 'raed'
 ]
 
 

@@ -183,7 +183,7 @@ def test_custom_timing_parameters(small_geometry):
     assert clock.program_page(1, 0.0) == pytest.approx(100.0)
 
 
-# ---- die-aware fidelity (chip serial bus, Fig. 1b) ----------------------------
+# ---- channel serialisation (a die's serial bus, Fig. 1b, rides its channel) ---
 
 
 def multi_chip_geometry():
@@ -203,7 +203,7 @@ def multi_chip_geometry():
     )
 
 
-def test_die_aware_serialises_same_die_transfers(timing):
+def test_channel_serialises_same_die_transfers(timing):
     geom = multi_chip_geometry()
     clock = FlashTimekeeper(geom, timing)
     die0_planes = list(geom.planes_of_die(0))
@@ -228,7 +228,7 @@ def test_die_bus_separate_from_channel(timing):
     assert end1 == pytest.approx(end0 + timing.page_transfer_us(geom.page_size))
 
 
-def test_die_aware_reset(timing):
+def test_reset_zeroes_a_shared_channel_timeline(timing):
     geom = multi_chip_geometry()
     clock = FlashTimekeeper(geom, timing)
     clock.program_page(0, 0.0)
