@@ -18,25 +18,23 @@ Key behaviours, each tied to the paper:
 
 from __future__ import annotations
 
-from repro.flash.address import OWNER_NONE
-from repro.flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashStateError
+from typing import Tuple
+
+from repro.flash.array import FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator
-from repro.ftl.base import OutOfSpaceError
 from repro.ftl.translation import DemandPagedFtl
-from repro.obs.tracebus import BUS
 
 
 class DloopFtl(DemandPagedFtl):
     """The paper's plane-parallel page-mapping FTL.
 
-    ``write_page`` and the inherited ``read_page`` and ``_collect`` are
-    the page protocol every run executes — benchmarked, traced, sanitized,
-    faulted or subclassed alike.  They are straight-line code: each
-    costs a handful of calls (into the translation manager, the write
-    point, the array and the timekeeper), because a Python call per
-    primitive is what dominates host time per simulated page.
+    The page protocol (``read_page``, ``write_page``, ``trim_page``) is
+    :class:`DemandPagedFtl`'s and the relocate-and-erase loop is
+    ``Ftl._collect``; what is DLOOP here is where pages go — Eq. 1 for
+    host writes and translation pages, the victim's own plane for GC —
+    and that GC moves them by copy-back.
     """
 
     name = "dloop"
@@ -90,9 +88,9 @@ class DloopFtl(DemandPagedFtl):
 
     # ---- allocator hooks (overridden by the hot/cold variant) -----------------
 
-    def _host_allocator(self, plane: int, lpn: int) -> PlaneAllocator:
-        """Write point for a host write of ``lpn`` on ``plane``."""
-        return self.allocators[plane]
+    def _host_write_point(self, lpn: int) -> Tuple[int, PlaneAllocator]:
+        plane = lpn % self.num_planes  # Eq. 1
+        return plane, self.allocators[plane]
 
     def _gc_destination_allocator(self, plane: int) -> PlaneAllocator:
         """Write point for GC-relocated pages on ``plane``."""
@@ -108,90 +106,6 @@ class DloopFtl(DemandPagedFtl):
 
     def plane_of_tvpn(self, tvpn: int) -> int:
         return tvpn % self.num_planes
-
-    # ---- host interface -------------------------------------------------------
-
-    def write_page(self, lpn: int, start: float) -> float:
-        if not 0 <= lpn < self._num_lpns:
-            self.check_lpn(lpn)  # raises
-        self.stats.host_writes += 1
-        plane = lpn % self.num_planes  # Eq. 1
-        t = self.tm.charge_lookup(lpn, start)
-        array = self.array
-        # Reclaim space *before* taking a page so the pool never empties
-        # under the incoming write.  (_maybe_gc does nothing unless a
-        # pass is running or some plane is low; skip the call then.)
-        if self._gc_planes or array.gc_low_plane_count:
-            try:
-                t = self._maybe_gc(plane, t)
-            except FlashStateError as exc:
-                # GC itself ran out of destination space: the plane cannot
-                # absorb this write.  Partial collections are consistent
-                # (moved pages are already remapped), so fail per-request.
-                raise OutOfSpaceError(
-                    f"plane {plane}: cannot reclaim space for lpn {lpn} — device full"
-                ) from exc
-        old_ppn = self.page_table[lpn]
-        ppb = self._pages_per_block
-        faults = self.faults
-        try:
-            allocator = self._host_allocator(plane, lpn)
-            if faults is None:
-                # allocator.allocate(lpn) and FlashArray.program, less the
-                # calls: the array's checks, generation stamp and event are
-                # kept (its ascending-order check cannot fail here — this
-                # is the block's next page).
-                block = allocator.current_block
-                if block is None or array.block_write_ptr[block] == ppb:
-                    block = allocator._ensure_block()
-                offset = array.block_write_ptr[block]
-                new_ppn = block * ppb + offset
-                if array.page_state[new_ppn] != PAGE_FREE:
-                    raise FlashStateError(f"program of non-free page {new_ppn}")
-                if array._block_is_free[block]:
-                    raise FlashStateError(f"program into unallocated block {block}")
-                array.block_write_ptr[block] = offset + 1
-                array.page_state[new_ppn] = PAGE_VALID
-                array.page_owner[new_ppn] = lpn
-                array.block_valid[block] += 1
-                array.write_stamp = stamp = array.write_stamp + 1
-                array.block_write_stamp[block] = stamp
-                if array.page_gen is not None:
-                    gen = array.stamp_gen(new_ppn, lpn)
-                    if BUS.enabled:
-                        BUS.emit("array", "program", 0.0, 0.0,
-                                 {"ppn": new_ppn, "owner": lpn, "gen": gen}, None, "i")
-                elif BUS.enabled:
-                    BUS.emit("array", "program", 0.0, 0.0,
-                             {"ppn": new_ppn, "owner": lpn}, None, "i")
-            else:
-                # Fault-aware path: a failed program burns the page and
-                # retries on the same plane (the allocator is plane-bound).
-                new_ppn, t = faults.program(allocator, lpn, t)
-        except FlashStateError as exc:
-            raise OutOfSpaceError(
-                f"plane {plane}: cannot place write for lpn {lpn} — device full"
-            ) from exc
-        if faults is None:
-            t = self.clock.program_page(plane, t)
-        if old_ppn != -1:
-            # FlashArray.invalidate(old_ppn), less the call
-            if array.page_state[old_ppn] != PAGE_VALID:
-                raise FlashStateError(f"invalidate of non-valid page {old_ppn}")
-            old_block = old_ppn // ppb
-            array.page_state[old_ppn] = PAGE_INVALID
-            array.page_owner[old_ppn] = OWNER_NONE
-            array.block_valid[old_block] -= 1
-            array.block_invalid[old_block] += 1
-            if BUS.enabled:
-                BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": old_ppn}, None, "i")
-        self.page_table[lpn] = new_ppn
-        t = self.tm.charge_update(lpn, t)
-        if self._gc_planes or array.gc_low_plane_count:
-            t = self._maybe_gc(plane, t)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
 
     # ---- preconditioning --------------------------------------------------------
 

@@ -15,7 +15,7 @@ CMT/GTD demand paging) is inherited from :class:`DloopFtl`, so the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.dloop import DloopFtl
 from repro.flash.geometry import SSDGeometry
@@ -61,14 +61,15 @@ class HotColdDloopFtl(DloopFtl):
 
     # ---- allocator hooks ------------------------------------------------------
 
-    def _host_allocator(self, plane: int, lpn: int) -> PlaneAllocator:
+    def _host_write_point(self, lpn: int) -> Tuple[int, PlaneAllocator]:
+        plane = lpn % self.num_planes
         hot = self.is_hot(lpn)
         self._note_recent(lpn)
         if hot:
             self.hot_writes += 1
-            return self.hot_allocators[plane]
+            return plane, self.hot_allocators[plane]
         self.cold_writes += 1
-        return self.allocators[plane]
+        return plane, self.allocators[plane]
 
     def _gc_destination_allocator(self, plane: int) -> PlaneAllocator:
         # GC survivors are cold by definition.

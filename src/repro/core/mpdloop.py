@@ -68,9 +68,9 @@ class MultiPlaneDloopFtl(DloopFtl):
         for plane in planes:
             t = self._maybe_gc(plane, t)
         staged = []
-        for lpn, plane in zip(batch, planes):
+        for lpn in batch:
             old_ppn = self.current_ppn(lpn)
-            new_ppn = self._host_allocator(plane, lpn).allocate(lpn)
+            new_ppn = self._host_write_point(lpn)[1].allocate(lpn)
             staged.append((lpn, old_ppn, new_ppn))
             self.stats.host_writes += 1
         t = multi_plane_program(self.clock, planes, t)

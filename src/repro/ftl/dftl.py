@@ -2,23 +2,29 @@
 
 Demand-based page mapping: the full logical-to-physical map lives in
 flash *translation pages*; a small SRAM CMT caches popular entries
-(segmented LRU) and a GTD locates translation pages.  Differences from
-DLOOP that the paper calls out (Sections II.B, V.B, V.D):
+(segmented LRU) and a GTD locates translation pages.  The page protocol
+is :class:`~repro.ftl.translation.DemandPagedFtl`'s, the same code DLOOP
+runs; the differences from DLOOP that the paper calls out (Sections
+II.B, V.B, V.D) are this class's overrides:
 
 * translation pages are kept together on **plane 0** rather than
-  striped, so mapping traffic concentrates there;
+  striped, so mapping traffic concentrates there (``plane_of_tvpn``,
+  ``_translation_allocator``);
 * data writes fill a **single global active block**, so bursts queue on
-  one plane at a time instead of fanning out;
+  one plane at a time instead of fanning out (``_host_write_point``);
 * GC moves valid pages through the controller (no copy-back), paying
-  bus time twice per page.
+  bus time twice per page (``_gc_destinations``, ``use_copyback`` left
+  false).
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
+from repro.flash.array import FlashStateError
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator, RoamingAllocator
-from repro.flash.array import FlashStateError
 from repro.ftl.base import OutOfSpaceError
 from repro.ftl.translation import DemandPagedFtl
 
@@ -69,41 +75,21 @@ class DftlFtl(DemandPagedFtl):
     def _all_allocators(self):
         return (self.data_allocator, self.translation_allocator)
 
-    # ---- host interface ---------------------------------------------------
-
-    def write_page(self, lpn: int, start: float) -> float:
-        if not 0 <= lpn < self._num_lpns:
-            self.check_lpn(lpn)  # raises
-        self.stats.host_writes += 1
-        t = self.tm.charge_lookup(lpn, start)
-        try:
-            t = self._maybe_gc(self.data_allocator.peek_plane(), t)
-        except FlashStateError as exc:
-            # peek_plane opens a block if none is active; at genuine end
-            # of life even that fails — surface the per-request error.
-            raise OutOfSpaceError(f"cannot place write for lpn {lpn} — device full") from exc
-        old_ppn = self.current_ppn(lpn)
-        faults = self.faults
-        if faults is None:
+    def _host_write_point(self, lpn: int) -> Tuple[int, RoamingAllocator]:
+        # Open the global active block now if none is open, so the
+        # pre-write GC is triggered for the plane the write will land on.
+        allocator = self.data_allocator
+        block = allocator.current_block
+        if block is None or self.array.block_write_ptr[block] == self._pages_per_block:
             try:
-                new_ppn = self.data_allocator.allocate(lpn)
+                allocator._ensure_block()
             except FlashStateError as exc:
+                # At genuine end of life even that fails — surface the
+                # per-request error.
                 raise OutOfSpaceError(f"cannot place write for lpn {lpn} — device full") from exc
-            plane = self.codec.ppn_to_plane(new_ppn)
-            t = self.clock.program_page(plane, t)
-        else:
-            try:
-                new_ppn, t = faults.program(self.data_allocator, lpn, t)
-            except FlashStateError as exc:
-                raise OutOfSpaceError(f"cannot place write for lpn {lpn} — device full") from exc
-            plane = self.codec.ppn_to_plane(new_ppn)
-        if old_ppn != -1:
-            self.array.invalidate(old_ppn)
-        self.page_table[lpn] = new_ppn
-        t = self.tm.charge_update(lpn, t)
-        t = self._maybe_gc(plane, t)
-        self._maybe_debug_check()
-        return t
+        plane = allocator.current_plane
+        assert plane is not None
+        return plane, allocator
 
     # ---- preconditioning --------------------------------------------------------
 

@@ -34,6 +34,9 @@ from repro.obs.tracebus import BUS
 class _Allocator(Protocol):
     current_block: Optional[int]
 
+    @property
+    def plane(self) -> Optional[int]: ...
+
     def _ensure_block(self) -> int: ...
 
     def allocate(self, owner: int) -> int: ...
@@ -309,10 +312,18 @@ class DemandPagedFtl(Ftl):
     """Page-mapping FTL whose map lives in flash translation pages.
 
     What DLOOP and DFTL share: the CMT / GTD / :class:`TranslationManager`
-    trio, the host read path, and the hooks that keep translation pages
-    coherent across trims, page loss, GC moves and power loss.
-    Subclasses supply the placement policies ``plane_of_tvpn``,
+    trio, the host page protocol (``read_page``, ``write_page``,
+    ``trim_page``), and the hooks that keep translation pages coherent
+    across trims, page loss, GC moves and power loss.  Subclasses supply
+    the placement policies ``_host_write_point``, ``plane_of_tvpn``,
     ``_translation_allocator`` and ``_fallback_allocator``.
+
+    ``read_page`` and ``write_page`` are what every run executes —
+    benchmarked, traced, sanitized, faulted or subclassed alike.  They
+    are straight-line code: each costs a handful of calls (into the
+    translation manager, the placement hook, the write point and the
+    timekeeper), because a Python call per primitive is what dominates
+    host time per simulated page.
     """
 
     fault_injection_supported = True
@@ -347,6 +358,13 @@ class DemandPagedFtl(Ftl):
 
     # ---- placement policies (subclass responsibility) ------------------------
 
+    def _host_write_point(self, lpn: int) -> Tuple[int, _Allocator]:
+        """``(plane, allocator)``: the write point a host write of ``lpn``
+        is placed through and the plane it is on now (the plane the
+        pre-write GC is triggered for).  Raises :class:`OutOfSpaceError`
+        when no write point can be opened."""
+        raise NotImplementedError
+
     def plane_of_tvpn(self, tvpn: int) -> int:
         """Plane that stores translation page ``tvpn``."""
         raise NotImplementedError
@@ -375,6 +393,96 @@ class DemandPagedFtl(Ftl):
             t = self.clock.read_page(ppn // self._pages_per_plane, t)
         else:
             t = self._fault_read_data(lpn, ppn, t)
+        if self.debug_checks:
+            self.verify_integrity()
+        return t
+
+    def write_page(self, lpn: int, start: float) -> float:
+        if not 0 <= lpn < self._num_lpns:
+            self.check_lpn(lpn)  # raises
+        self.stats.host_writes += 1
+        t = self.tm.charge_lookup(lpn, start)
+        plane, allocator = self._host_write_point(lpn)
+        array = self.array
+        # Reclaim space *before* taking a page so the pool never empties
+        # under the incoming write.  (_maybe_gc does nothing unless a
+        # pass is running or some plane is low; skip the call then.)
+        if self._gc_planes or array.gc_low_plane_count:
+            try:
+                t = self._maybe_gc(plane, t)
+            except FlashStateError as exc:
+                # GC itself ran out of destination space: the write point
+                # cannot absorb this write.  Partial collections are
+                # consistent (moved pages are already remapped), so fail
+                # per-request.  (A roaming write point reclaims into the
+                # pool it places from: one failure, one text.)
+                raise OutOfSpaceError(
+                    f"cannot place write for lpn {lpn} — device full" if allocator.plane is None
+                    else f"plane {plane}: cannot reclaim space for lpn {lpn} — device full"
+                ) from exc
+        old_ppn = self.page_table[lpn]
+        ppb = self._pages_per_block
+        faults = self.faults
+        try:
+            if faults is None:
+                # allocator.allocate(lpn) and FlashArray.program, less the
+                # calls: the array's checks, generation stamp and event are
+                # kept (its ascending-order check cannot fail here — this
+                # is the block's next page).
+                block = allocator.current_block
+                if block is None or array.block_write_ptr[block] == ppb:
+                    block = allocator._ensure_block()
+                offset = array.block_write_ptr[block]
+                new_ppn = block * ppb + offset
+                if array.page_state[new_ppn] != PAGE_FREE:
+                    raise FlashStateError(f"program of non-free page {new_ppn}")
+                if array._block_is_free[block]:
+                    raise FlashStateError(f"program into unallocated block {block}")
+                array.block_write_ptr[block] = offset + 1
+                array.page_state[new_ppn] = PAGE_VALID
+                array.page_owner[new_ppn] = lpn
+                array.block_valid[block] += 1
+                array.write_stamp = stamp = array.write_stamp + 1
+                array.block_write_stamp[block] = stamp
+                if array.page_gen is not None:
+                    gen = array.stamp_gen(new_ppn, lpn)
+                    if BUS.enabled:
+                        BUS.emit("array", "program", 0.0, 0.0,
+                                 {"ppn": new_ppn, "owner": lpn, "gen": gen}, None, "i")
+                elif BUS.enabled:
+                    BUS.emit("array", "program", 0.0, 0.0,
+                             {"ppn": new_ppn, "owner": lpn}, None, "i")
+            else:
+                # Fault-aware path: a failed program burns the page and
+                # retries through the same write point (on the same plane
+                # when the allocator is plane-bound).
+                new_ppn, t = faults.program(allocator, lpn, t)
+        except FlashStateError as exc:
+            where = "" if allocator.plane is None else f"plane {plane}: "
+            raise OutOfSpaceError(
+                f"{where}cannot place write for lpn {lpn} — device full"
+            ) from exc
+        # The plane the page landed on, not the hook's: a roaming write
+        # point's pre-write pass relocates through the same allocator and
+        # can move the active block to another plane.
+        plane = new_ppn // self._pages_per_plane
+        if faults is None:
+            t = self.clock.program_page(plane, t)
+        if old_ppn != -1:
+            # FlashArray.invalidate(old_ppn), less the call
+            if array.page_state[old_ppn] != PAGE_VALID:
+                raise FlashStateError(f"invalidate of non-valid page {old_ppn}")
+            old_block = old_ppn // ppb
+            array.page_state[old_ppn] = PAGE_INVALID
+            array.page_owner[old_ppn] = OWNER_NONE
+            array.block_valid[old_block] -= 1
+            array.block_invalid[old_block] += 1
+            if BUS.enabled:
+                BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": old_ppn}, None, "i")
+        self.page_table[lpn] = new_ppn
+        t = self.tm.charge_update(lpn, t)
+        if self._gc_planes or array.gc_low_plane_count:
+            t = self._maybe_gc(plane, t)
         if self.debug_checks:
             self.verify_integrity()
         return t

@@ -178,9 +178,9 @@ _TIMEKEEPER = ("repro.flash.timekeeper",)
 _COMMANDS = ("repro.flash.commands",)
 _ARRAY = ("repro.flash.array",)
 #: program/invalidate are also emitted where a page path inlines the
-#: transition: DLOOP's host write and translation write-back, the
-#: log-block family's append and merge copy.
-_ARRAY_PAGE = _ARRAY + ("repro.core.dloop", "repro.ftl.translation", "repro.ftl.logblock")
+#: transition: the demand-paged family's host write and translation
+#: write-back, the log-block family's append and merge copy.
+_ARRAY_PAGE = _ARRAY + ("repro.ftl.translation", "repro.ftl.logblock")
 _CONTROLLER = ("repro.controller.controller",)
 _BASE_FAST = ("repro.ftl.base", "repro.ftl.fast")
 

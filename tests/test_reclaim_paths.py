@@ -341,16 +341,21 @@ def _arm_generations(ftl) -> None:
     ftl.write_page = stamped_write
 
 
-def merge_event_stream(cell_id: str, armed: bool) -> dict:
-    """Event count and CRC32 of a cell's whole TraceBus stream."""
-    with BUS.capture() as events:
-        observe(CELLS[cell_id], _arm_generations if armed else None)
+def event_stream_crc(events) -> dict:
+    """Event count and CRC32 of a TraceBus stream, in emission order."""
     crc = 0
     for event in events:
         record = (event.category, event.name, event.ts_us, event.duration_us,
                   sorted((event.args or {}).items()))
         crc = zlib.crc32(repr(record).encode(), crc)
     return {"events": len(events), "crc32": crc}
+
+
+def merge_event_stream(cell_id: str, armed: bool) -> dict:
+    """Event count and CRC32 of a cell's whole TraceBus stream."""
+    with BUS.capture() as events:
+        observe(CELLS[cell_id], _arm_generations if armed else None)
+    return event_stream_crc(events)
 
 
 @pytest.mark.parametrize("armed", (False, True), ids=("disarmed", "armed"))
