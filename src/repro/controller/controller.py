@@ -14,8 +14,11 @@ requests are still queued elsewhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from heapq import heappush
+from heapq import heappush, merge
+from itertools import chain
+from operator import attrgetter
 from typing import List
 
 import numpy as np
@@ -26,15 +29,23 @@ from repro.sim.engine import Engine
 from repro.sim.request import OP_TRIM, OP_WRITE, IoRequest
 
 
+_ARRIVAL = attrgetter("arrival_us")
+
+
 class StreamOrderError(ValueError):
     """A streamed trace yielded an arrival earlier than its predecessor.
 
     ``submit_stream`` admits lazily from the current clock, so an
-    out-of-order trace would silently serve requests in a different
-    order than ``submit_many`` — raised (by default) instead of letting
-    the two paths diverge.  Pass ``on_unordered="normalize"`` to clamp
-    late arrivals to the running maximum (FIFO semantics) instead.
+    out-of-order trace would silently be served in iterator order —
+    raised (by default) instead.  Pass ``on_unordered="normalize"`` to
+    clamp late arrivals to the running maximum (FIFO semantics), or hand
+    the trace to ``submit_many``, which sorts it.
     """
+
+
+class StreamArmedError(ValueError):
+    """``submit_stream`` while the previous stream still holds requests:
+    replacing it would drop its unadmitted tail without a word."""
 
 
 @dataclass
@@ -131,32 +142,50 @@ class Controller:
         self.engine.schedule_at(request.arrival_us, self._arrive, request)
 
     def submit_many(self, requests) -> int:
-        """Batch-register requests (one heap repair instead of N sifts).
+        """Submit a batch: stable sort by arrival, then streamed admission.
 
+        The batch rides :meth:`submit_stream` with an unbounded window,
+        so the event queue holds the requests in flight and one
+        successor, never the batch.  An arrival earlier than the clock
+        raises ``ValueError`` before anything is admitted.  A batch
+        submitted while an unbounded stream is still armed
+        (``run(a, until=T)`` then ``run(b)``) joins it in arrival order.
         Returns the number of requests submitted.
         """
-        arrive = self._arrive
-        handles = self.engine.schedule_many(
-            (request.arrival_us, arrive, request) for request in requests
-        )
-        return len(handles)
+        batch = sorted(requests, key=_ARRIVAL)
+        if not batch:
+            return 0
+        now = self.engine._now
+        if batch[0].arrival_us < now:
+            raise ValueError(f"cannot schedule at {batch[0].arrival_us} before now ({now})")
+        if self._stream is not None and self._stream_depth is None:
+            # The armed stream's next arrival is already posted: what
+            # precedes it is posted too, the rest merges into the
+            # unadmitted tail (older stream first on ties).
+            early = bisect_left(batch, self._stream_last_arrival, key=_ARRIVAL)
+            for request in batch[:early]:
+                self.engine.post(request.arrival_us, self._arrive, request)
+            self._stream = merge(self._stream, batch[early:], key=_ARRIVAL)
+        else:
+            self.submit_stream(iter(batch))
+        return len(batch)
 
     def submit_stream(
         self, requests, queue_depth: int | None = None, on_unordered: str = "raise"
     ) -> None:
         """Lazily admit requests from an iterator (NCQ admission model).
 
-        Unlike :meth:`submit_many`, which pre-schedules every arrival
-        (O(trace) heap entries), this pulls from ``requests`` one at a
-        time: at most one not-yet-arrived request is in the event queue,
-        so a multi-million-request trace runs in O(1) controller memory.
+        The one admission path (:meth:`submit_many` sorts and calls
+        this): it pulls from ``requests`` one at a time, so at most one
+        not-yet-arrived request is in the event queue and a
+        multi-million-request trace runs in O(1) controller memory.
         Arrivals must be time-ordered (the generators and trace parsers
-        all are): out-of-order arrivals would silently serve in a
-        different order than :meth:`submit_many`, so they raise
-        :class:`StreamOrderError` by default.  Parsed traces that are
-        legitimately unordered can pass ``on_unordered="normalize"`` to
-        clamp late arrivals up to the running maximum (FIFO order; the
-        clamp shows up as host-side queueing delay in the stats).
+        all are): out-of-order arrivals would silently be served in
+        iterator order, so they raise :class:`StreamOrderError` by
+        default.  Parsed traces that are legitimately unordered can
+        pass ``on_unordered="normalize"`` to clamp late arrivals up to
+        the running maximum (FIFO order; the clamp shows up as host-side
+        queueing delay in the stats).
 
         ``queue_depth`` bounds the admitted-but-uncompleted window, the
         way NCQ/host queue depth bounds a real drive: when the window is
@@ -164,23 +193,28 @@ class Controller:
         ``max(completion_now, its arrival time)``.  Its recorded
         response time still runs from the original arrival, so host-side
         queueing delay shows up in the latency stats.  ``None`` means
-        unbounded: every request arrives exactly at its timestamp, and
-        the run is event-for-event identical to :meth:`submit_many`
-        unless an arrival ties an earlier request's completion; then
-        completions posted earlier fire first (a streamed arrival takes
-        its sequence number when its predecessor arrives, not up
-        front).  The FTL sees the same calls in the same order either
-        way; ``peak_outstanding``, ``queue_depth`` counter events and
-        ``on_idle`` can differ
-        (``tests/test_stream.py::test_arrival_tying_an_older_completion``).
+        unbounded: every request arrives exactly at its timestamp.
+
+        Event order: at equal time, what was posted first fires first,
+        and an arrival is posted when its predecessor arrives — so a
+        completion posted before that fires ahead of an arrival it ties.
+        Raises :class:`StreamArmedError` while a previous stream still
+        holds unadmitted requests.
         """
         if queue_depth is not None and queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if on_unordered not in ("raise", "normalize"):
             raise ValueError("on_unordered must be 'raise' or 'normalize'")
+        head = next(self._stream, None) if self._stream is not None else None
+        if head is not None:
+            self._stream = chain((head,), self._stream)
+            raise StreamArmedError(
+                f"the previous stream is still armed: {self._stream_window} admitted "
+                f"requests in flight (last arrival {self._stream_last_arrival}) and "
+                "an unadmitted tail; run it to completion or abort_stream() first"
+            )
         self._stream = iter(requests)
         self._stream_depth = queue_depth
-        self._stream_window = 0
         self._stream_deferred = False
         self._stream_last_arrival = -math.inf
         self._stream_normalize = on_unordered == "normalize"
@@ -246,8 +280,8 @@ class Controller:
 
     def _arrive_streamed(self, request: IoRequest) -> None:
         # Pull the successor *before* serving this request so the next
-        # arrival is scheduled from the current clock — for monotone
-        # traces this preserves submit_many's arrival processing order.
+        # arrival is scheduled from the current clock and takes its
+        # sequence number ahead of this request's completion.
         # This is ``_admit`` and its ``Engine.post``, less the two calls.
         stream = self._stream
         if stream is not None:

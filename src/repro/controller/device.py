@@ -131,13 +131,29 @@ class SimulatedSSD:
         self.controller.submit(request)
 
     def run(self, requests: Iterable[IoRequest] = (), until: Optional[float] = None) -> float:
-        """Submit ``requests`` and run the simulation to completion."""
+        """Submit ``requests`` and run the simulation to completion.
+
+        The batch is sorted by arrival and admitted like an unbounded
+        stream (:meth:`Controller.submit_many`); the stats stay the
+        list-backed :class:`RequestStats` (exact percentiles).
+        """
         self.controller.submit_many(requests)
-        end = self.engine.run(until=until)
+        end = self._run_engine(until)
         if self.sanitizer is not None:
             # Full coherence sweep once the event queue drains.
             self.sanitizer.check_now()
         return end
+
+    def _run_engine(self, until: Optional[float]) -> float:
+        try:
+            return self.engine.run(until=until)
+        except BaseException:
+            # A raise mid-run (TortureCrash, SanitizerError, ...) must
+            # not leave admission armed: a later run on the same
+            # controller would inherit the unadmitted tail.  ``until=``
+            # pauses return normally and keep the run resumable.
+            self.controller.abort_stream()
+            raise
 
     def run_stream(
         self,
@@ -154,12 +170,9 @@ class SimulatedSSD:
         admission window (:meth:`Controller.submit_stream`): at most one
         not-yet-arrived request sits in the event queue, so replaying a
         multi-million-request trace costs O(1) simulator memory on top
-        of the flash state.  With ``queue_depth=None`` the run is
-        event-identical to :meth:`run` on the materialized list unless
-        an arrival ties an earlier request's completion; then
-        completions posted earlier fire first (same FTL calls in the
-        same order; ``peak_outstanding`` can differ — see
-        :meth:`Controller.submit_stream`).
+        of the flash state.  With ``queue_depth=None`` and
+        ``streaming_stats=False`` the run is event for event
+        :meth:`run` on the materialized list.
 
         ``streaming_stats`` swaps the controller's list-backed
         :class:`RequestStats` for the O(1)-memory
@@ -181,16 +194,7 @@ class SimulatedSSD:
         self.controller.submit_stream(
             requests, queue_depth=queue_depth, on_unordered=on_unordered
         )
-        try:
-            end = self.engine.run(until=until)
-        except BaseException:
-            # A raise mid-stream (TortureCrash, SanitizerError, ...)
-            # must not leave the NCQ window armed: a later submit_many
-            # replay on the same controller would inherit the stale
-            # admission state.  ``until=`` pauses return normally and
-            # keep the stream resumable.
-            self.controller.abort_stream()
-            raise
+        end = self._run_engine(until)
         if self.sanitizer is not None:
             self.sanitizer.check_now()
         return end
@@ -343,11 +347,7 @@ class SimulatedSSD:
             self.controller.submit_stream(iter(requests), queue_depth=queue_depth)
         else:
             self.controller.submit_many(requests)
-        try:
-            self.engine.run(until=crash_at_us)
-        except BaseException:
-            self.controller.abort_stream()
-            raise
+        self._run_engine(crash_at_us)
         return self.crash()
 
     def flush(self) -> float:

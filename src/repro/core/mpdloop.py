@@ -83,5 +83,6 @@ class MultiPlaneDloopFtl(DloopFtl):
             t = self._maybe_gc(plane, t)
         self.multi_plane_batches += 1
         self.multi_plane_pages += len(batch)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.flash.array import FlashArray, FlashStateError
 
 
@@ -110,10 +108,11 @@ class RoamingAllocator:
         self._ppb = array.geometry.pages_per_block
 
     def _pick_plane(self) -> int:
-        counts = np.array([self.array.free_block_count(p) for p in self.planes])
-        if counts.max() == 0:
+        # the first plane among the fullest (``max`` keeps the first of equals)
+        plane = max(self.planes, key=self.array.free_block_count)
+        if self.array.free_block_count(plane) == 0:
             raise FlashStateError("no free blocks on any plane")
-        return self.planes[int(np.argmax(counts))]
+        return plane
 
     def _ensure_block(self) -> int:
         block = self.current_block

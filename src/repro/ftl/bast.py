@@ -78,7 +78,8 @@ class BastFtl(LogBlockMixin, Ftl):
             self.stats.unmapped_reads += 1
             return start
         t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
@@ -97,7 +98,8 @@ class BastFtl(LogBlockMixin, Ftl):
         else:
             self.log_of_lbn.move_to_end(lbn)  # refresh recency
         t = self._append_log(block, lpn, t)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     # ---- log management --------------------------------------------------------

@@ -109,7 +109,8 @@ class FastFtl(LogBlockMixin, Ftl):
             t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
         else:
             t = self._fault_read_data(lpn, ppn, start)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
@@ -133,7 +134,8 @@ class FastFtl(LogBlockMixin, Ftl):
             t = self._append_log(self.sw.block, lpn, t)
         else:
             t = self._append_rw(lpn, t)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     # ---- log management --------------------------------------------------------
@@ -158,8 +160,9 @@ class FastFtl(LogBlockMixin, Ftl):
 
     def _append_rw(self, lpn: int, now: float) -> float:
         t = now
-        if self.current_rw is not None and self.array.block_free_pages(self.current_rw) == 0:
-            self.rw_blocks.append(self.current_rw)
+        rw = self.current_rw
+        if rw is not None and self.array.block_write_ptr[rw] == self.pages_per_block:
+            self.rw_blocks.append(rw)
             self.current_rw = None
         if self.current_rw is None:
             self.current_rw, t = self._alloc_log_block(t)

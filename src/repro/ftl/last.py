@@ -97,7 +97,8 @@ class LastFtl(LogBlockMixin, Ftl):
             self.stats.unmapped_reads += 1
             return start
         t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
@@ -121,7 +122,8 @@ class LastFtl(LogBlockMixin, Ftl):
         else:
             t = self._append_random(lpn, t)
         self._note_recent(lpn)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     # ---- hotness ------------------------------------------------------------------

@@ -166,9 +166,8 @@ class LogBlockMixin:
         """Free block from the preferred plane, else the fullest pool."""
         if self.array.free_block_count(preferred_plane) > 0:
             return self.array.allocate_block(preferred_plane)
-        counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
-        best = int(np.argmax(counts))
-        if counts[best] == 0:
+        best = max(range(self.num_planes), key=self.array.free_block_count)
+        if self.array.free_block_count(best) == 0:
             raise OutOfSpaceError("no free blocks on any plane")
         return self.array.allocate_block(best)
 

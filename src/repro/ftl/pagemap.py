@@ -115,7 +115,8 @@ class PageMapFtl(Ftl):
             self.array.invalidate(old_ppn)
         self.page_table[lpn] = new_ppn
         t = self._maybe_gc(plane, t)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     # ---- preconditioning --------------------------------------------------------

@@ -79,17 +79,13 @@ class SuperblockFtl(Ftl):
         return lpn // self.pages_per_superblock
 
     def _alloc_block(self) -> int:
-        """Round-robin across planes, falling back to the fullest pool."""
+        """Round-robin across planes: the next one with a free block."""
         for _ in range(self.num_planes):
             plane = self._plane_rr % self.num_planes
             self._plane_rr += 1
             if self.array.free_block_count(plane) > 0:
                 return self.array.allocate_block(plane)
-        counts = [self.array.free_block_count(p) for p in range(self.num_planes)]
-        best = int(np.argmax(counts))
-        if counts[best] == 0:
-            raise OutOfSpaceError("no free blocks on any plane")
-        return self.array.allocate_block(best)
+        raise OutOfSpaceError("no free blocks on any plane")
 
     def _write_point(self, sb: int, now: float) -> tuple:
         """The superblock's current block with a free page (may GC)."""
@@ -132,7 +128,8 @@ class SuperblockFtl(Ftl):
             self.stats.unmapped_reads += 1
             return start
         t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     def write_page(self, lpn: int, start: float) -> float:
@@ -149,7 +146,8 @@ class SuperblockFtl(Ftl):
         if old_ppn != -1:
             self.array.invalidate(old_ppn)
         self.page_table[lpn] = ppn
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
     # ---- superblock-local garbage collection -----------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.tracebus import BUS
 
@@ -106,30 +106,6 @@ class Engine:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_many(self, events: Iterable[tuple]) -> List[EventHandle]:
-        """Batch-schedule ``(time, callback, *args)`` items.
-
-        Equivalent to calling :meth:`schedule_at` per item (same
-        sequence numbers, same firing order) with one entry point and a
-        single heap repair: the batch is appended and the heap
-        re-established once, which beats item-by-item sifting for the
-        large request batches drivers submit up front.
-        """
-        now = self._now
-        heap = self._heap
-        seq_counter = self._seq
-        handles: List[EventHandle] = []
-        for time, callback, *args in events:
-            if time < now:
-                raise ValueError(f"cannot schedule at {time} before now ({now})")
-            seq = next(seq_counter)
-            handle = EventHandle(time, seq, callback, tuple(args))
-            heap.append((time, seq, handle))
-            handles.append(handle)
-        if handles:
-            heapq.heapify(heap)
-        return handles
 
     def clear_pending(self) -> int:
         """Cancel every not-yet-fired event (power loss: in-flight work

@@ -52,8 +52,10 @@ class IoRequest:
         serving this request.
     streamed:
         True when the request was admitted through the controller's
-        streaming admission window (``submit_stream``) and must return
-        a window slot on completion.
+        admission window and must return a slot on completion: every
+        request of a ``run`` / ``submit_many`` batch or a
+        ``submit_stream`` (all but single ``submit`` calls and the head
+        of a batch that joins a paused run).
     tenant:
         Namespace id of the tenant that issued the request (multi-tenant
         admission, ``repro.tenancy``), or None for single-tenant runs.

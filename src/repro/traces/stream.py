@@ -1,9 +1,9 @@
 """Streaming workload pipeline: O(chunk)-memory trace generation.
 
-Every path into ``SimulatedSSD.run()`` used to materialize the whole
-trace as a Python list — O(trace) RAM, which caps replay size long
+A materialized trace is O(trace) RAM, which caps replay size long
 before the paper's multi-million-request evaluations (Section V).  This
-module is the bounded-memory front end:
+module is the bounded-memory front end to ``SimulatedSSD.run_stream()``
+(``run()`` admits a list the same way, once sorted):
 
 * :func:`stream_workload` — the synthetic generator as a lazy iterator.
   Random draws happen in fixed-size numpy blocks, so memory is

@@ -131,3 +131,25 @@ def test_roaming_peek_plane_matches_next_allocation(array):
     plane = alloc.peek_plane()
     ppn = alloc.allocate(0)
     assert array.codec.ppn_to_plane(ppn) == plane
+
+
+def test_roaming_allocator_takes_the_first_of_the_fullest_planes(array):
+    """``np.argmax``'s tie-break, kept without numpy: among planes with
+    equally many free blocks, the lowest-numbered one."""
+    array.allocate_block(0)
+    array.allocate_block(2)
+    array.allocate_block(2)
+    alloc = RoamingAllocator(array)
+    assert alloc._pick_plane() == 1  # planes 1 and 3 tie for the most
+    array.allocate_block(1)
+    array.allocate_block(1)
+    assert alloc._pick_plane() == 3
+    assert RoamingAllocator(array, planes=range(0, 3))._pick_plane() == 0
+
+
+def test_roaming_allocator_exhaustion_text(array):
+    for plane in range(array.geometry.num_planes):
+        while array.free_block_count(plane):
+            array.allocate_block(plane)
+    with pytest.raises(FlashStateError, match="^no free blocks on any plane$"):
+        RoamingAllocator(array)._pick_plane()

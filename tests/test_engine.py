@@ -187,10 +187,9 @@ def test_pending_accounting_under_schedule_cancel_churn():
         for _ in range(rng.randrange(1, 8)):
             if rng.random() < 0.5:
                 handles.extend(
-                    engine.schedule_many(
-                        (engine.now + rng.random() * 10.0, fired.append, len(handles))
-                        for _ in range(rng.randrange(1, 4))
-                    )
+                    engine.schedule_at(
+                        engine.now + rng.random() * 10.0, fired.append, len(handles))
+                    for _ in range(rng.randrange(1, 4))
                 )
             else:
                 handles.append(
@@ -212,40 +211,4 @@ def test_pending_accounting_under_schedule_cancel_churn():
     assert all(h.fired or h.cancelled for h in handles)
     for h in handles:  # cancel after the run is a universal no-op
         engine.cancel(h)
-    assert engine.pending == 0
-
-
-def test_schedule_many_interleaves_with_existing_events():
-    engine = Engine()
-    fired = []
-    engine.schedule_at(5.0, fired.append, "single-5")
-    engine.schedule_at(15.0, fired.append, "single-15")
-    engine.schedule_many(
-        [
-            (10.0, fired.append, "batch-10"),
-            (1.0, fired.append, "batch-1"),
-            (20.0, fired.append, "batch-20"),
-        ]
-    )
-    assert engine.pending == 5
-    engine.run()
-    assert fired == ["batch-1", "single-5", "batch-10", "single-15", "batch-20"]
-
-
-def test_schedule_many_same_time_keeps_submission_order():
-    engine = Engine()
-    fired = []
-    engine.schedule_many([(3.0, fired.append, i) for i in range(6)])
-    engine.run()
-    assert fired == [0, 1, 2, 3, 4, 5]
-
-
-def test_schedule_many_handles_are_cancellable():
-    engine = Engine()
-    fired = []
-    handles = engine.schedule_many([(float(t), fired.append, t) for t in range(1, 5)])
-    engine.cancel(handles[1])
-    engine.cancel(handles[2])
-    engine.run()
-    assert fired == [1, 4]
     assert engine.pending == 0

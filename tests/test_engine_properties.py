@@ -168,12 +168,6 @@ class PendingMachine(RuleBasedStateMachine):
     def post(self, delay):
         self.engine.post(self._at(delay), int, 0)
 
-    @rule(delays=st.lists(st.floats(0, 100, allow_nan=False), max_size=5))
-    def schedule_many(self, delays):
-        self.handles.extend(
-            self.engine.schedule_many((self._at(d), int) for d in delays)
-        )
-
     @rule(data=st.data())
     def cancel(self, data):
         # any handle ever returned: pending, cancelled before, fired, dropped

@@ -91,3 +91,22 @@ def test_mixin_summary(small_geometry, timing):
     ftl.write_page(1, 0.0)
     summary = ftl.log_block_summary()
     assert summary["associations"] == 1
+
+
+def test_alloc_block_falls_back_to_the_first_of_the_fullest_pools(small_geometry, timing):
+    """Preferred plane empty: the pool with the most free blocks, the
+    lowest-numbered one on a tie (``np.argmax``'s rule, without numpy)."""
+    from repro.ftl.base import OutOfSpaceError
+
+    ftl = BastFtl(small_geometry, timing)
+    array = ftl.array
+    while array.free_block_count(0):
+        array.allocate_block(0)
+    array.allocate_block(1)  # planes 2 and 3 now tie for the most
+    block = ftl._alloc_block(0)
+    assert array.codec.block_to_plane(block) == 2
+    for plane in range(1, small_geometry.num_planes):
+        while array.free_block_count(plane):
+            array.allocate_block(plane)
+    with pytest.raises(OutOfSpaceError, match="^no free blocks on any plane$"):
+        ftl._alloc_block(0)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -139,41 +137,3 @@ def test_timings_never_gate():
     baseline.records[0].wall_s = 1e-9  # absurdly fast baseline
     baseline.records[0].throughput_per_s = 1e12
     assert compare_reports(current, baseline).ok
-
-
-# ---- engine batch scheduling (used by the device request path) -------------
-
-
-def test_schedule_many_matches_sequential_scheduling():
-    rng = random.Random(11)
-    times = [rng.random() * 50 for _ in range(200)]
-
-    fired_a: list = []
-    a = Engine()
-    for i, t in enumerate(times):
-        a.schedule_at(t, fired_a.append, i)
-    a.run()
-
-    fired_b: list = []
-    b = Engine()
-    handles = b.schedule_many((t, fired_b.append, i) for i, t in enumerate(times))
-    assert len(handles) == len(times)
-    assert b.pending == len(times)
-    b.run()
-
-    assert fired_a == fired_b
-    assert a.now == b.now
-
-
-def test_schedule_many_rejects_past_times():
-    engine = Engine()
-    engine.schedule_at(5.0, lambda: None)
-    engine.run()
-    with pytest.raises(ValueError):
-        engine.schedule_many([(1.0, lambda: None)])
-
-
-def test_schedule_many_empty_is_noop():
-    engine = Engine()
-    assert engine.schedule_many([]) == []
-    assert engine.pending == 0

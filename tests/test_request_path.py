@@ -4,6 +4,7 @@ deterministic call budget per request."""
 
 import heapq
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,31 @@ def test_late_successor_is_admitted_at_now_not_in_the_past():
     assert all(now >= arrival for now, arrival in fired)
     # served back to back: each enters when its predecessor completes
     assert [now for now, _ in fired[1:]] == [r.completion_us for r in requests[:-1]]
+
+
+def test_event_queue_is_bounded_by_the_window():
+    """``run(list)`` keeps the in-flight requests and one successor in
+    the event queue, never the batch: pre-scheduling every arrival held
+    up to 1 999 entries here (37 999 on perfbench's ``build_fast_mat``,
+    where the in-flight peak is 19)."""
+    geometry = scaled_geometry(8, scale=1 / 32)
+    ssd = SimulatedSSD(geometry, ftl="dloop", stats_interval_us=20_000.0)
+    ssd.precondition(0.45)
+    spec = make_workload("build", 2000, int(geometry.capacity_bytes * 0.25))
+    requests = list(stream_io_requests(spec, geometry))
+    controller, engine = ssd.controller, ssd.engine
+    high_water = [0]
+
+    def sample(request):
+        # completions of the requests in flight + the posted successor
+        # + the sampler's armed tick
+        assert len(engine._heap) <= controller.outstanding + 2
+        high_water[0] = max(high_water[0], len(engine._heap))
+
+    controller.on_complete.append(sample)
+    ssd.run(requests)
+    assert ssd.stats.count == 2000
+    assert 2 < high_water[0] <= controller.peak_outstanding + 1 < 40
 
 
 # ---- wrapped seams (what perfbench.rep._wrap_layers does) --------------------
@@ -271,6 +297,28 @@ def test_python_calls_per_request_budget():
     assert ssd.stats.count == n
     assert ssd.stats.reservoir.seen == n > ssd.stats.reservoir.capacity
     assert calls / n <= 12.5
+
+
+def test_list_and_stream_enter_the_same_frames_per_request():
+    """One admission path: ``run(list)`` costs what the streamed form
+    over the same list costs, frame for frame: the one frame between
+    them is ``submit_many`` itself (its sort key is a C ``attrgetter``)."""
+    geometry = scaled_geometry(8, scale=1 / 32)
+    spec = make_workload("financial2", 2000, int(geometry.capacity_bytes * 0.25))
+    frames = {}
+    for form in ("list", "stream"):
+        ssd = SimulatedSSD(geometry, ftl="dloop")
+        ssd.precondition(0.45)
+        requests = list(stream_io_requests(spec, geometry))
+        if form == "list":
+            run = partial(ssd.run, requests)
+        else:
+            run = partial(ssd.run_stream, iter(requests), queue_depth=None,
+                          streaming_stats=False)
+        frames[form] = _python_frames(run)
+        assert ssd.stats.count == 2000
+    assert frames["list"] == frames["stream"] + 1
+    assert frames["list"] / 2000 <= 9.2  # 9.07 measured
 
 
 @pytest.mark.parametrize("ftl_name", ("dftl", "dloop"))

@@ -201,16 +201,13 @@ def test_unbounded_stream_is_fingerprint_identical(ftl_name):
 
 
 def test_arrival_tying_an_older_completion():
-    """Where ``run_stream(queue_depth=None)`` and ``run`` are *not*
-    event-for-event identical: an arrival that ties an earlier
-    request's completion.  ``submit_many`` numbers every arrival up
-    front, so the arrival fires first; a streamed arrival takes its
-    sequence number when its predecessor arrives — after the older
-    completion was posted — so the completion fires first.  The FTL
-    sees the same calls in the same order either way; the in-flight
-    high-water mark (and with it ``queue_depth`` counter events and
-    ``on_idle``) can differ.  Recorded as it is: this is what stands
-    between the two admission paths and a merge."""
+    """One rule for ties, however the trace is handed over: at equal
+    time, what was posted first fires first, and an arrival is posted
+    when its predecessor arrives.  An arrival that ties an *older*
+    request's completion therefore fires after it — ``run(list)`` used
+    to number every arrival up front and fire the arrival first, with a
+    different in-flight high-water mark (and ``queue_depth`` counters,
+    and ``on_idle``) for the same trace."""
     from repro.obs.tracebus import BUS
 
     def trace(third_arrival):
@@ -238,18 +235,18 @@ def test_arrival_tying_an_older_completion():
         finally:
             BUS.unsubscribe(subscriber)
         return (names, ssd.controller.peak_outstanding,
-                [r.completion_us for r in requests], ftl_fingerprint(ssd.ftl, end))
+                [r.completion_us for r in requests], ftl_fingerprint(ssd.ftl, end),
+                [r.streamed for r in requests])
 
     listed = engine_events(lambda ssd, requests: ssd.run(requests))
     streamed = engine_events(
-        lambda ssd, requests: ssd.run_stream(iter(requests), queue_depth=None))
-    assert listed[0] == ["_arrive", "_arrive", "_arrive",
-                         "_complete", "_complete", "_complete"]
-    assert streamed[0] == ["_arrive_streamed", "_arrive_streamed", "_complete",
-                           "_arrive_streamed", "_complete", "_complete"]
-    assert (listed[1], streamed[1]) == (3, 2)
-    # same service either way
-    assert listed[2:] == streamed[2:]
+        lambda ssd, requests: ssd.run_stream(
+            iter(requests), queue_depth=None, streaming_stats=False))
+    assert listed == streamed
+    assert listed[0] == ["_arrive_streamed", "_arrive_streamed", "_complete",
+                         "_arrive_streamed", "_complete", "_complete"]
+    assert listed[1] == 2
+    assert listed[4] == [True, True, True]
 
 
 @pytest.mark.parametrize("ftl_name", ["dloop", "dftl", "fast"])

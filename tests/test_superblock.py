@@ -112,3 +112,19 @@ def test_registry(small_geometry):
     from repro.ftl.registry import create_ftl
 
     assert isinstance(create_ftl("superblock", small_geometry), SuperblockFtl)
+
+
+def test_alloc_block_round_robins_then_reports_end_of_life(ftl):
+    """The round-robin probes every plane, so running out of its loop
+    *is* "no free blocks on any plane"."""
+    from repro.ftl.base import OutOfSpaceError
+
+    array = ftl.array
+    for plane in range(1, ftl.num_planes):
+        while array.free_block_count(plane):
+            array.allocate_block(plane)
+    assert array.codec.block_to_plane(ftl._alloc_block()) == 0
+    while array.free_block_count(0):
+        array.allocate_block(0)
+    with pytest.raises(OutOfSpaceError, match="^no free blocks on any plane$"):
+        ftl._alloc_block()
