@@ -9,7 +9,6 @@ The subcommands cover the library's workflows end to end::
     repro-sim simulate  --profile run.pstats ...                # + cProfile
     repro-sim tracegen  --workload tpcc --out trace.spc ...     # save a trace
     repro-sim sweep     --figure 8 --out fig8.csv ...           # a paper grid
-    repro-sim bench     --quick --check BENCH_seed.json         # perf suite + gate
     repro-sim conform   --ftls dloop dftl --json report.json    # contract conformance
     repro-sim torture   --budget 40 --json torture.json         # crash-point sweeps
     repro-sim report    --input results.json                    # tables/charts
@@ -371,80 +370,6 @@ def cmd_trace_stats(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.perf import compare_reports, load_report, run_suite, save_report
-
-    only = args.only.split(",") if args.only else None
-    report = run_suite(
-        quick=args.quick,
-        label=args.label,
-        only=only,
-        repeat=args.repeat,
-        progress=lambda name: print(f"running {name} ...", flush=True),
-    )
-    rows = []
-    for rec in report.records:
-        rows.append({
-            "benchmark": rec.name + (" *" if rec.headline else ""),
-            "wall (s)": round(rec.wall_s, 3),
-            f"throughput": f"{rec.throughput_per_s:,.0f} {rec.unit}/s",
-            "peak RSS (MB)": round(rec.peak_rss_kb / 1024.0, 1),
-        })
-    mode = "quick" if report.quick else "full"
-    print(format_table(rows, title=f"repro-sim bench ({mode} suite, * = headline)"))
-    out = args.out or f"BENCH_{args.label}.json"
-    save_report(report, out)
-    print(f"\nreport saved to {out}")
-    if args.check:
-        baseline = load_report(args.check)
-        result = compare_reports(report, baseline)
-        print(f"\nchecking determinism fingerprints against {args.check}:")
-        for name, (cur, base) in sorted(result.throughput.items()):
-            ratio = cur / base if base else float("inf")
-            status = "MISMATCH" if name in result.mismatches else "ok"
-            print(f"  {name:<18} fingerprint {status:<9} speed {ratio:5.2f}x baseline")
-        for name in result.missing:
-            print(f"  {name:<18} MISSING from this run")
-        if not result.ok:
-            print("\nFAIL: determinism fingerprints drifted from the baseline — "
-                  "an optimisation changed simulation behaviour.")
-            return 1
-        print("\nall fingerprints match the baseline (timings are informational)")
-    if args.compare:
-        baseline = load_report(args.compare)
-        result = compare_reports(report, baseline)
-        cmp_rows = []
-        for base_rec in baseline.records:
-            cur_rec = report.record(base_rec.name)
-            if cur_rec is None:
-                continue
-            speedup = (cur_rec.throughput_per_s / base_rec.throughput_per_s
-                       if base_rec.throughput_per_s else float("inf"))
-            cmp_rows.append({
-                "benchmark": base_rec.name + (" *" if base_rec.headline else ""),
-                "baseline": f"{base_rec.throughput_per_s:,.0f} {base_rec.unit}/s",
-                "current": f"{cur_rec.throughput_per_s:,.0f} {cur_rec.unit}/s",
-                "speedup": f"{speedup:.2f}x",
-                "fingerprint": "DRIFT" if base_rec.name in result.mismatches else "ok",
-            })
-        print()
-        print(format_table(
-            cmp_rows,
-            title=f"speedup vs {args.compare} (label {baseline.label!r}, * = headline)",
-        ))
-        for name in result.missing:
-            print(f"  {name}: MISSING from this run")
-        if not result.ok:
-            problems = [f"{n} drifted" for n in result.mismatches]
-            problems += [f"{n} missing" for n in result.missing]
-            print(f"\nFAIL: comparison vs {args.compare}: {', '.join(problems)} — "
-                  "fingerprint drift means an optimisation changed simulation "
-                  "behaviour; missing records mean the baseline was not re-run.")
-            return 1
-        print("\nall fingerprints match the baseline; speedups are honest")
-    return 0
-
-
 def cmd_lint(args) -> int:
     from repro.lint import run_lint
 
@@ -733,32 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--trace", help="analyse a trace file instead of a synthetic workload")
     _add_workload_args(stats)
     stats.set_defaults(func=cmd_trace_stats)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf microbenchmark suite (repro.perf)",
-        description="Fixed microbenchmark suite: engine churn, per-FTL "
-                    "write mixes, GC-heavy steady state, full-stack replay. "
-                    "Writes BENCH_<label>.json with wall times, throughput, "
-                    "peak RSS and determinism fingerprints. With --check, "
-                    "exits non-zero if fingerprints drift from the baseline "
-                    "(timings never gate). See docs/performance.md.",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized workloads (~8x smaller)")
-    bench.add_argument("--label", default="local",
-                       help="report label; default output is BENCH_<label>.json")
-    bench.add_argument("--out", help="explicit output path for the JSON report")
-    bench.add_argument("--only", metavar="NAMES",
-                       help="comma-separated subset of benchmarks to run")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="repetitions per benchmark (best wall time wins)")
-    bench.add_argument("--compare", metavar="BASELINE.json",
-                       help="print per-record speedup vs a baseline report and "
-                            "exit non-zero on determinism-fingerprint drift")
-    bench.add_argument("--check", metavar="BASELINE.json",
-                       help="gate determinism fingerprints against a saved report")
-    bench.set_defaults(func=cmd_bench)
 
     conform = sub.add_parser(
         "conform",

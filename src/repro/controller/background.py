@@ -44,6 +44,11 @@ class BackgroundGc:
             raise ValueError("idle_delay_us must be >= 0")
         if max_passes_per_idle < 1:
             raise ValueError("max_passes_per_idle must be >= 1")
+        if type(ftl)._gc_destinations is Ftl._gc_destinations:
+            raise TypeError(
+                f"{ftl.name}: FTL does not support background GC "
+                "(hybrid log-block FTLs reclaim by merging, not by GC passes)"
+            )
         self.engine = engine
         self.ftl = ftl
         self.controller = controller

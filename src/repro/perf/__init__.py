@@ -1,48 +1,24 @@
-"""repro.perf: micro-benchmark suite and perf-regression harness.
+"""repro.perf: determinism fingerprints and the bounded-memory check.
 
-The package answers two questions every PR must keep answering:
+* **Did an optimisation change behaviour?**  A *determinism
+  fingerprint* (:mod:`repro.perf.fingerprint`) digests a run — final
+  simulated clock, event counts, flash counters and a mapping-table
+  checksum.  Fingerprints are machine-independent and bit-stable: an
+  optimisation is only legal if ``tests/test_golden_fingerprints.py``
+  still reproduces the committed fixture
+  (``tests/fixtures/golden_fingerprints.json``) bit for bit.
+* **Does the streaming path stay O(1) in memory?**
+  ``python -m repro.perf.memcheck`` replays a 1M-request trace in a
+  fresh process under a peak-RSS cap.
 
-* **How fast is the simulator?**  A fixed suite of microbenchmarks
-  (engine churn, per-FTL write mixes, GC-heavy steady state) measures
-  wall time, throughput and peak RSS on the machine it runs on.
-* **Did an optimisation change behaviour?**  Every benchmark also
-  computes a *determinism fingerprint* — final simulated clock, event
-  counts, flash counters and a mapping-table checksum.  Fingerprints
-  are machine-independent and bit-stable: an optimisation is only
-  legal if the fingerprints it produces are identical to the committed
-  baseline (``BENCH_seed.json``); timings are reported but never gate.
-
-Entry points::
-
-    repro-sim bench                  # full suite, writes BENCH_local.json
-    repro-sim bench --quick          # CI-sized suite
-    repro-sim bench --check BENCH_seed.json   # gate on fingerprints
-
-See ``docs/performance.md`` for the optimisation inventory and how to
-add a benchmark.
+How fast the simulator is, end to end and per layer, is measured by
+``python -m perfbench`` (see ``docs/performance.md``).
 """
 
 from repro.perf.fingerprint import checksum_int64, engine_fingerprint, ftl_fingerprint
-from repro.perf.harness import (
-    BenchRecord,
-    BenchReport,
-    compare_reports,
-    load_report,
-    run_suite,
-    save_report,
-)
-from repro.perf.workloads import BENCHMARKS, Benchmark
 
 __all__ = [
-    "BENCHMARKS",
-    "Benchmark",
-    "BenchRecord",
-    "BenchReport",
     "checksum_int64",
-    "compare_reports",
     "engine_fingerprint",
     "ftl_fingerprint",
-    "load_report",
-    "run_suite",
-    "save_report",
 ]

@@ -5,8 +5,8 @@ change: the final simulated clock, how many events fired, every flash
 counter, GC work totals and a CRC of the logical-to-physical map.  Two
 runs of the same workload must produce byte-identical fingerprints
 regardless of how the mapping tables are stored or how the event loop
-dispatches — that is the contract the golden-fingerprint tests and the
-``bench --check`` CI gate enforce.
+dispatches — that is the contract ``tests/test_golden_fingerprints.py``
+enforces against ``tests/fixtures/golden_fingerprints.json``.
 
 Simulated clocks are floats; they are fingerprinted via ``repr`` (the
 shortest round-tripping decimal), so bit-identity of the underlying

@@ -7,8 +7,8 @@ asserts the peak RSS stays under a cap.  Run as its own process so the
 high-water mark measures this replay alone, not whatever allocations a
 larger suite made first.
 
-This is the CI ``stream-smoke`` gate: if anyone reintroduces an
-O(trace) buffer anywhere on the path (generator, parser, controller
+This is the stream step of CI's ``smoke`` job: if anyone reintroduces
+an O(trace) buffer anywhere on the path (generator, parser, controller
 admission, latency accounting), a 1M-request replay blows straight
 through the cap and the job fails.
 
@@ -19,10 +19,37 @@ event queue / in-flight count that did not return to zero.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
-from repro.perf.harness import _peak_rss_kb
+from repro.flash.geometry import SSDGeometry
+
+
+def bench_geometry() -> SSDGeometry:
+    """Small fixed geometry of the replay (and of the golden fingerprints).
+
+    8 planes over 4 channels, 20 Ki logical pages: big enough for
+    realistic GC behaviour, small enough that construction cost does
+    not dominate the measurement.
+    """
+    return SSDGeometry(
+        channels=4,
+        dies_per_chip=1,
+        planes_per_die=2,
+        blocks_per_plane=80,
+        pages_per_block=32,
+        page_size=2048,
+        extra_blocks_percent=5.0,
+    )
+
+
+def _peak_rss_kb() -> int:
+    """Process peak RSS in KiB (ru_maxrss is KiB on Linux, bytes on macOS)."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - linux CI
+        rss //= 1024
+    return int(rss)
 
 
 def run_memcheck(
@@ -35,7 +62,6 @@ def run_memcheck(
 ) -> int:
     from repro.controller.device import SimulatedSSD
     from repro.flash.timing import TimingParams
-    from repro.perf.workloads import bench_geometry
     from repro.traces.model import KB, SizeMix, WorkloadSpec
     from repro.traces.stream import stream_io_requests
 

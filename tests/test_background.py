@@ -6,6 +6,7 @@ import pytest
 
 from repro.controller.background import BackgroundGc
 from repro.controller.device import SimulatedSSD
+from repro.flash.geometry import SSDGeometry
 from repro.sim.request import IoOp, IoRequest
 
 
@@ -104,6 +105,15 @@ def test_parameter_validation(small_geometry):
         BackgroundGc(ssd.engine, ssd.ftl, ssd.controller, idle_delay_us=-1)
     with pytest.raises(ValueError):
         BackgroundGc(ssd.engine, ssd.ftl, ssd.controller, max_passes_per_idle=0)
+
+
+@pytest.mark.parametrize("ftl", ["bast", "fast", "last", "superblock"])
+def test_log_block_ftls_rejected(ftl):
+    """Hybrids have no GC pass to run when idle: a typed error up front,
+    not a bare ``NotImplementedError`` at the first idle tick."""
+    geometry = SSDGeometry.from_capacity(8 * 2**20)
+    with pytest.raises(TypeError, match="does not support background GC"):
+        SimulatedSSD(geometry, ftl=ftl, background_gc=True)
 
 
 def test_background_collect_no_work_when_pools_full(small_geometry, timing):
