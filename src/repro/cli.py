@@ -457,6 +457,12 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _print_not_applicable(expansion) -> None:
+    note = expansion.not_applicable_note()
+    if note:
+        print(note)
+
+
 def cmd_conform(args) -> int:
     from repro.conformance import (
         ScenarioMatrix,
@@ -483,6 +489,7 @@ def cmd_conform(args) -> int:
         num_requests=args.requests,
         base_seed=args.seed,
     )
+    _print_not_applicable(matrix.expansion())
     outcomes = run_matrix(matrix, processes=args.processes)
     report = build_report(outcomes, matrix)
     print(render_report(report))
@@ -501,21 +508,23 @@ def cmd_torture(args) -> int:
 
     if args.budget is not None and args.budget < 1:
         raise SystemExit("--budget must be >= 1 (omit it for an exhaustive sweep)")
-    if args.queue_depth is not None and not args.stream:
-        raise SystemExit("--queue-depth requires --stream")
-    config = CampaignConfig(
-        ftls=tuple(args.ftls),
-        workloads=tuple(args.workloads),
-        fault_plans=tuple(args.faults),
-        num_requests=args.requests,
-        base_seed=args.seed,
-        budget=args.budget,
-        double=args.double,
-        write_buffer_pages=args.write_buffer,
-        stream=args.stream,
-        queue_depth=args.queue_depth,
-    )
+    try:
+        config = CampaignConfig(
+            ftls=tuple(args.ftls),
+            workloads=tuple(args.workloads),
+            fault_plans=tuple(args.faults),
+            num_requests=args.requests,
+            base_seed=args.seed,
+            budget=args.budget,
+            double=args.double,
+            write_buffer_pages=args.write_buffer,
+            stream=args.stream,
+            queue_depth=args.queue_depth,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"torture: {exc}") from None
     campaign = TortureCampaign(config)
+    _print_not_applicable(config.expansion())
 
     if args.point is not None:
         # Single-replay repro mode: the command the sweep report prints
@@ -533,7 +542,7 @@ def cmd_torture(args) -> int:
             verdict = "ok" if not result.violations else "VIOLATION"
             if not result.fired:
                 verdict = "unreached"
-            print(f"{cell.cell_id} @ {kind}:{point[1]}"
+            print(f"{cell.scenario_id} @ {kind}:{point[1]}"
                   f"{' (double)' if args.double else ''}: {verdict} "
                   f"(recovered {result.recovered_mappings} mappings, "
                   f"{result.excused} excused)")

@@ -3,11 +3,13 @@
 Streaming TraceBus probes score each FTL against the SSD performance
 contract (request-scale parallelism, locality, aligned sequentiality,
 grouping by death time); a declarative scenario matrix expands into
-deterministic seeded runs; a ranked per-FTL report explains where each
-FTL honors or violates the contract.  See ``docs/conformance.md``.
+deterministic seeded :class:`~repro.experiments.scenario.Scenario`
+cells (the type torture campaigns use too); a ranked per-FTL report
+explains where each FTL honors or violates the contract.  See
+``docs/conformance.md``.
 """
 
-from repro.conformance.matrix import Scenario, ScenarioMatrix
+from repro.conformance.matrix import ScenarioMatrix
 from repro.conformance.report import build_report, render_report, report_json
 from repro.conformance.rules import (
     RULE_ORDER,
@@ -31,7 +33,6 @@ __all__ = [
     "LocalityProbe",
     "RequestScaleParallelismProbe",
     "RuleResult",
-    "Scenario",
     "ScenarioMatrix",
     "ScenarioOutcome",
     "build_report",

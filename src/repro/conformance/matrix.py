@@ -1,137 +1,36 @@
-"""Declarative scenario matrix: workload × FTL × geometry × faults × QD.
+"""Declarative scenario matrix: workload × FTL × capacity × faults × QD × tenants.
 
 A :class:`ScenarioMatrix` is a plain declaration of axis values; nothing
-runs until :meth:`ScenarioMatrix.expand` turns the cartesian product
-into frozen :class:`Scenario` cells.  Expansion is deterministic: axes
-iterate in declared order and every scenario derives its workload seed
-by hashing (splitmix64 over an FNV-1a fold) of ``base_seed`` and its
-own ``scenario_id`` — so adding a value to one axis never shifts the
-seeds of existing scenarios, and two expansions of the same matrix are
-identical cell for cell.
-
-Fault-plan axis values are preset names (``"none"``, ``"moderate"``);
-combinations pairing a fault plan with an FTL whose error paths are not
-modelled (``fault_injection_supported`` is False) are skipped rather
-than failed, so ``ftls="all"`` stays usable.
+runs until :meth:`ScenarioMatrix.expand` turns the product into frozen
+:class:`~repro.experiments.scenario.Scenario` cells through the shared
+expansion (declared axis order, seeds folded from ``base_seed`` and the
+scenario id, unknown names rejected up front).  Fault-plan cells on FTLs
+whose error paths are not modelled are left out and named by
+:meth:`ScenarioMatrix.expansion`, so ``ftls="all"`` stays usable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import Expansion, Scenario, expand
 from repro.flash.geometry import MB, SSDGeometry
-from repro.ftl.registry import available_ftls, create_ftl
-from repro.seeding import fold_seed
-from repro.traces.model import WorkloadSpec
-from repro.traces.synthetic import make_workload
+from repro.ftl.registry import available_ftls
 
-#: Fault-plan presets the fault axis can name.
-FAULT_PLANS = ("none", "moderate")
+#: Geometry of every capacity point (``geometry_kwargs`` overrides).
+_GEOMETRY = dict(page_size=2048, pages_per_block=16, channels=4,
+                 dies_per_chip=1, planes_per_die=2, extra_blocks_percent=10.0)
 
 
-@lru_cache(maxsize=None)
-def ftl_supports_faults(ftl: str) -> bool:
-    """Whether ``ftl`` models error paths (attach_faults would succeed).
-
-    Probed by instantiating the FTL on a tiny throwaway geometry —
-    ``fault_injection_supported`` is a class attribute, but the classes
-    are only reachable through the registry's lazy factories.
-    """
-    probe_geometry = SSDGeometry(
-        channels=2, dies_per_chip=1, planes_per_die=2,
-        blocks_per_plane=8, pages_per_block=8, page_size=512,
-        extra_blocks_percent=25.0,
-    )
-    from repro.flash.timing import TimingParams
-
-    ftl_obj = create_ftl(ftl, probe_geometry, TimingParams())
-    return bool(ftl_obj.fault_injection_supported)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One fully specified conformance run (picklable, hashable)."""
-
-    workload: str
-    ftl: str
-    capacity_mb: int
-    fault_plan: str
-    queue_depth: Optional[int]
-    num_requests: int
-    footprint_fraction: float
-    seed: int
-    channels: int = 4
-    planes_per_die: int = 2
-    pages_per_block: int = 16
-    page_size: int = 2048
-    extra_blocks_percent: float = 10.0
-    precondition_fill: float = 0.9
-    #: equal-weight tenants sharing the device (0 = tenancy off)
-    tenants: int = 0
-
-    @property
-    def scenario_id(self) -> str:
-        qd = "qd0" if self.queue_depth is None else f"qd{self.queue_depth}"
-        base = (f"{self.workload}|{self.ftl}|{self.capacity_mb}mb|"
-                f"{qd}|{self.fault_plan}")
-        # Suffix only when the axis is on: pre-tenancy ids (and the
-        # seeds folded from them) stay byte-identical.
-        if self.tenants:
-            return f"{base}|t{self.tenants}"
-        return base
-
-    def geometry(self) -> SSDGeometry:
-        return SSDGeometry.from_capacity(
-            self.capacity_mb * MB,
-            page_size=self.page_size,
-            pages_per_block=self.pages_per_block,
-            channels=self.channels,
-            dies_per_chip=1,
-            planes_per_die=self.planes_per_die,
-            extra_blocks_percent=self.extra_blocks_percent,
-        )
-
-    def workload_spec(self) -> WorkloadSpec:
-        footprint = int(self.capacity_mb * MB * self.footprint_fraction)
-        return make_workload(
-            self.workload, num_requests=self.num_requests,
-            footprint_bytes=footprint, seed=self.seed,
-        )
-
-    def config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            geometry=self.geometry(),
-            ftl=self.ftl,
-            precondition_fill=self.precondition_fill,
-        )
-
-    def fault_config(self):
-        if self.fault_plan == "none":
-            return None
-        if self.fault_plan == "moderate":
-            from repro.faults.plan import FaultConfig
-
-            return FaultConfig.moderate(seed=self.seed)
-        raise ValueError(f"unknown fault plan {self.fault_plan!r}; "
-                         f"available: {FAULT_PLANS}")
-
-    def as_dict(self) -> dict:
-        summary = {
-            "id": self.scenario_id,
-            "workload": self.workload,
-            "ftl": self.ftl,
-            "capacity_mb": self.capacity_mb,
-            "fault_plan": self.fault_plan,
-            "queue_depth": self.queue_depth,
-            "num_requests": self.num_requests,
-            "seed": self.seed,
-        }
-        if self.tenants:
-            summary["tenants"] = self.tenants
-        return summary
+def _scenario_id(point: dict) -> str:
+    scenario_id = (f"{point['workload']}|{point['ftl']}|{point['capacity_mb']}mb|"
+                   f"qd{point['queue_depth'] or 0}|{point['fault_plan']}")
+    # Suffix only when the axis is on: pre-tenancy ids (and the seeds
+    # folded from them) stay byte-identical.
+    if point["tenants"]:
+        return f"{scenario_id}|t{point['tenants']}"
+    return scenario_id
 
 
 @dataclass(frozen=True)
@@ -148,6 +47,7 @@ class ScenarioMatrix:
     num_requests: int = 4000
     footprint_fraction: float = 0.6
     base_seed: int = 0xC0F0
+    #: ``SSDGeometry.from_capacity`` overrides, as (name, value) pairs
     geometry_kwargs: Tuple[Tuple[str, object], ...] = field(default=())
     #: optional tenant axis: equal-weight tenant counts (0 = tenancy
     #: off, the default — existing scenario ids/seeds never shift)
@@ -156,41 +56,38 @@ class ScenarioMatrix:
     def resolved_ftls(self) -> Tuple[str, ...]:
         return self.ftls if self.ftls else tuple(available_ftls())
 
-    def expand(self) -> List[Scenario]:
-        """The full product, in deterministic declared-axis order.
+    def expansion(self) -> Expansion:
+        """The product in workload, FTL, capacity, fault plan, queue
+        depth, tenants order, plus the cells left out."""
+        geometry = {**_GEOMETRY, **dict(self.geometry_kwargs)}
 
-        Fault-plan cells for FTLs without modelled error paths are
-        skipped (their ``attach_faults`` raises by design).
-        """
-        unknown = [p for p in self.fault_plans if p not in FAULT_PLANS]
-        if unknown:
-            raise ValueError(f"unknown fault plans {unknown}; available: {FAULT_PLANS}")
-        overrides = dict(self.geometry_kwargs)
-        scenarios: List[Scenario] = []
-        for workload in self.workloads:
-            for ftl in self.resolved_ftls():
-                for capacity_mb in self.capacities_mb:
-                    for fault_plan in self.fault_plans:
-                        if fault_plan != "none" and not ftl_supports_faults(ftl):
-                            continue
-                        for queue_depth in self.queue_depths:
-                            for tenants in self.tenant_counts:
-                                scenario = Scenario(
-                                    workload=workload,
-                                    ftl=ftl,
-                                    capacity_mb=capacity_mb,
-                                    fault_plan=fault_plan,
-                                    queue_depth=queue_depth,
-                                    num_requests=self.num_requests,
-                                    footprint_fraction=self.footprint_fraction,
-                                    seed=0,
-                                    tenants=tenants,
-                                    **overrides,
-                                )
-                                scenarios.append(
-                                    _with_seed(scenario, self.base_seed)
-                                )
-        return scenarios
+        def fields(point: dict) -> dict:
+            capacity = point["capacity_mb"] * MB
+            return dict(
+                geometry=SSDGeometry.from_capacity(capacity, **geometry),
+                num_requests=self.num_requests,
+                footprint_bytes=int(capacity * self.footprint_fraction),
+                precondition_fill=0.9,
+                stream=True,
+            )
+
+        return expand(
+            (
+                ("workload", self.workloads),
+                ("ftl", self.resolved_ftls()),
+                ("capacity_mb", self.capacities_mb),
+                ("fault_plan", self.fault_plans),
+                ("queue_depth", self.queue_depths),
+                ("tenants", self.tenant_counts),
+            ),
+            base_seed=self.base_seed,
+            scenario_id=_scenario_id,
+            fields=fields,
+        )
+
+    def expand(self) -> List[Scenario]:
+        """The runnable scenarios, in deterministic declared-axis order."""
+        return self.expansion().scenarios
 
     def describe(self) -> dict:
         """Axis summary for report headers (JSON-safe)."""
@@ -205,12 +102,3 @@ class ScenarioMatrix:
             "base_seed": self.base_seed,
             "tenant_counts": list(self.tenant_counts),
         }
-
-
-def _with_seed(scenario: Scenario, base_seed: int) -> Scenario:
-    """Stamp the id-derived seed (id itself is seed-independent)."""
-    import dataclasses
-
-    return dataclasses.replace(
-        scenario, seed=fold_seed(base_seed, scenario.scenario_id)
-    )

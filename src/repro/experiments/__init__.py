@@ -17,7 +17,7 @@ from repro.experiments.figures import (
     render_table,
     summarize_wins,
 )
-from repro.experiments.parallel import SweepCell, grid, run_cells
+from repro.experiments.parallel import run_cells
 from repro.experiments.steady_state import mser_start, steady_mean, steady_state_start
 from repro.experiments.results_io import (
     load_results_csv,
@@ -40,8 +40,6 @@ __all__ = [
     "render_figure",
     "render_table",
     "summarize_wins",
-    "SweepCell",
-    "grid",
     "run_cells",
     "mser_start",
     "steady_mean",

@@ -19,6 +19,7 @@ from typing import Optional, TextIO, Union
 
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
+from repro.ftl.registry import dropped_kwargs
 
 GB = 1024 ** 3
 MB = 1024 ** 2
@@ -64,13 +65,11 @@ class ExperimentConfig:
     precondition_fill: Optional[float] = 0.9
     ftl_kwargs: dict = field(default_factory=dict)
 
-    #: FTLs whose mapping tables live wholly in SRAM (no CMT knob).
-    _NO_CMT = ("fast", "bast", "last", "superblock", "pagemap")
-
     def build_kwargs(self) -> dict:
         kwargs = dict(self.ftl_kwargs)
         kwargs.setdefault("gc_threshold", self.gc_threshold)
-        if self.ftl not in self._NO_CMT:
+        # FTLs whose mapping tables live wholly in SRAM take no CMT knob.
+        if "cmt_entries" not in dropped_kwargs(self.ftl):
             kwargs.setdefault("cmt_entries", self.cmt_entries)
         return kwargs
 

@@ -1,59 +1,19 @@
-"""Parallel sweep execution over worker processes.
+"""Parallel execution over worker processes.
 
-The figure grids are embarrassingly parallel (one simulation per cell),
-so the harness can fan out over a ``multiprocessing`` pool.  Cells are
-described by picklable (spec, config) pairs; each worker builds its own
-simulator, so no state is shared.
+Scenario grids are embarrassingly parallel (one simulation per cell),
+so :func:`run_cells` can fan a picklable function out over a
+``multiprocessing`` pool.  Each worker builds its own simulator, so no
+state is shared, and results come back in item order.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import SimulationResult, run_workload
-from repro.traces.model import WorkloadSpec
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One simulation of a sweep grid.
-
-    Beyond (spec, config), a cell can carry the full replay shape:
-    streaming admission with a queue-depth bound, a picklable fault
-    plan, and ``conformance=True`` to attach the standard contract
-    probes (scored verdicts land in ``result.extras['conformance']``).
-    """
-
-    spec: WorkloadSpec
-    config: ExperimentConfig
-    extras: Optional[Tuple[Tuple[str, object], ...]] = None
-    stream: bool = False
-    queue_depth: Optional[int] = None
-    faults: Optional[object] = None
-    conformance: bool = False
-    #: equal-weight tenants sharing the device (0 = tenancy off)
-    tenants: int = 0
-
-    def tagged_extras(self) -> Dict[str, object]:
-        return dict(self.extras or ())
-
-
-def _run_cell(cell: SweepCell) -> SimulationResult:
-    result = run_workload(
-        cell.spec,
-        cell.config,
-        stream=cell.stream,
-        queue_depth=cell.queue_depth,
-        faults=cell.faults,
-        conformance=cell.conformance,
-        tenants=cell.tenants,
-    )
-    result.extras.update(cell.tagged_extras())
-    return result
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def _init_worker() -> None:
@@ -71,52 +31,35 @@ def _init_worker() -> None:
     BUS.clear()
 
 
-def _auto_chunksize(n_cells: int, processes: int) -> int:
+def _auto_chunksize(n_items: int, processes: int) -> int:
     """Heuristic map chunksize: ~4 chunks per worker.
 
-    ``chunksize=1`` (the previous default) maximises scheduling
-    overhead; one giant chunk per worker loses load balancing when cell
-    runtimes vary (GC-heavy configs run much longer than light ones).
-    Four waves per worker keeps both costs small.
+    ``chunksize=1`` maximises scheduling overhead; one giant chunk per
+    worker loses load balancing when cell runtimes vary (GC-heavy
+    configs run much longer than light ones).  Four waves per worker
+    keeps both costs small.
     """
-    return max(1, n_cells // (4 * processes))
+    return max(1, n_items // (4 * processes))
 
 
 def run_cells(
-    cells: Sequence[SweepCell],
+    items: Sequence[T],
+    fn: Callable[[T], R],
     *,
     processes: Optional[int] = None,
-    chunksize: Optional[int] = None,
-) -> List[SimulationResult]:
-    """Run sweep cells, in-process when ``processes`` is None/0/1.
+) -> List[R]:
+    """``[fn(item) for item in items]``, over worker processes.
 
-    Results come back in cell order regardless of completion order.
-    ``chunksize=None`` (the default) auto-computes ~4 chunks per
-    worker; pass an explicit value to override.
+    In-process when ``processes`` is 0 or 1; ``None`` means one worker
+    per item, capped at the CPU count.  ``fn`` and the items must
+    pickle.  Results come back in item order regardless of completion
+    order.
     """
-    cells = list(cells)
+    items = list(items)
     if processes is None:
-        processes = min(len(cells), os.cpu_count() or 1)
-    if processes <= 1 or len(cells) <= 1:
-        return [_run_cell(cell) for cell in cells]
-    if chunksize is None:
-        chunksize = _auto_chunksize(len(cells), processes)
+        processes = min(len(items), os.cpu_count() or 1)
+    if processes <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     context = get_context("spawn" if os.name == "nt" else "fork")
     with context.Pool(processes=processes, initializer=_init_worker) as pool:
-        return pool.map(_run_cell, cells, chunksize=chunksize)
-
-
-def grid(
-    specs: Sequence[WorkloadSpec],
-    configs: Sequence[ExperimentConfig],
-    extras_for: Optional[Dict[int, Dict[str, object]]] = None,
-) -> List[SweepCell]:
-    """Cartesian product of workloads x configurations."""
-    cells = []
-    index = 0
-    for spec in specs:
-        for config in configs:
-            extra = tuple((extras_for or {}).get(index, {}).items())
-            cells.append(SweepCell(spec=spec, config=config, extras=extra or None))
-            index += 1
-    return cells
+        return pool.map(fn, items, chunksize=_auto_chunksize(len(items), processes))

@@ -2,116 +2,62 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from importlib import import_module
+from typing import Dict, Tuple, Type
 
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.base import Ftl
 
+#: SRAM-mapped FTLs take no CMT knob and no GC pass budget.
+_SRAM_MAP = ("cmt_entries", "max_gc_passes")
 
-def _build_dloop(geometry, timing, **kw):
-    from repro.core.dloop import DloopFtl
-
-    return DloopFtl(geometry, timing, **kw)
-
-
-def _build_dloop_nocb(geometry, timing, **kw):
-    from repro.core.dloop import DloopFtl
-
-    kw.setdefault("use_copyback", False)
-    return DloopFtl(geometry, timing, **kw)
-
-
-def _build_dloop_hot(geometry, timing, **kw):
-    from repro.core.hotdloop import HotPlaneDloopFtl
-
-    return HotPlaneDloopFtl(geometry, timing, **kw)
-
-
-def _build_dloop_hc(geometry, timing, **kw):
-    from repro.core.hcdloop import HotColdDloopFtl
-
-    return HotColdDloopFtl(geometry, timing, **kw)
-
-
-def _build_dloop_mp(geometry, timing, **kw):
-    from repro.core.mpdloop import MultiPlaneDloopFtl
-
-    return MultiPlaneDloopFtl(geometry, timing, **kw)
-
-
-def _build_dftl(geometry, timing, **kw):
-    from repro.ftl.dftl import DftlFtl
-
-    return DftlFtl(geometry, timing, **kw)
-
-
-def _build_fast(geometry, timing, **kw):
-    from repro.ftl.fast import FastFtl
-
-    kw.pop("cmt_entries", None)  # FAST keeps its block map in SRAM
-    kw.pop("max_gc_passes", None)
-    return FastFtl(geometry, timing, **kw)
-
-
-def _build_bast(geometry, timing, **kw):
-    from repro.ftl.bast import BastFtl
-
-    kw.pop("cmt_entries", None)
-    kw.pop("max_gc_passes", None)
-    return BastFtl(geometry, timing, **kw)
-
-
-def _build_last(geometry, timing, **kw):
-    from repro.ftl.last import LastFtl
-
-    kw.pop("cmt_entries", None)
-    kw.pop("max_gc_passes", None)
-    return LastFtl(geometry, timing, **kw)
-
-
-def _build_superblock(geometry, timing, **kw):
-    from repro.ftl.superblock import SuperblockFtl
-
-    kw.pop("cmt_entries", None)
-    kw.pop("max_gc_passes", None)
-    return SuperblockFtl(geometry, timing, **kw)
-
-
-def _build_pagemap(geometry, timing, **kw):
-    from repro.ftl.pagemap import PageMapFtl
-
-    kw.pop("cmt_entries", None)
-    return PageMapFtl(geometry, timing, **kw)
-
-
-_FACTORIES: Dict[str, Callable[..., Ftl]] = {
-    "dloop": _build_dloop,
-    "dloop-nocb": _build_dloop_nocb,
-    "dloop-hot": _build_dloop_hot,
-    "dloop-mp": _build_dloop_mp,
-    "dloop-hc": _build_dloop_hc,
-    "dftl": _build_dftl,
-    "fast": _build_fast,
-    "bast": _build_bast,
-    "last": _build_last,
-    "superblock": _build_superblock,
-    "pagemap": _build_pagemap,
+#: name -> (module, class, constructor defaults, kwargs accepted and dropped).
+#: Classes import lazily: naming an FTL never loads the others.
+_REGISTRY: Dict[str, Tuple[str, str, Dict[str, object], Tuple[str, ...]]] = {
+    "dloop": ("repro.core.dloop", "DloopFtl", {}, ()),
+    "dloop-nocb": ("repro.core.dloop", "DloopFtl", {"use_copyback": False}, ()),
+    "dloop-hot": ("repro.core.hotdloop", "HotPlaneDloopFtl", {}, ()),
+    "dloop-mp": ("repro.core.mpdloop", "MultiPlaneDloopFtl", {}, ()),
+    "dloop-hc": ("repro.core.hcdloop", "HotColdDloopFtl", {}, ()),
+    "dftl": ("repro.ftl.dftl", "DftlFtl", {}, ()),
+    "fast": ("repro.ftl.fast", "FastFtl", {}, _SRAM_MAP),
+    "bast": ("repro.ftl.bast", "BastFtl", {}, _SRAM_MAP),
+    "last": ("repro.ftl.last", "LastFtl", {}, _SRAM_MAP),
+    "superblock": ("repro.ftl.superblock", "SuperblockFtl", {}, _SRAM_MAP),
+    "pagemap": ("repro.ftl.pagemap", "PageMapFtl", {}, ("cmt_entries",)),
 }
 
 
 def available_ftls() -> list:
-    return sorted(_FACTORIES)
+    return sorted(_REGISTRY)
+
+
+def _entry(name: str) -> Tuple[str, str, Dict[str, object], Tuple[str, ...]]:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ValueError(f"unknown FTL {name!r}; available: {available_ftls()}") from None
+
+
+def ftl_class(name: str) -> Type[Ftl]:
+    """The class registered under ``name`` (imported on first use)."""
+    module, cls, _, _ = _entry(name)
+    return getattr(import_module(module), cls)
+
+
+def dropped_kwargs(name: str) -> Tuple[str, ...]:
+    """Constructor kwargs ``create_ftl`` accepts for ``name`` but drops."""
+    return _entry(name)[3]
 
 
 def create_ftl(name: str, geometry: SSDGeometry, timing: TimingParams | None = None, **kwargs) -> Ftl:
     """Instantiate an FTL by name (see :func:`available_ftls`)."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown FTL {name!r}; available: {available_ftls()}") from None
-    # Accepted and ignored: the frozen benchmark's overhead ladder
-    # (perfbench/workloads.py, "scalar" rung) still passes the switch of
-    # a second DLOOP implementation that no longer exists.
-    kwargs.pop("batch_kernels", None)
-    return factory(geometry, timing, **kwargs)
+    _, _, defaults, dropped = _entry(name)
+    # ``batch_kernels`` is accepted and ignored: the frozen benchmark's
+    # overhead ladder (perfbench/workloads.py, "scalar" rung) still
+    # passes the switch of a second DLOOP implementation that no longer
+    # exists.
+    for key in dropped + ("batch_kernels",):
+        kwargs.pop(key, None)
+    return ftl_class(name)(geometry, timing, **{**defaults, **kwargs})

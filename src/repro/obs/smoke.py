@@ -47,22 +47,6 @@ class EventRecorder:
                 self.problems.extend(validate_event(event))
 
 
-def _small_geometry():
-    from repro.flash.geometry import SSDGeometry
-
-    return SSDGeometry(
-        channels=2,
-        packages_per_channel=1,
-        chips_per_package=1,
-        dies_per_chip=1,
-        planes_per_die=2,
-        blocks_per_plane=16,
-        pages_per_block=8,
-        page_size=256,
-        extra_blocks_percent=25.0,
-    )
-
-
 def _mixed_workload(geometry, n, seed, *, trim_share=0.05, read_share=0.15, start_us=0.0):
     """Update-heavy traffic over a tight footprint: forces GC."""
     from repro.sim.request import IoOp, IoRequest
@@ -105,8 +89,9 @@ def _sequential_workload(geometry, blocks, seed):
 
 def _new_ssd(ftl: str, **kwargs):
     from repro.controller.device import SimulatedSSD
+    from repro.experiments.scenario import tiny_geometry
 
-    return SimulatedSSD(_small_geometry(), ftl=ftl, **kwargs)
+    return SimulatedSSD(tiny_geometry(), ftl=ftl, **kwargs)
 
 
 # ---------------------------------------------------------------------------

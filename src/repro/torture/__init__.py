@@ -10,7 +10,10 @@ oracle backed by per-page content generations in the modeled OOB area.
 Entry points:
 
 * :class:`repro.torture.campaign.TortureCampaign` — the sweep engine
-  (``repro-sim torture`` on the command line);
+  (``repro-sim torture`` on the command line); its
+  :class:`~repro.torture.campaign.CampaignConfig` declares the axes,
+  which expand into :class:`repro.experiments.scenario.Scenario` cells
+  exactly as the conformance matrix's do;
 * :class:`repro.torture.arm.TortureArm` — arms one crash point on the
   TraceBus and raises :class:`repro.torture.arm.TortureCrash` when it
   fires;

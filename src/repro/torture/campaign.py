@@ -1,7 +1,9 @@
 """Torture campaigns: systematic crash-point sweeps with recovery checks.
 
-One campaign is a grid of *cells* (FTL × workload × fault plan, plus
-the campaign-wide write-buffer / NCQ-streaming options).  Per cell:
+One campaign is a grid of cells — FTL × workload × fault plan, plus
+the campaign-wide write-buffer / NCQ-streaming options — each one a
+:class:`~repro.experiments.scenario.Scenario` on the tiny geometry,
+expanded and run by the same code as the conformance matrix.  Per cell:
 
 1. **Discovery** — replay the cell's trace once with a counting-only
    :class:`~repro.torture.arm.TortureArm` attached; the per-kind event
@@ -16,8 +18,7 @@ the campaign-wide write-buffer / NCQ-streaming options).  Per cell:
    durability oracle, then finish the unacknowledged remainder of the
    trace and verify integrity + fingerprint validity.
 
-Everything is derived from the folded cell seed (the same FNV-1a ⊕
-splitmix64 fold the conformance matrix uses), and reports contain no
+Everything is derived from the folded cell seed, and reports contain no
 wall-clock values, so two identical campaigns serialize byte-identically.
 """
 
@@ -26,17 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.conformance.matrix import FAULT_PLANS, ftl_supports_faults
 from repro.controller.device import SimulatedSSD
-from repro.flash.geometry import SSDGeometry
+from repro.experiments.parallel import run_cells
+from repro.experiments.scenario import Expansion, Scenario, expand, tiny_geometry
 from repro.perf.fingerprint import ftl_fingerprint
-from repro.seeding import fold_seed, splitmix64
+from repro.seeding import splitmix64
 from repro.sim.request import IoRequest
 from repro.torture.arm import CRASH_KINDS, TortureArm, TortureCrash
 from repro.torture.ledger import AckLedger
 from repro.torture.oracle import VIOLATION_KINDS, check_durability
 from repro.traces.stream import io_requests, stream_workload
-from repro.traces.synthetic import make_workload
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,22 +45,6 @@ _MASK64 = (1 << 64) - 1
 #: this lands mid-recovery for the FTLs that erase there; FTLs whose
 #: recovery is erase-free simply recover once).
 RECOVERY_CRASH_POINT = ("erase", 0)
-
-
-def torture_geometry() -> SSDGeometry:
-    """Tiny sweep geometry: big enough to garbage-collect, small enough
-    that an exhaustive sweep is a few hundred replays."""
-    return SSDGeometry(
-        channels=2,
-        packages_per_channel=1,
-        chips_per_package=1,
-        dies_per_chip=1,
-        planes_per_die=2,
-        blocks_per_plane=16,
-        pages_per_block=8,
-        page_size=256,
-        extra_blocks_percent=25.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -82,6 +66,32 @@ class CampaignConfig:
     precondition_fill: float = 0.7
     footprint_fraction: float = 0.6
 
+    def __post_init__(self) -> None:
+        if self.queue_depth is not None and not self.stream:
+            raise ValueError("queue_depth requires stream=True "
+                             "(it bounds streamed admission)")
+
+    def expansion(self) -> Expansion:
+        """The cells in FTL, workload, fault plan order, plus the cells
+        left out."""
+        geometry = tiny_geometry()
+        fields = dict(
+            geometry=geometry,
+            num_requests=self.num_requests,
+            footprint_bytes=int(geometry.capacity_bytes * self.footprint_fraction),
+            precondition_fill=self.precondition_fill,
+            queue_depth=self.queue_depth,
+            stream=self.stream,
+            write_buffer_pages=self.write_buffer_pages,
+        )
+        return expand(
+            (("ftl", self.ftls), ("workload", self.workloads),
+             ("fault_plan", self.fault_plans)),
+            base_seed=self.base_seed,
+            scenario_id=lambda p: f"torture|{p['ftl']}|{p['workload']}|{p['fault_plan']}",
+            fields=lambda point: fields,
+        )
+
     def as_dict(self) -> dict:
         return {
             "ftls": list(self.ftls),
@@ -95,20 +105,6 @@ class CampaignConfig:
             "stream": self.stream,
             "queue_depth": self.queue_depth,
         }
-
-
-@dataclass(frozen=True)
-class TortureCell:
-    """One (FTL × workload × fault plan) sweep target."""
-
-    ftl: str
-    workload: str
-    fault_plan: str
-    seed: int = 0
-
-    @property
-    def cell_id(self) -> str:
-        return f"torture|{self.ftl}|{self.workload}|{self.fault_plan}"
 
 
 @dataclass
@@ -155,51 +151,15 @@ class TortureCampaign:
 
     def __init__(self, config: Optional[CampaignConfig] = None):
         self.config = config if config is not None else CampaignConfig()
-        self.geometry = torture_geometry()
 
     # ---- cell plumbing ---------------------------------------------------
 
-    def cells(self) -> List[TortureCell]:
-        cfg = self.config
-        unknown = [p for p in cfg.fault_plans if p not in FAULT_PLANS]
-        if unknown:
-            raise ValueError(
-                f"unknown fault plans {unknown}; available: {FAULT_PLANS}"
-            )
-        out: List[TortureCell] = []
-        for ftl in cfg.ftls:
-            for workload in cfg.workloads:
-                for plan in cfg.fault_plans:
-                    if plan != "none" and not ftl_supports_faults(ftl):
-                        continue
-                    cell = TortureCell(ftl=ftl, workload=workload, fault_plan=plan)
-                    out.append(TortureCell(
-                        ftl=ftl, workload=workload, fault_plan=plan,
-                        seed=fold_seed(cfg.base_seed, cell.cell_id),
-                    ))
-        return out
+    def cells(self) -> List[Scenario]:
+        return self.config.expansion().scenarios
 
-    def _base_requests(self, cell: TortureCell) -> List[IoRequest]:
-        import dataclasses
-
-        cfg = self.config
-        footprint = int(self.geometry.capacity_bytes * cfg.footprint_fraction)
-        # The calibrated specs assume drive-scale footprints (their
-        # validation rejects sub-chunk ones): take the calibrated shape
-        # at a reference scale, then shrink footprint and granularity
-        # together to fit the sweep geometry.
-        spec = make_workload(
-            cell.workload, num_requests=cfg.num_requests,
-            footprint_bytes=16 * 1024 * 1024, seed=cell.seed,
-        )
-        page = self.geometry.page_size
-        spec = dataclasses.replace(
-            spec,
-            footprint_bytes=footprint,
-            chunk_bytes=min(spec.chunk_bytes, max(footprint // 4, page)),
-            align_bytes=min(spec.align_bytes, 4 * page),
-        )
-        return list(io_requests(stream_workload(spec), self.geometry))
+    @staticmethod
+    def _base_requests(cell: Scenario) -> List[IoRequest]:
+        return list(io_requests(stream_workload(cell.workload_spec()), cell.geometry))
 
     @staticmethod
     def _fresh_requests(base: List[IoRequest]) -> List[IoRequest]:
@@ -210,33 +170,12 @@ class TortureCampaign:
             for r in base
         ]
 
-    def _fault_config(self, cell: TortureCell):
-        if cell.fault_plan == "none":
-            return None
-        from repro.faults.plan import FaultConfig
-
-        return FaultConfig.moderate(seed=cell.seed)
-
-    def _make_ssd(self, cell: TortureCell, *, sanitize: bool) -> SimulatedSSD:
-        cfg = self.config
-        ssd = SimulatedSSD(
-            self.geometry,
-            ftl=cell.ftl,
-            sanitize=sanitize,
-            faults=self._fault_config(cell),
-            write_buffer_pages=cfg.write_buffer_pages,
-        )
-        # Arm the OOB content generations before any flash traffic so
-        # the preconditioned image carries generation 0 everywhere.
-        ssd.ftl.array.enable_oob_generations()
-        ssd.precondition(cfg.precondition_fill)
-        return ssd
-
-    def _run_trace(self, ssd: SimulatedSSD, requests: List[IoRequest]) -> None:
-        if self.config.stream:
+    @staticmethod
+    def _run_trace(cell: Scenario, ssd: SimulatedSSD, requests: List[IoRequest]) -> None:
+        if cell.stream:
             ssd.run_stream(
                 iter(requests),
-                queue_depth=self.config.queue_depth,
+                queue_depth=cell.queue_depth,
                 streaming_stats=False,
             )
         else:
@@ -246,13 +185,13 @@ class TortureCampaign:
 
     # ---- discovery -------------------------------------------------------
 
-    def discover(self, cell: TortureCell, base: List[IoRequest]) -> Tuple[dict, dict]:
+    def discover(self, cell: Scenario, base: List[IoRequest]) -> Tuple[dict, dict]:
         """Counting-only replay: per-kind crash-point counts and the
         no-crash reference fingerprint."""
-        ssd = self._make_ssd(cell, sanitize=False)
+        ssd = cell.build_ssd()
         arm = TortureArm().attach(armed=None)
         try:
-            self._run_trace(ssd, self._fresh_requests(base))
+            self._run_trace(cell, ssd, self._fresh_requests(base))
             counts = dict(arm.counts)
         finally:
             arm.detach()
@@ -264,7 +203,7 @@ class TortureCampaign:
 
     def run_point(
         self,
-        cell: TortureCell,
+        cell: Scenario,
         point: Tuple[str, int],
         base: Optional[List[IoRequest]] = None,
         *,
@@ -273,7 +212,7 @@ class TortureCampaign:
         """Crash at ``point``, recover, judge, finish the trace."""
         if base is None:
             base = self._base_requests(cell)
-        ssd = self._make_ssd(cell, sanitize=True)
+        ssd = cell.build_ssd(sanitize=True)
         ftl = ssd.ftl
         ledger = AckLedger(ftl)
         ledger.baseline()
@@ -283,7 +222,7 @@ class TortureCampaign:
         ssd.controller.on_complete.append(ledger.completed)
         ssd.controller.on_complete.append(lambda r: done.add(id(r)))
         requests = self._fresh_requests(base)
-        stream_iter = iter(requests) if self.config.stream else None
+        stream_iter = iter(requests) if cell.stream else None
         # Subscribed last: the sanitizer's shadow model and the ledger
         # must both observe the triggering event before the arm raises.
         arm = TortureArm().attach(armed=point)
@@ -294,7 +233,7 @@ class TortureCampaign:
                 if stream_iter is not None:
                     ssd.run_stream(
                         stream_iter,
-                        queue_depth=self.config.queue_depth,
+                        queue_depth=cell.queue_depth,
                         streaming_stats=False,
                     )
                 else:
@@ -349,7 +288,7 @@ class TortureCampaign:
 
     # ---- the sweep -------------------------------------------------------
 
-    def run_cell(self, cell: TortureCell) -> dict:
+    def run_cell(self, cell: Scenario) -> dict:
         cfg = self.config
         base = self._base_requests(cell)
         counts, reference = self.discover(cell, base)
@@ -382,7 +321,7 @@ class TortureCampaign:
                 }
                 break
         return {
-            "cell": cell.cell_id,
+            "cell": cell.scenario_id,
             "ftl": cell.ftl,
             "workload": cell.workload,
             "fault_plan": cell.fault_plan,
@@ -401,7 +340,7 @@ class TortureCampaign:
         }
 
     def run(self) -> dict:
-        cells = [self.run_cell(cell) for cell in self.cells()]
+        cells = run_cells(self.cells(), self.run_cell, processes=1)
         ranking = sorted(
             (c for c in cells if c["violations_total"]),
             key=lambda c: (
@@ -424,7 +363,7 @@ class TortureCampaign:
     # ---- repro helper ----------------------------------------------------
 
     def repro_command(
-        self, cell: TortureCell, point: Tuple[str, int], *, double: bool = False
+        self, cell: Scenario, point: Tuple[str, int], *, double: bool = False
     ) -> str:
         """Minimal command line reproducing one crash replay."""
         cfg = self.config

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.conformance.matrix import Scenario, ScenarioMatrix, ftl_supports_faults
+from repro.conformance.matrix import ScenarioMatrix
 from repro.conformance.report import build_report, render_report, report_json
 from repro.conformance.rules import (
     RULE_ORDER,
@@ -18,6 +18,8 @@ from repro.conformance.rules import (
 )
 from repro.conformance.runner import ScenarioOutcome, run_matrix
 from repro.conformance.sketches import KmvDistinctCounter, splitmix64
+from repro.experiments.scenario import Scenario
+from repro.ftl.registry import ftl_class
 from repro.obs.tracebus import BUS, TraceBus, TraceEvent
 
 
@@ -307,8 +309,8 @@ def test_matrix_seed_stable_when_axis_grows():
 
 
 def test_matrix_skips_faults_for_unsupported_ftls():
-    assert ftl_supports_faults("dloop")
-    assert not ftl_supports_faults("bast")
+    assert ftl_class("dloop").fault_injection_supported
+    assert not ftl_class("bast").fault_injection_supported
     matrix = ScenarioMatrix(workloads=("financial1",),
                             ftls=("dloop", "bast"),
                             fault_plans=("none", "moderate"))
@@ -317,6 +319,7 @@ def test_matrix_skips_faults_for_unsupported_ftls():
     assert ("dloop", "moderate") in plans
     assert ("bast", "moderate") not in plans
     assert ("bast", "none") in plans
+    assert matrix.expansion().not_applicable == [("bast", "moderate")]
 
 
 def test_matrix_rejects_unknown_fault_plan():
@@ -326,6 +329,7 @@ def test_matrix_rejects_unknown_fault_plan():
 
 def test_scenario_builders(small_geometry):
     scenario = ScenarioMatrix(workloads=("tpcc",), ftls=("dftl",)).expand()[0]
+    assert isinstance(scenario, Scenario)
     spec = scenario.workload_spec()
     assert spec.name == "tpcc"
     assert spec.seed == scenario.seed

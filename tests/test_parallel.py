@@ -1,12 +1,14 @@
-"""Parallel sweep execution."""
+"""Parallel execution: ``run_cells`` maps a picklable function in order."""
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_geometry
-from repro.experiments.parallel import SweepCell, grid, run_cells
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import run_workload
 from repro.traces.model import KB, SizeMix, WorkloadSpec
 
 TINY_SCALE = 1.0 / 256.0
+FTLS = ("dloop", "fast", "pagemap")
 
 
 def tiny_spec(name="par", seed=3):
@@ -21,28 +23,21 @@ def tiny_spec(name="par", seed=3):
     )
 
 
-def make_cells():
+def simulate(ftl):
     geom = scaled_geometry(2, scale=TINY_SCALE)
-    return [
-        SweepCell(
-            spec=tiny_spec(),
-            config=ExperimentConfig(geometry=geom, ftl=ftl, precondition_fill=0.5),
-            extras=(("ftl_tag", ftl),),
-        )
-        for ftl in ("dloop", "fast", "pagemap")
-    ]
+    config = ExperimentConfig(geometry=geom, ftl=ftl, precondition_fill=0.5)
+    return run_workload(tiny_spec(), config)
 
 
 def test_serial_execution():
-    results = run_cells(make_cells(), processes=1)
-    assert [r.ftl for r in results] == ["dloop", "fast", "pagemap"]
+    results = run_cells(FTLS, simulate, processes=1)
+    assert [r.ftl for r in results] == list(FTLS)
     assert all(r.num_requests == 200 for r in results)
-    assert results[0].extras["ftl_tag"] == "dloop"
 
 
 def test_parallel_matches_serial():
-    serial = run_cells(make_cells(), processes=1)
-    parallel = run_cells(make_cells(), processes=2)
+    serial = run_cells(FTLS, simulate, processes=1)
+    parallel = run_cells(FTLS, simulate, processes=2)
     for a, b in zip(serial, parallel):
         assert a.ftl == b.ftl
         assert a.mean_response_ms == pytest.approx(b.mean_response_ms)
@@ -50,16 +45,5 @@ def test_parallel_matches_serial():
         assert a.gc_passes == b.gc_passes
 
 
-def test_grid_builder():
-    geom = scaled_geometry(2, scale=TINY_SCALE)
-    specs = [tiny_spec("a"), tiny_spec("b")]
-    configs = [ExperimentConfig(geometry=geom, ftl=f) for f in ("dloop", "fast")]
-    cells = grid(specs, configs, extras_for={0: {"tag": "first"}})
-    assert len(cells) == 4
-    assert cells[0].tagged_extras() == {"tag": "first"}
-    assert cells[1].tagged_extras() == {}
-    assert cells[0].spec.name == "a" and cells[3].spec.name == "b"
-
-
 def test_empty_cells():
-    assert run_cells([], processes=2) == []
+    assert run_cells([], simulate, processes=2) == []

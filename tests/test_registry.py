@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.flash.timing import TimingParams
-from repro.ftl.registry import available_ftls, create_ftl
+from repro.ftl.registry import available_ftls, create_ftl, dropped_kwargs, ftl_class
 
 
 def test_available_ftls_lists_all():
@@ -22,6 +22,19 @@ def test_create_by_name(small_geometry):
 def test_unknown_name(small_geometry):
     with pytest.raises(ValueError, match="unknown FTL"):
         create_ftl("nope", small_geometry)
+    with pytest.raises(ValueError, match="unknown FTL"):
+        ftl_class("nope")
+
+
+def test_ftl_class_is_what_create_ftl_builds(small_geometry):
+    for name in available_ftls():
+        assert type(create_ftl(name, small_geometry)) is ftl_class(name)
+    supported = {n for n in available_ftls() if ftl_class(n).fault_injection_supported}
+    assert supported == {"dftl", "dloop", "dloop-hc", "dloop-hot", "dloop-mp",
+                         "dloop-nocb", "fast"}
+    # SRAM-mapped FTLs accept and drop the CMT knob
+    assert {n for n in available_ftls() if "cmt_entries" in dropped_kwargs(n)} == {
+        "bast", "fast", "last", "pagemap", "superblock"}
 
 
 #: ``len(vars(ftl))`` per registry entry.  CPython 3.11 stores instance
