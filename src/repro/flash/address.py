@@ -7,7 +7,7 @@ page_in_block)`` into one integer:
 
 Global block ids follow the same layout without the page component.
 Page *owners* (what a physical page currently stores) are encoded in a
-single int64: ``owner >= 0`` is a data LPN, ``owner <= -2`` is a
+single int32: ``owner >= 0`` is a data LPN, ``owner <= -2`` is a
 translation page (``tvpn = -owner - 2``), and ``-1`` means unwritten.
 """
 

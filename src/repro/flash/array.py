@@ -14,8 +14,11 @@ Storage layout
 --------------
 
 Per-page and per-block tables are flat Python buffers (``bytearray`` for
-page states, ``array('q')`` for everything else): scalar reads/writes on
-the hot path cost one ``BINARY_SUBSCR`` instead of a boxed numpy scalar.
+page states, four-byte ``array('i')`` for page owners, ``array('q')``
+for the per-block counters and the OOB generations): scalar reads/writes
+on the hot path cost one ``BINARY_SUBSCR`` instead of a boxed numpy
+scalar.  Owners are LPNs or translation owners, both bounded by
+:data:`repro.flash.geometry.MAX_PAGES`.
 Every table also exposes a zero-copy numpy view (``*_np``) over the same
 memory for the vectorised consumers (victim selection, wear levelling,
 integrity checks, the runtime sanitizer).  The buffers are never resized,
@@ -66,7 +69,7 @@ class FlashArray:
 
         # Flat scalar-fast stores ...
         self.page_state = bytearray(n_pages) if PAGE_FREE == 0 else bytearray([PAGE_FREE]) * n_pages
-        self.page_owner = array("q", [OWNER_NONE]) * n_pages
+        self.page_owner = array("i", [OWNER_NONE]) * n_pages
         self.block_valid = array("q", bytes(8 * n_blocks))
         self.block_invalid = array("q", bytes(8 * n_blocks))
         # Next programmable page offset per block (ascending-order rule).
@@ -76,7 +79,7 @@ class FlashArray:
         self.block_write_stamp = array("q", bytes(8 * n_blocks))
         # ... and their zero-copy numpy views for vectorised consumers.
         self.page_state_np = np.frombuffer(self.page_state, dtype=np.uint8)
-        self.page_owner_np = np.frombuffer(self.page_owner, dtype=np.int64)
+        self.page_owner_np = np.frombuffer(self.page_owner, dtype=np.int32)
         self.block_valid_np = np.frombuffer(self.block_valid, dtype=np.int64)
         self.block_invalid_np = np.frombuffer(self.block_invalid, dtype=np.int64)
         self.block_write_ptr_np = np.frombuffer(self.block_write_ptr, dtype=np.int64)
@@ -401,6 +404,8 @@ class FlashArray:
 
         Vectorised fast path for device preconditioning: equivalent to
         ``program`` called sequentially from offset 0.  Returns the PPNs.
+        Callers pass int32 ``owners`` and get int32 PPNs back, the
+        address stores' dtype, so neither store assignment casts.
         """
         n = len(owners)
         if n < 1 or n > self._pages_per_block:
@@ -424,7 +429,7 @@ class FlashArray:
             self.page_gen_np[first : first + n][data] = self.lpn_gen_np[owners[data]]
         if BUS.enabled:
             BUS.emit("array", "bulk_fill", 0.0, 0.0, {"block": block, "count": n}, None, "i")
-        return np.arange(first, first + n, dtype=np.int64)
+        return np.arange(first, first + n, dtype=np.int32)
 
     # ---- queries ------------------------------------------------------------
 

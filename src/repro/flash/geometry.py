@@ -23,6 +23,11 @@ GB = 1024 ** 3
 MB = 1024 ** 2
 KB = 1024
 
+#: Exclusive bound on physical pages and LPNs: PPNs, LPNs and the
+#: translation-owner encoding (``-tvpn - 2``) live in four-byte
+#: ``array('i')`` stores.
+MAX_PAGES = 2 ** 31
+
 
 @dataclass(frozen=True)
 class SSDGeometry:
@@ -69,6 +74,12 @@ class SSDGeometry:
             raise ValueError("pages_per_block must be even (same-parity copy-back)")
         if self.plane_order not in ("channel-interleaved", "die-major"):
             raise ValueError("plane_order must be 'channel-interleaved' or 'die-major'")
+        # LPNs never outnumber physical pages, so one bound covers both.
+        if self.num_physical_pages >= MAX_PAGES:
+            raise ValueError(
+                f"{self.num_physical_pages} physical pages: physical pages and "
+                f"LPNs must stay below 2**31 = {MAX_PAGES} (four-byte address stores)"
+            )
 
     # ---- derived sizes -------------------------------------------------
 

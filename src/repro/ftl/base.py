@@ -19,7 +19,7 @@ import abc
 import random
 from array import array as arr_mod
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -53,6 +53,20 @@ def _integrity_text(stores, kind: str, bad: np.ndarray) -> str:
     ppn = int(bad[0])
     tvpn = translation_tvpn(int(stores[2][ppn]))
     return f"GTD stale for tvpn {tvpn}: {stores[3][tvpn]} != {ppn}"
+
+
+#: Blocks per ``arange`` in :func:`block_lpns`.
+_FILL_BATCH = 4096
+
+
+def block_lpns(n_blocks: int, ppb: int) -> Iterator[np.ndarray]:
+    """The int32 LPNs ``i * ppb .. (i + 1) * ppb - 1`` of each logical
+    block ``i < n_blocks``, as row views of one ``arange`` per
+    ``_FILL_BATCH`` blocks: a bulk fill's owners without a numpy call
+    per block, and without an array the size of the fill."""
+    for start in range(0, n_blocks, _FILL_BATCH):
+        stop = min(start + _FILL_BATCH, n_blocks)
+        yield from np.arange(start * ppb, stop * ppb, dtype=np.int32).reshape(-1, ppb)
 
 
 class OutOfSpaceError(RuntimeError):
@@ -102,10 +116,11 @@ class Ftl(abc.ABC):
         self.array = FlashArray(geometry)
         self.clock = FlashTimekeeper(geometry, self.timing)
         self.codec = self.array.codec
-        # Flat int64 map (scalar-fast) plus a zero-copy numpy view for
-        # the vectorised paths (bulk fill, recovery, integrity scans).
-        self.page_table = arr_mod("q", [-1]) * geometry.num_lpns
-        self.page_table_np = np.frombuffer(self.page_table, dtype=np.int64)
+        # Flat four-byte map (scalar-fast; PPNs fit below
+        # geometry.MAX_PAGES) plus a zero-copy numpy view for the
+        # vectorised paths (bulk fill, recovery, integrity scans).
+        self.page_table = arr_mod("i", [-1]) * geometry.num_lpns
+        self.page_table_np = np.frombuffer(self.page_table, dtype=np.int32)
         self.gc_threshold = gc_threshold
         self.array.register_gc_threshold(gc_threshold)
         self.max_gc_passes = max_gc_passes
@@ -641,17 +656,21 @@ class Ftl(abc.ABC):
         planes = self.geometry.num_planes
         tails = []
         for plane in range(planes):
-            lpns = np.arange(plane, count, planes, dtype=np.int64)
+            lpns = np.arange(plane, count, planes, dtype=np.int32)
             full = (len(lpns) // ppb) * ppb
             for start in range(0, full, ppb):
                 block = self.array.allocate_block(plane)
-                chunk = lpns[start : start + ppb]
-                self.page_table_np[chunk] = self.array.bulk_fill_block(block, chunk)
-            tails.append(lpns[full:])
+                first = plane + start * planes
+                # the chunk's LPNs, as a strided slice (no index array)
+                self.page_table_np[first : first + ppb * planes : planes] = (
+                    self.array.bulk_fill_block(block, lpns[start : start + ppb])
+                )
+            # a copy: a view would keep the plane's whole LPN array alive
+            tails.append(lpns[full:].tolist())
         # the striped tails go through the normal write path
         for tail in tails:
             for lpn in tail:
-                self.write_page(int(lpn), 0.0)
+                self.write_page(lpn, 0.0)
 
     def _bulk_fill_blocks(self, count: int) -> None:
         """Vectorised fill, block-granular layout: consecutive LPNs fill
@@ -660,10 +679,10 @@ class Ftl(abc.ABC):
         ppb = self.geometry.pages_per_block
         planes = self.geometry.num_planes
         full_blocks = count // ppb
-        for i in range(full_blocks):
+        for i, lpns in enumerate(block_lpns(full_blocks, ppb)):
             block = self.array.allocate_block(i % planes)
-            lpns = np.arange(i * ppb, (i + 1) * ppb, dtype=np.int64)
-            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
+            first = i * ppb
+            self.page_table_np[first : first + ppb] = self.array.bulk_fill_block(block, lpns)
         for lpn in range(full_blocks * ppb, count):
             self.write_page(lpn, 0.0)
 

@@ -24,8 +24,8 @@ class GlobalTranslationDirectory:
             raise ValueError("num_lpns must be >= 1")
         self.entries_per_tpage = max(1, page_size // self.ENTRY_BYTES)
         self.num_tpages = math.ceil(num_lpns / self.entries_per_tpage)
-        # Flat int64 directory: tvpn -> ppn, -1 when never materialised.
-        self.tpage_ppn = array("q", [-1]) * self.num_tpages
+        # Flat four-byte directory: tvpn -> ppn, -1 when never materialised.
+        self.tpage_ppn = array("i", [-1]) * self.num_tpages
 
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_tpage
@@ -46,7 +46,7 @@ class GlobalTranslationDirectory:
 
         In-place so references to the flat store stay valid.
         """
-        self.tpage_ppn[:] = array("q", [-1]) * self.num_tpages
+        self.tpage_ppn[:] = array("i", [-1]) * self.num_tpages
 
     def is_mapped(self, tvpn: int) -> bool:
         return self.tpage_ppn[tvpn] != -1

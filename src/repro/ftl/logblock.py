@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.flash.address import OWNER_NONE
 from repro.flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashStateError
-from repro.ftl.base import OutOfSpaceError
+from repro.ftl.base import OutOfSpaceError, block_lpns
 from repro.obs.tracebus import BUS
 
 
@@ -348,10 +348,10 @@ class LogBlockMixin:
         directly into data blocks (what the incremental path produces)."""
         ppb = self.pages_per_block
         full_lbns = count // ppb
-        for lbn in range(full_lbns):
+        for lbn, lpns in enumerate(block_lpns(full_lbns, ppb)):
             block = self._alloc_block(lbn % self.num_planes)
-            lpns = np.arange(lbn * ppb, (lbn + 1) * ppb, dtype=np.int64)
-            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
+            first = lbn * ppb
+            self.page_table_np[first : first + ppb] = self.array.bulk_fill_block(block, lpns)
             self.data_block[lbn] = block
         for lpn in range(full_lbns * ppb, count):
             self.write_page(lpn, 0.0)

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
-from repro.ftl.base import Ftl, OutOfSpaceError
+from repro.ftl.base import Ftl, OutOfSpaceError, block_lpns
 from repro.ftl.logblock import MapJournal
 
 
@@ -240,12 +238,12 @@ class SuperblockFtl(Ftl):
     def bulk_fill(self, count: int) -> None:
         ppb = self.pages_per_block
         full_blocks = count // ppb
-        for i in range(full_blocks):
-            sb = (i * ppb) // self.pages_per_superblock
+        for i, lpns in enumerate(block_lpns(full_blocks, ppb)):
+            first = i * ppb
+            sb = first // self.pages_per_superblock
             block = self._alloc_block()
             self._blocks.setdefault(sb, []).append(block)
-            lpns = np.arange(i * ppb, (i + 1) * ppb, dtype=np.int64)
-            self.page_table_np[lpns] = self.array.bulk_fill_block(block, lpns)
+            self.page_table_np[first : first + ppb] = self.array.bulk_fill_block(block, lpns)
         for lpn in range(full_blocks * ppb, count):
             self.write_page(lpn, 0.0)
 

@@ -601,9 +601,14 @@ class SimSanitizer:
         self._check_free_accounting()
         self._check_shadow(stores[1], ppns)
         # Clean: this state is the base the next delta is taken from (a
-        # failed sweep raised above and never becomes one).
-        if full:
+        # failed sweep raised above and never becomes one).  A full
+        # sweep refreshes an existing base in place rather than holding
+        # a second set of copies beside it.
+        if self._base is None:
             self._base = [store.copy() for store in stores]
+        elif full:
+            for store, base in zip(stores, self._base):
+                np.copyto(base, store)
         else:
             for store, base, cells in zip(stores, self._base, changed):
                 base[cells] = store[cells]

@@ -18,19 +18,27 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict
 
+import numpy as np
+
+
+#: Entries widened to int64 per step of :func:`checksum_int64`.
+_CRC_CHUNK = 1 << 20
+
 
 def checksum_int64(table: Any) -> int:
-    """CRC32 of an int64 table's little-endian byte image.
+    """CRC32 of an integer table's int64 little-endian byte image.
 
-    Accepts anything exposing ``tobytes()`` (``numpy.ndarray``,
-    ``array.array``) or the buffer protocol, so the digest is identical
-    across backing-store implementations of the same logical content.
+    Accepts any integer buffer numpy can view (``numpy.ndarray``,
+    ``array.array`` of any integer width), so the digest depends on the
+    logical content only: a four-byte store and an eight-byte store of
+    the same values digest alike.  The image is built one chunk at a
+    time, never for the whole table.
     """
-    if hasattr(table, "tobytes"):
-        data = table.tobytes()
-    else:
-        data = bytes(memoryview(table))
-    return zlib.crc32(data) & 0xFFFFFFFF
+    values = np.asarray(table)
+    crc = 0
+    for start in range(0, len(values), _CRC_CHUNK):
+        crc = zlib.crc32(values[start : start + _CRC_CHUNK].astype("<i8").tobytes(), crc)
+    return crc & 0xFFFFFFFF
 
 
 def engine_fingerprint(engine: Any) -> Dict[str, Any]:

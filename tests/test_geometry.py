@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flash.geometry import GB, KB, SSDGeometry
+from repro.flash.geometry import GB, KB, MAX_PAGES, SSDGeometry
 
 
 def test_paper_default_matches_section_iii():
@@ -120,3 +120,22 @@ def test_channel_interleaved_spreads_consecutive_planes():
 def test_invalid_plane_order_rejected():
     with pytest.raises(ValueError):
         SSDGeometry(plane_order="diagonal")
+
+
+def _one_plane(blocks_per_plane, extra_blocks_percent=0.0):
+    return SSDGeometry(
+        channels=1, dies_per_chip=1, planes_per_die=1,
+        blocks_per_plane=blocks_per_plane, pages_per_block=64,
+        extra_blocks_percent=extra_blocks_percent,
+    )
+
+
+def test_page_count_bound_of_the_four_byte_stores():
+    assert MAX_PAGES == 2**31
+    blocks = MAX_PAGES // 64
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        _one_plane(blocks)  # exactly 2**31 physical pages (and LPNs)
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        _one_plane(blocks - 1, extra_blocks_percent=1.0)  # LPNs fit, pages do not
+    just_under = _one_plane(blocks - 1)
+    assert just_under.num_physical_pages == just_under.num_lpns == MAX_PAGES - 64

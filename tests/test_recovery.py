@@ -38,7 +38,7 @@ def test_rebuild_recovers_exact_mapping(small_geometry, timing, name):
 def test_rebuild_recovers_gtd(small_geometry, timing):
     ftl = create_ftl("dloop", small_geometry, timing, cmt_entries=64)
     churn(ftl)
-    gtd_view = np.frombuffer(ftl.gtd.tpage_ppn, dtype=np.int64)
+    gtd_view = np.frombuffer(ftl.gtd.tpage_ppn, dtype=np.int32)
     gtd_before = gtd_view.copy()
     # corrupt the SRAM state, then recover
     ftl.page_table_np.fill(-1)
