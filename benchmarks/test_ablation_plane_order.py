@@ -37,7 +37,7 @@ def run_plane_order():
         ssd = SimulatedSSD(geometry, ftl="dloop")
         ssd.run([IoRequest(0.0, 0, 8, IoOp.WRITE)])
         idle_rows.append(
-            {"plane_order": order, "single_8page_write_us": ssd.stats.response_us[0]}
+            {"plane_order": order, "single_8page_write_us": ssd.stats.reservoir.values[0]}
         )
         # loaded: the tpcc replay
         spec = make_workload("tpcc", num_requests=BENCH_REQUESTS, footprint_bytes=footprint)

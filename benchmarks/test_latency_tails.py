@@ -27,12 +27,17 @@ def run_tails():
     for ftl in ("dloop", "dloop-nocb"):
         ssd = SimulatedSSD(geometry, ftl=ftl, stats_interval_us=BENCH_STATS_INTERVAL_US)
         ssd.precondition(0.55)
+        histogram = LatencyHistogram()
+
+        def record_read(request, histogram=histogram):
+            if request.op is IoOp.READ and request.error is None:
+                histogram.record(request.response_us)
+
+        ssd.controller.on_complete.append(record_read)
         for r in trace:
             op = IoOp.WRITE if r.is_write else IoOp.READ
             ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
         ssd.run()
-        histogram = LatencyHistogram()
-        histogram.record_many(ssd.stats.read_response_us)
         summary = histogram.summary()
         counters = ssd.counters.as_dict()
         rows.append(

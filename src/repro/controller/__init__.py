@@ -1,6 +1,6 @@
 """SSD controller layer: request admission, page splitting, statistics."""
 
-from repro.controller.controller import Controller, RequestStats
+from repro.controller.controller import Controller
 from repro.controller.device import SimulatedSSD
 from repro.controller.writebuffer import WriteBuffer
 from repro.controller.background import BackgroundGc
@@ -8,7 +8,6 @@ from repro.controller.closedloop import ClosedLoopDriver, ClosedLoopResult, ops_
 
 __all__ = [
     "Controller",
-    "RequestStats",
     "SimulatedSSD",
     "WriteBuffer",
     "BackgroundGc",

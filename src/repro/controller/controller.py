@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from heapq import heappush, merge
 from itertools import chain
 from operator import attrgetter
-from typing import List
-
-import numpy as np
 
 from repro.ftl.base import Ftl, OutOfSpaceError
+from repro.metrics.streaming import StreamingRequestStats
 from repro.obs.tracebus import BUS
 from repro.sim.engine import Engine
 from repro.sim.request import OP_TRIM, OP_WRITE, IoRequest
@@ -48,60 +45,6 @@ class StreamArmedError(ValueError):
     replacing it would drop its unadmitted tail without a word."""
 
 
-@dataclass
-class RequestStats:
-    """Response-time accumulator for completed host requests."""
-
-    response_us: List[float] = field(default_factory=list)
-    read_response_us: List[float] = field(default_factory=list)
-    write_response_us: List[float] = field(default_factory=list)
-    #: response times of requests that completed with an error status
-    #: (end-of-life ENOSPC) — bucketed apart so moments/percentiles
-    #: describe successful service only.
-    error_response_us: List[float] = field(default_factory=list)
-    pages_read: int = 0
-    pages_written: int = 0
-    pages_trimmed: int = 0
-    #: requests failed with an error status (end-of-life ENOSPC)
-    failed_requests: int = 0
-    #: requests that needed at least one media retry (fault injection)
-    retried_requests: int = 0
-    #: total media retries across all requests
-    total_retries: int = 0
-    #: pages lost to uncorrectable read errors
-    lost_pages: int = 0
-
-    @property
-    def count(self) -> int:
-        return len(self.response_us)
-
-    def observe(self, response_us: float, is_write: bool) -> None:
-        """Record one successfully completed request's response time.
-
-        The single accumulation seam shared with
-        :class:`repro.metrics.streaming.StreamingRequestStats`, so the
-        controller works identically against either implementation.
-        """
-        self.response_us.append(response_us)
-        if is_write:
-            self.write_response_us.append(response_us)
-        else:
-            self.read_response_us.append(response_us)
-
-    def observe_error(self, response_us: float, is_write: bool) -> None:
-        """Record an error-status completion (kept out of the moments)."""
-        self.error_response_us.append(response_us)
-
-    def mean_response_us(self) -> float:
-        return float(np.mean(self.response_us)) if self.response_us else 0.0
-
-    def mean_response_ms(self) -> float:
-        return self.mean_response_us() / 1000.0
-
-    def percentile_us(self, q: float) -> float:
-        return float(np.percentile(self.response_us, q)) if self.response_us else 0.0
-
-
 class Controller:
     """Feeds host requests through the FTL and records completions.
 
@@ -113,7 +56,7 @@ class Controller:
         self.engine = engine
         self.ftl = ftl
         self.backend = backend if backend is not None else ftl
-        self.stats = RequestStats()
+        self.stats = StreamingRequestStats()
         self.outstanding = 0
         #: high-water mark of ``outstanding`` over the whole run
         self.peak_outstanding = 0

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.controller.controller import Controller, RequestStats
+from repro.controller.controller import Controller
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.base import Ftl
 from repro.ftl.registry import create_ftl
+from repro.metrics.streaming import StreamingRequestStats
 from repro.sim.engine import Engine
 from repro.sim.request import IoOp, IoRequest
 
@@ -36,7 +37,6 @@ class SimulatedSSD:
         ftl: str = "dloop",
         write_buffer_pages: Optional[int] = None,
         background_gc: bool = False,
-        telemetry_interval_us: Optional[float] = None,
         stats_interval_us: Optional[float] = None,
         sanitize: bool = False,
         faults: Optional["FaultConfig"] = None,
@@ -85,20 +85,17 @@ class SimulatedSSD:
             from repro.controller.background import BackgroundGc
 
             self.background_gc = BackgroundGc(self.engine, self.ftl, self.controller)
-        # ``stats_interval_us`` is the canonical knob; the historical
-        # ``telemetry_interval_us`` name keeps working as an alias.
         self.telemetry = None
         self.run_stats = None
         self.metrics = None
-        if stats_interval_us is None:
-            stats_interval_us = telemetry_interval_us
         if stats_interval_us is not None:
-            from repro.metrics.timeseries import TelemetrySampler
+            from repro.metrics.timeseries import Telemetry
+            from repro.obs.sampler import StatsSampler
 
-            self._sampler = TelemetrySampler(
+            self._sampler = StatsSampler(
                 self.engine, self.ftl, self.controller, stats_interval_us
             )
-            self.telemetry = self._sampler.telemetry
+            self.telemetry = Telemetry.from_run_stats(self._sampler.stats)
             self.run_stats = self._sampler.stats
             self.metrics = self._sampler.registry
         # Opt-in runtime invariant checking (repro-sim simulate --sanitize).
@@ -134,8 +131,8 @@ class SimulatedSSD:
         """Submit ``requests`` and run the simulation to completion.
 
         The batch is sorted by arrival and admitted like an unbounded
-        stream (:meth:`Controller.submit_many`); the stats stay the
-        list-backed :class:`RequestStats` (exact percentiles).
+        stream (:meth:`Controller.submit_many`): the run is event for
+        event ``run_stream(iter(sorted_batch), queue_depth=None)``.
         """
         self.controller.submit_many(requests)
         end = self._run_engine(until)
@@ -161,7 +158,6 @@ class SimulatedSSD:
         *,
         queue_depth: Optional[int] = None,
         until: Optional[float] = None,
-        streaming_stats: bool = True,
         on_unordered: str = "raise",
     ) -> float:
         """Run a (possibly unbounded) request stream in bounded memory.
@@ -170,27 +166,14 @@ class SimulatedSSD:
         admission window (:meth:`Controller.submit_stream`): at most one
         not-yet-arrived request sits in the event queue, so replaying a
         multi-million-request trace costs O(1) simulator memory on top
-        of the flash state.  With ``queue_depth=None`` and
-        ``streaming_stats=False`` the run is event for event
-        :meth:`run` on the materialized list.
-
-        ``streaming_stats`` swaps the controller's list-backed
-        :class:`RequestStats` for the O(1)-memory
-        :class:`repro.metrics.streaming.StreamingRequestStats` (exact
-        running moments, reservoir percentiles).  Pass False to keep
-        full per-request latency lists, e.g. for small traces that need
-        exact high percentiles.
+        of the flash state.  With ``queue_depth=None`` the run is event
+        for event :meth:`run` on the materialized list.
 
         ``on_unordered`` is forwarded to
         :meth:`Controller.submit_stream`: ``"raise"`` (default) fails
         fast on an out-of-order trace, ``"normalize"`` clamps late
         arrivals up to the running maximum (FIFO replay).
         """
-        if streaming_stats:
-            from repro.metrics.streaming import StreamingRequestStats
-
-            if not isinstance(self.controller.stats, StreamingRequestStats):
-                self.controller.stats = StreamingRequestStats()
         self.controller.submit_stream(
             requests, queue_depth=queue_depth, on_unordered=on_unordered
         )
@@ -245,9 +228,7 @@ class SimulatedSSD:
 
         self.ftl.gc_stats = GcStats()
         self.ftl.stats = FtlStats()
-        # Same concrete stats type the controller currently carries
-        # (RequestStats or StreamingRequestStats).
-        self.controller.stats = type(self.controller.stats)()
+        self.controller.stats = StreamingRequestStats()
         self.controller.peak_outstanding = 0
         if self.write_buffer is not None:
             from repro.controller.writebuffer import WriteBufferStats
@@ -259,7 +240,7 @@ class SimulatedSSD:
     # ---- results -----------------------------------------------------------------
 
     @property
-    def stats(self) -> RequestStats:
+    def stats(self) -> StreamingRequestStats:
         return self.controller.stats
 
     @property

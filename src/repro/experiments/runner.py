@@ -6,8 +6,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.controller.device import SimulatedSSD
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.sdrpp import sdrpp
@@ -115,9 +113,10 @@ def run_simulation(
     the trace iterable is consumed lazily through the controller's
     admission window (bounded by ``queue_depth`` when given) and
     response times are accumulated by the O(1)-memory streaming stats,
-    so multi-million-request traces run in bounded memory.  In stream
-    mode ``steady_response_ms`` is the overall mean (steady-state
-    detection needs the full latency series).  ``crash_at_us`` composes
+    so multi-million-request traces run in bounded memory.  Either way
+    ``steady_response_ms`` is the MSER-truncated mean while the stats
+    reservoir still holds every response time, and the overall mean
+    once it has evicted (longer traces).  ``crash_at_us`` composes
     with streaming: the admitted-but-uncompleted NCQ window is lost
     with the power cut and the not-yet-admitted tail of the trace
     resumes on the recovered device.
@@ -158,17 +157,11 @@ def run_simulation(
         def _drive() -> float:
             if crash_at_us is None:
                 return ssd.run_stream(stream_iter, queue_depth=queue_depth)
-            # Power-fail mid-stream.  Swap in the streaming stats first
-            # so pre-crash completions land in the same accumulator the
-            # post-recovery resume uses; the admitted-but-uncompleted
-            # NCQ window dies with the event queue, and the
-            # not-yet-admitted tail is still in the iterator — it
-            # replays on the recovered device (arrivals now in the past
-            # are admitted at the recovery clock).
-            from repro.metrics.streaming import StreamingRequestStats
-
-            if not isinstance(ssd.controller.stats, StreamingRequestStats):
-                ssd.controller.stats = StreamingRequestStats()
+            # Power-fail mid-stream: the admitted-but-uncompleted NCQ
+            # window dies with the event queue, and the not-yet-admitted
+            # tail is still in the iterator — it replays on the
+            # recovered device (arrivals now in the past are admitted
+            # at the recovery clock).
             extras["crash"] = ssd.run_with_crash(
                 stream_iter, crash_at_us, stream=True, queue_depth=queue_depth
             )
@@ -237,27 +230,21 @@ def run_simulation(
     if hasattr(ftl, "cmt"):
         cmt_hit = ftl.cmt.stats.hit_ratio
 
-    def ms(values: List[float]) -> float:
-        return float(np.mean(values)) / 1000.0 if values else 0.0
-
-    from repro.metrics.streaming import StreamingRequestStats
-
-    if isinstance(stats, StreamingRequestStats):
-        # No per-request latency series in streaming mode: the steady-
-        # state detector has nothing to window over, so report the
-        # overall (exact Welford) means.
+    # Until its first eviction the reservoir holds every response time
+    # in completion order, the series the steady-state detector windows
+    # over; past that only the overall (exact Welford) mean is left.
+    if stats.reservoir.exact:
+        steady_response_ms = _steady_ms(stats.reservoir.values)
+    else:
         steady_response_ms = stats.mean_response_ms()
-        read_response_ms = stats.reads.mean / 1000.0 if stats.reads.count else 0.0
-        write_response_ms = stats.writes.mean / 1000.0 if stats.writes.count else 0.0
+    read_response_ms = stats.reads.mean / 1000.0 if stats.reads.count else 0.0
+    write_response_ms = stats.writes.mean / 1000.0 if stats.writes.count else 0.0
+    if stream:
         extras["stream"] = {
             "queue_depth": queue_depth,
             "peak_outstanding": ssd.controller.peak_outstanding,
             "reservoir_exact": stats.reservoir.exact,
         }
-    else:
-        steady_response_ms = _steady_ms(stats.response_us)
-        read_response_ms = ms(stats.read_response_us)
-        write_response_ms = ms(stats.write_response_us)
 
     if ssd.run_stats is not None:
         extras["run_stats"] = ssd.run_stats.summary()

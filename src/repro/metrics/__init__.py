@@ -8,7 +8,7 @@ from repro.metrics.amplification import AmplificationReport, amplification
 from repro.metrics.ascii_chart import hbar_chart, series_chart, sparkline
 from repro.metrics.utilization import UtilizationReport, utilization
 from repro.metrics.endurance import EnduranceEstimate, estimate_endurance
-from repro.metrics.timeseries import Telemetry, TelemetrySampler
+from repro.metrics.timeseries import Telemetry
 from repro.metrics.streaming import (
     DeterministicReservoir,
     RunningMoments,
@@ -34,7 +34,6 @@ __all__ = [
     "EnduranceEstimate",
     "estimate_endurance",
     "Telemetry",
-    "TelemetrySampler",
     "DeterministicReservoir",
     "RunningMoments",
     "StreamingRequestStats",

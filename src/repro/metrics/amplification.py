@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.controller.controller import RequestStats
 from repro.flash.counters import FlashCounters
+from repro.metrics.streaming import StreamingRequestStats
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class AmplificationReport:
         }
 
 
-def amplification(stats: RequestStats, counters: FlashCounters) -> AmplificationReport:
+def amplification(stats: StreamingRequestStats, counters: FlashCounters) -> AmplificationReport:
     """Build the report from a finished simulation's raw counters."""
     return AmplificationReport(
         host_pages_written=stats.pages_written,

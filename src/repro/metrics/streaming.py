@@ -1,23 +1,24 @@
-"""Streaming-safe response-time accounting.
+"""Response-time accounting in O(1) memory.
 
-``RequestStats`` keeps every response time in a Python list — fine for
-a 20 k-request paper replay, fatal for a multi-million-request
-production trace (O(trace) RAM just for latencies).  This module is the
-O(1)-memory replacement used by the streaming replay path:
+The controller's one request-stats type, for every way a trace is
+handed over (``run(list)``, ``run_stream``, tenancy, torture): a
+multi-million-request trace must not cost O(trace) RAM just for
+latencies.
 
 * :class:`RunningMoments` — exact running count/mean/variance/min/max
   via Welford's algorithm (numerically stable single pass);
 * :class:`DeterministicReservoir` — fixed-size uniform sample of the
   response-time distribution (Vitter's Algorithm R) driven by a seeded
   RNG, so two replays of the same trace report identical percentiles;
-* :class:`StreamingRequestStats` — a drop-in for
-  :class:`repro.controller.controller.RequestStats`: the controller
-  feeds it through the same ``observe()`` protocol and the reporting
-  layer reads the same ``mean_response_ms()`` / ``percentile_us()``
-  surface, but memory stays fixed no matter how long the trace is.
+* :class:`StreamingRequestStats` — what the controller feeds through
+  ``observe()`` and the reporting layer reads through
+  ``mean_response_ms()`` / ``percentile_us()``; memory stays fixed no
+  matter how long the trace is.
 
-Percentiles are exact while the reservoir has not evicted (count <=
-capacity) and a uniform-sample estimate afterwards.
+Until its first eviction (count <= capacity, 4 096 by default) the
+reservoir holds every successful response time in completion order, so
+percentiles and the steady-state series are exact; afterwards they are
+a uniform-sample estimate.
 """
 
 from __future__ import annotations
@@ -104,12 +105,12 @@ class DeterministicReservoir:
 
 
 class StreamingRequestStats:
-    """O(1)-memory drop-in for ``RequestStats``.
+    """Response-time accumulator for completed host requests.
 
-    The controller mutates the same page/failure/retry counters and
-    calls the same ``observe(response_us, is_write)`` hook; response
-    times flow into running moments (exact mean) and one shared
-    reservoir (percentiles) instead of grow-forever lists.
+    The controller mutates the page/failure/retry counters and calls
+    ``observe(response_us, is_write)`` once per successful completion;
+    response times flow into running moments (exact means, overall and
+    per lane) and one shared reservoir (percentiles).
     """
 
     def __init__(self, reservoir_size: int = 4096, reservoir_seed: int = 0x5EED):
@@ -117,7 +118,7 @@ class StreamingRequestStats:
         self.reads = RunningMoments()
         self.writes = RunningMoments()
         #: error-status completions (end-of-life ENOSPC), bucketed apart
-        #: so the success moments/reservoir match ``RequestStats``.
+        #: so the moments and the reservoir describe successful service.
         self.errors = RunningMoments()
         self.reservoir = DeterministicReservoir(reservoir_size, reservoir_seed)
         self.pages_read = 0
@@ -179,7 +180,7 @@ class StreamingRequestStats:
         must match a fault-free replay of the successful requests)."""
         self.errors.push(response_us)
 
-    # ---- RequestStats-compatible reporting surface ------------------------
+    # ---- reporting surface ------------------------------------------------
 
     @property
     def count(self) -> int:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.obs.sampler import StatsSampler
-
 
 @dataclass
 class Telemetry:
@@ -60,18 +58,3 @@ class Telemetry:
         from repro.metrics.ascii_chart import series_chart
 
         return series_chart(self.series(), title=title)
-
-
-class TelemetrySampler(StatsSampler):
-    """Periodic gauge sampler attached to a running simulation.
-
-    A :class:`~repro.obs.sampler.StatsSampler` whose collected series
-    are additionally exposed as a :class:`Telemetry` for sparkline
-    rendering.  The sampler re-arms itself while host requests remain
-    outstanding or scheduled, so it never keeps an otherwise-finished
-    simulation alive indefinitely.
-    """
-
-    def __init__(self, engine, ftl, controller, interval_us: float = 50_000.0):
-        super().__init__(engine, ftl, controller, interval_us)
-        self.telemetry = Telemetry.from_run_stats(self.stats)

@@ -173,11 +173,7 @@ class TortureCampaign:
     @staticmethod
     def _run_trace(cell: Scenario, ssd: SimulatedSSD, requests: List[IoRequest]) -> None:
         if cell.stream:
-            ssd.run_stream(
-                iter(requests),
-                queue_depth=cell.queue_depth,
-                streaming_stats=False,
-            )
+            ssd.run_stream(iter(requests), queue_depth=cell.queue_depth)
         else:
             ssd.run(requests)
         if ssd.write_buffer is not None:
@@ -231,11 +227,7 @@ class TortureCampaign:
         try:
             try:
                 if stream_iter is not None:
-                    ssd.run_stream(
-                        stream_iter,
-                        queue_depth=cell.queue_depth,
-                        streaming_stats=False,
-                    )
+                    ssd.run_stream(stream_iter, queue_depth=cell.queue_depth)
                 else:
                     ssd.run(requests)
                 if ssd.write_buffer is not None:

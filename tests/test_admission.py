@@ -42,7 +42,7 @@ TINY = SSDGeometry(
 
 
 def _observe(ftl_name, rows, run):
-    """Everything a run shows: the whole TraceBus capture, stats lists,
+    """Everything a run shows: the whole TraceBus capture, request stats,
     counters, fingerprint, in-flight high-water mark, completions."""
     ssd = SimulatedSSD(TINY, TimingParams(), ftl=ftl_name)
     if type(ssd.ftl)._gc_exclude is not Ftl._gc_exclude:
@@ -55,9 +55,9 @@ def _observe(ftl_name, rows, run):
     stats = ssd.stats
     return {
         "events": events,
-        "stats": (stats.response_us, stats.read_response_us, stats.write_response_us,
-                  stats.error_response_us, stats.pages_read, stats.pages_written,
-                  stats.pages_trimmed, stats.failed_requests),
+        "stats": (stats.overall, stats.reads, stats.writes, stats.errors,
+                  stats.reservoir.seen, stats.reservoir.values, stats.pages_read,
+                  stats.pages_written, stats.pages_trimmed, stats.failed_requests),
         "counters": ssd.counters.as_dict(),
         "fingerprint": ftl_fingerprint(ssd.ftl, end),
         "peak_outstanding": ssd.controller.peak_outstanding,
@@ -71,8 +71,7 @@ def _listed(ssd, requests):
 
 
 def _streamed(ssd, requests):
-    return ssd.run_stream(iter(sorted(requests, key=ARRIVAL)), queue_depth=None,
-                          streaming_stats=False)
+    return ssd.run_stream(iter(sorted(requests, key=ARRIVAL)), queue_depth=None)
 
 
 # Integer microseconds, in no order: duplicate timestamps and arrivals
@@ -95,7 +94,7 @@ integer_rows = st.lists(
 @given(rows=integer_rows)
 def test_list_and_stream_are_one_run(ftl_name, rows):
     """``run(list)`` in any input order == ``run_stream`` over the
-    stably sorted list, unbounded and with list-backed stats: event for
+    stably sorted list, unbounded: event for
     event (engine dispatches with their sequence numbers, ``queue_depth``
     counters, background GC passes), stats, counters and fingerprint."""
     listed = _observe(ftl_name, rows, _listed)
@@ -143,7 +142,7 @@ def _float_trace(n, seed, start=0.0):
 def _summary(ssd, requests, end):
     return (
         [(r.arrival_us, r.start_lpn, r.completion_us) for r in requests],
-        sorted(ssd.stats.response_us),
+        sorted(ssd.stats.reservoir.values),
         ssd.counters.as_dict(),
         ftl_fingerprint(ssd.ftl, end),
         ssd.controller.peak_outstanding,
@@ -330,7 +329,7 @@ def test_window_counts_in_flight_requests_across_streams():
     ssd.run(burst, until=1.0)
     assert ssd.controller._stream is None and ssd.controller.outstanding == 16
     more = [IoRequest(2.0 + i, 100 + i, 1, IoOp.WRITE) for i in range(8)]
-    ssd.run_stream(iter(more), queue_depth=4, streaming_stats=False)
+    ssd.run_stream(iter(more), queue_depth=4)
     assert ssd.controller._stream_window == 0
     assert ssd.stats.count == 24
     # the stream waited for the burst to drain below its depth

@@ -16,7 +16,7 @@ def test_single_request_completes(ssd):
     ssd.run()
     assert ssd.stats.count == 1
     assert ssd.stats.pages_written == 1
-    assert ssd.stats.response_us[0] > 0
+    assert ssd.stats.reservoir.values[0] > 0
 
 
 def test_multi_page_request_splits(ssd):
@@ -34,7 +34,7 @@ def test_striped_request_faster_than_serial(small_geometry, timing):
     serial = SimulatedSSD(small_geometry, timing, ftl="pagemap", striping="roaming")
     serial.submit(IoRequest(0.0, 0, small_geometry.num_planes, IoOp.WRITE))
     serial.run()
-    assert striped.stats.response_us[0] < serial.stats.response_us[0]
+    assert striped.stats.reservoir.values[0] < serial.stats.reservoir.values[0]
 
 
 def test_response_time_includes_queueing(ssd):
@@ -42,7 +42,7 @@ def test_response_time_includes_queueing(ssd):
     ssd.submit(IoRequest(0.0, 0, 1, IoOp.WRITE))
     ssd.submit(IoRequest(0.0, 0, 1, IoOp.WRITE))
     ssd.run()
-    r = sorted(ssd.stats.response_us)
+    r = sorted(ssd.stats.reservoir.values)
     assert r[1] > r[0]
 
 
@@ -50,8 +50,8 @@ def test_read_write_streams_separated(ssd):
     ssd.submit(IoRequest(0.0, 0, 1, IoOp.WRITE))
     ssd.submit(IoRequest(1000.0, 0, 1, IoOp.READ))
     ssd.run()
-    assert len(ssd.stats.write_response_us) == 1
-    assert len(ssd.stats.read_response_us) == 1
+    assert ssd.stats.writes.count == 1
+    assert ssd.stats.reads.count == 1
 
 
 def test_byte_request_page_alignment(ssd):
@@ -90,7 +90,7 @@ def test_outstanding_drains_to_zero(ssd):
 def test_mean_response_ms(ssd):
     ssd.submit(IoRequest(0.0, 0, 1, IoOp.WRITE))
     ssd.run()
-    assert ssd.mean_response_ms() == pytest.approx(ssd.stats.response_us[0] / 1000.0)
+    assert ssd.mean_response_ms() == pytest.approx(ssd.stats.reservoir.values[0] / 1000.0)
 
 
 def test_requests_processed_in_arrival_order(ssd):

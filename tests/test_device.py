@@ -91,7 +91,7 @@ def test_all_device_features_compose(small_geometry):
         cmt_entries=64,
         write_buffer_pages=16,
         background_gc=True,
-        telemetry_interval_us=5_000.0,
+        stats_interval_us=5_000.0,
     )
     ssd.precondition(0.5)
     rng = random.Random(3)
@@ -199,7 +199,8 @@ def test_reset_measurements_preserves_streaming_stats_type(small_geometry):
     from repro.metrics.streaming import StreamingRequestStats
 
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    ssd.controller.stats = StreamingRequestStats()
+    ssd.run([IoRequest(0.0, 0, 1, IoOp.WRITE)])
+    before = ssd.stats
     ssd.reset_measurements()
-    assert isinstance(ssd.stats, StreamingRequestStats)
-    assert ssd.stats.count == 0
+    assert isinstance(ssd.stats, StreamingRequestStats) and ssd.stats is not before
+    assert ssd.stats.count == 0 and ssd.stats.reservoir.values == []

@@ -95,11 +95,10 @@ def test_end_of_life_metrics_expose_wear(small_geometry):
 
 def test_error_samples_stay_out_of_moments_on_both_paths(small_geometry):
     """ENOSPC'd requests are bucketed apart from successes identically
-    on the materialized (``RequestStats``) and streamed
-    (``StreamingRequestStats``) paths: same failure count, same success
-    count, same moments — and count + failed always equals the trace
-    length (regression: errors used to pollute the Welford moments and
-    the percentile reservoir)."""
+    on the materialized (``run``) and streamed (``run_stream``) paths:
+    same failure count, same success count, same moments — and count +
+    failed always equals the trace length (regression: errors used to
+    pollute the Welford moments and the percentile reservoir)."""
     def build():
         ssd = SimulatedSSD(small_geometry, ftl="dloop",
                            faults=FaultConfig(seed=21, erase_fail_rate=0.30))
@@ -123,15 +122,9 @@ def test_error_samples_stay_out_of_moments_on_both_paths(small_geometry):
     assert s.count == m.count
     assert m.count + m.failed_requests == len(requests)
     # Errors land in their own bucket, same cardinality both paths.
-    assert len(m.error_response_us) == m.failed_requests
+    assert m.errors.count == m.failed_requests
     assert s.errors.count == s.failed_requests
-    # Success moments agree (Welford vs full-series numpy).
-    assert s.mean_response_us() == pytest.approx(
-        m.mean_response_us(), rel=1e-9
-    )
-    # Error-bucket moments agree too.
-    import numpy as np
-
-    assert s.errors.mean == pytest.approx(
-        float(np.mean(m.error_response_us)), rel=1e-9
-    )
+    # Success and error moments agree, and so do the reservoirs.
+    assert s.overall == m.overall
+    assert s.errors == m.errors
+    assert s.reservoir.values == m.reservoir.values

@@ -60,7 +60,7 @@ def run_dloop(geometry, *, trace=False, stats_interval_us=None):
 def fingerprint(ssd):
     """Everything that must be bit-identical with observability on/off."""
     return {
-        "response_us": list(ssd.stats.response_us),
+        "response_us": list(ssd.stats.reservoir.values),
         "counters": ssd.counters.as_dict(),
         "gc_passes": ssd.ftl.gc_stats.passes,
         "gc_moved": ssd.ftl.gc_stats.moved_pages,

@@ -43,7 +43,7 @@ def update_heavy_workload(geometry, n=1200, seed=33):
 
 def fingerprint(ssd):
     return {
-        "response_us": list(ssd.stats.response_us),
+        "response_us": list(ssd.stats.reservoir.values),
         "counters": ssd.counters.as_dict(),
         "gc_passes": ssd.ftl.gc_stats.passes,
         "gc_copyback": ssd.ftl.gc_stats.copyback_moves,

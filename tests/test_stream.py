@@ -193,11 +193,9 @@ def test_unbounded_stream_is_fingerprint_identical(ftl_name):
     assert ssd.stats.count == ref_stats.count
     assert ssd.stats.pages_written == ref_stats.pages_written
     assert ssd.stats.pages_read == ref_stats.pages_read
-    # Welford mean vs np.mean of the full series: same data, so equal
-    # to float accumulation noise.
-    assert ssd.stats.mean_response_us() == pytest.approx(
-        ref_stats.mean_response_us(), rel=1e-9
-    )
+    # same completions in the same order into the same accumulator
+    assert ssd.stats.overall == ref_stats.overall
+    assert ssd.stats.reservoir.values == ref_stats.reservoir.values
 
 
 def test_arrival_tying_an_older_completion():
@@ -240,8 +238,7 @@ def test_arrival_tying_an_older_completion():
 
     listed = engine_events(lambda ssd, requests: ssd.run(requests))
     streamed = engine_events(
-        lambda ssd, requests: ssd.run_stream(
-            iter(requests), queue_depth=None, streaming_stats=False))
+        lambda ssd, requests: ssd.run_stream(iter(requests), queue_depth=None))
     assert listed == streamed
     assert listed[0] == ["_arrive_streamed", "_arrive_streamed", "_complete",
                          "_arrive_streamed", "_complete", "_complete"]
@@ -287,16 +284,16 @@ def test_bad_queue_depth_rejected():
 
 
 def test_run_stream_keeps_list_stats_when_asked():
-    from repro.controller.controller import RequestStats
-
+    """Below its capacity the reservoir is the full latency list: every
+    successful response, in completion order."""
     spec = _replay_spec(n=200)
     ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
-    ssd.run_stream(
-        io_requests(stream_workload(spec), REPLAY_GEOMETRY),
-        streaming_stats=False,
-    )
-    assert isinstance(ssd.stats, RequestStats)
-    assert len(ssd.stats.response_us) == spec.num_requests
+    completed = []
+    ssd.controller.on_complete.append(lambda r: completed.append(r.response_us))
+    ssd.run_stream(io_requests(stream_workload(spec), REPLAY_GEOMETRY), queue_depth=8)
+    assert ssd.stats.reservoir.exact
+    assert len(completed) == ssd.stats.reservoir.seen == spec.num_requests
+    assert ssd.stats.reservoir.values == completed
 
 
 # ---- experiment runner integration ------------------------------------------
@@ -315,17 +312,32 @@ def test_run_workload_stream_mode():
     assert result.extras["stream"]["queue_depth"] == 8
     assert 1 <= result.extras["stream"]["peak_outstanding"] <= 8
 
-    # Unbounded stream mode reports the same means as the materialized
-    # runner (exact moments vs full-series numpy).
+    # Unbounded stream mode reports what the materialized runner does.
     streamed = run_workload(spec, config, stream=True)
     materialized = run_workload(spec, config)
     assert streamed.num_requests == materialized.num_requests
-    assert streamed.mean_response_ms == pytest.approx(
-        materialized.mean_response_ms, rel=1e-9
-    )
-    assert streamed.p99_response_ms == pytest.approx(
-        materialized.p99_response_ms, rel=1e-9
-    )
+    assert streamed.mean_response_ms == materialized.mean_response_ms
+    assert streamed.p99_response_ms == materialized.p99_response_ms
+
+
+def test_stream_and_materialized_runs_report_the_same_numbers():
+    """Up to the reservoir's capacity a streamed run and a materialized
+    run of the same trace report bit-equal response metrics, the
+    steady-state mean included (it windows over the reservoir)."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_workload
+
+    spec = _replay_spec(n=StreamingRequestStats().reservoir.capacity)
+    config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl="pagemap",
+                              precondition_fill=0.6)
+    streamed = run_workload(spec, config, stream=True)
+    materialized = run_workload(spec, config)
+    assert streamed.extras["stream"]["reservoir_exact"]
+    metrics = ("mean_response_ms", "steady_response_ms", "read_response_ms",
+               "write_response_ms", "p99_response_ms")
+    assert ([repr(getattr(streamed, m)) for m in metrics]
+            == [repr(getattr(materialized, m)) for m in metrics])
+    assert streamed.steady_response_ms != streamed.mean_response_ms
 
 
 def test_run_simulation_stream_composes_with_crash():
@@ -500,6 +512,29 @@ def test_stream_generation_memory_is_o_chunk():
     assert stream_peak < full_peak / 4
 
 
+def test_materialized_run_stats_memory_is_o_capacity():
+    """``run(list)`` of three reservoirs' worth of requests keeps only
+    the reservoir's response times alive (a latency list per lane would
+    hold all of them)."""
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="pagemap")
+    ssd.precondition(0.5)
+    capacity = ssd.stats.reservoir.capacity
+    lpns = REPLAY_GEOMETRY.num_lpns // 2
+    requests = [IoRequest(i * 100.0, i % lpns, 1, IoOp.READ) for i in range(3 * capacity)]
+    stats_files = [tracemalloc.Filter(True, "*/repro/controller/controller.py"),
+                   tracemalloc.Filter(True, "*/repro/metrics/streaming.py")]
+    tracemalloc.start()
+    try:
+        ssd.run(requests)
+        held = sum(stat.size for stat in
+                   tracemalloc.take_snapshot().filter_traces(stats_files).statistics("filename"))
+    finally:
+        tracemalloc.stop()
+    assert ssd.stats.count == 3 * capacity and not ssd.stats.reservoir.exact
+    # one list slot and one float per reservoir sample, plus slack
+    assert held < capacity * (8 + 24) * 1.5
+
+
 # ---- stream-state hygiene on mid-run raises (bugfix) ------------------------
 
 
@@ -604,6 +639,4 @@ def test_normalized_stream_matches_materialized_clamped_trace():
 
     assert fp == ref_fp
     assert ssd.stats.count == ref.stats.count
-    assert ssd.stats.mean_response_us() == pytest.approx(
-        ref.stats.mean_response_us(), rel=1e-9
-    )
+    assert ssd.stats.overall == ref.stats.overall

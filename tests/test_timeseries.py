@@ -3,12 +3,12 @@
 import pytest
 
 from repro.controller.device import SimulatedSSD
-from repro.metrics.timeseries import TelemetrySampler
+from repro.obs.sampler import StatsSampler
 from repro.sim.request import IoOp, IoRequest
 
 
 def test_sampler_collects_on_grid(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=1000.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=1000.0)
     requests = [IoRequest(float(i * 500), i % 50, 1, IoOp.WRITE) for i in range(50)]
     ssd.run(requests)
     telemetry = ssd.telemetry
@@ -20,7 +20,7 @@ def test_sampler_collects_on_grid(small_geometry):
 
 
 def test_series_track_activity(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=500.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=500.0)
     requests = [IoRequest(float(i * 250), i % 64, 1, IoOp.WRITE) for i in range(200)]
     ssd.run(requests)
     t = ssd.telemetry
@@ -30,13 +30,13 @@ def test_series_track_activity(small_geometry):
 
 
 def test_sampler_does_not_spin_forever(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=100.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=100.0)
     ssd.run([IoRequest(0.0, 0, 1, IoOp.WRITE)])
     assert ssd.engine.pending == 0  # run() terminated
 
 
 def test_render_sparklines(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=1000.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=1000.0)
     ssd.run([IoRequest(float(i * 400), i, 1, IoOp.WRITE) for i in range(30)])
     text = ssd.telemetry.render("demo")
     assert "demo" in text
@@ -46,4 +46,4 @@ def test_render_sparklines(small_geometry):
 def test_interval_validation(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
     with pytest.raises(ValueError):
-        TelemetrySampler(ssd.engine, ssd.ftl, ssd.controller, interval_us=0)
+        StatsSampler(ssd.engine, ssd.ftl, ssd.controller, interval_us=0)

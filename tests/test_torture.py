@@ -610,7 +610,7 @@ class TestStreamingCrash:
         remaining = list(tail)
         assert remaining
         before = ssd.stats.count
-        ssd.run_stream(iter(remaining), streaming_stats=False)
+        ssd.run_stream(iter(remaining))
         assert ssd.stats.count == before + len(remaining)
         ssd.ftl.verify_integrity()
 
