@@ -30,7 +30,7 @@ def bursty_requests(geometry, bursts=30, burst_len=60, gap_us=250_000.0, seed=5)
     return requests
 
 
-def run_background_ablation():
+def run_background_gc():
     geometry = scaled_geometry(2, scale=1 / 32)
     requests = bursty_requests(geometry)
     rows = []
@@ -53,7 +53,7 @@ def run_background_ablation():
 
 
 def test_ablation_background_gc(benchmark):
-    rows = run_once(benchmark, run_background_ablation)
+    rows = run_once(benchmark, run_background_gc)
     print()
     print(format_table(rows, title="A8 — background GC on bursty writes (DLOOP, 2 GB-equivalent)"))
     off, on = rows

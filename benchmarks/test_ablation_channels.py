@@ -7,19 +7,17 @@ the costly knob buys — and that DLOOP's plane-level win persists at
 every channel count.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.ablations import run_channel_sweep
+from repro.experiments.figures import A9
 from repro.metrics.report import format_table
 
 
 def test_ablation_channels(benchmark):
-    results = run_once(
-        benchmark,
-        run_channel_sweep,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
+    grid = replace(A9, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    results = run_once(benchmark, grid.run)
     rows = [
         {
             "channels": r.extras["channels"],

@@ -4,19 +4,17 @@ Same placement policy, but GC moves pages through the controller.
 Quantifies how much of DLOOP's advantage is the copy-back mechanism
 itself (vs the striping/queueing effects)."""
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.ablations import run_copyback_ablation
+from repro.experiments.figures import A1
 from repro.metrics.report import format_table
 
 
 def test_ablation_copyback(benchmark):
-    results = run_once(
-        benchmark,
-        run_copyback_ablation,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
+    grid = replace(A1, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    results = run_once(benchmark, grid.run)
     rows = [
         {
             "trace": r.trace,

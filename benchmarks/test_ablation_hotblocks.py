@@ -4,19 +4,17 @@ Compares uniform DLOOP against HotPlaneDloopFtl, which parks part of
 cold planes' over-provisioning so hot planes keep more spare blocks.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.ablations import run_hotplane_ablation
+from repro.experiments.figures import A4
 from repro.metrics.report import format_table
 
 
 def test_ablation_hotplane(benchmark):
-    results = run_once(
-        benchmark,
-        run_hotplane_ablation,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
+    grid = replace(A4, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    results = run_once(benchmark, grid.run)
     rows = [
         {
             "trace": r.trace,

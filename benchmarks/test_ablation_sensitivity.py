@@ -1,18 +1,16 @@
 """A3 — ablation: DLOOP sensitivity to the GC threshold and CMT size."""
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.ablations import run_sensitivity_ablation
+from repro.experiments.figures import A3
 from repro.metrics.report import format_table
 
 
 def test_ablation_sensitivity(benchmark):
-    results = run_once(
-        benchmark,
-        run_sensitivity_ablation,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
+    grid = replace(A3, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    results = run_once(benchmark, grid.run)
     rows = [
         {
             "knob": r.extras["knob"],

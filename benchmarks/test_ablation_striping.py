@@ -4,20 +4,19 @@ Compares Eq. 1's ``LPN % planes`` striping against DFTL-style roaming
 and uniform-random placement with mapping-cache effects factored out.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.ablations import run_striping_ablation
+from repro.experiments.figures import A2
 from repro.metrics.report import format_table
 
 
 def test_ablation_striping(benchmark):
-    results = run_once(
-        benchmark,
-        run_striping_ablation,
-        traces=("financial1", "tpcc"),
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
+    grid = replace(
+        A2, workloads=("financial1", "tpcc"), scale=BENCH_SCALE, num_requests=BENCH_REQUESTS
     )
+    results = run_once(benchmark, grid.run)
     rows = [
         {
             "trace": r.trace,

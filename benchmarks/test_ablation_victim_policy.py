@@ -6,19 +6,17 @@ random) change about GC work and response time under the same striped
 placement.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.ablations import run_victim_policy_ablation
+from repro.experiments.figures import A6
 from repro.metrics.report import format_table
 
 
 def test_ablation_victim_policy(benchmark):
-    results = run_once(
-        benchmark,
-        run_victim_policy_ablation,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
+    grid = replace(A6, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    results = run_once(benchmark, grid.run)
     rows = [
         {
             "policy": r.extras["policy"],

@@ -5,31 +5,28 @@ DLOOP leads everywhere; FAST (whose log pool is provisioned from the
 extra blocks) benefits the most from additional extras.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.extrablocks import EXTRA_BLOCK_PERCENTS, rows, run_extrablocks_sweep
+from repro.experiments.figures import F10
 from repro.metrics.report import format_table
 
 
 def test_fig10_extrablocks_sweep(benchmark):
-    results = run_once(
-        benchmark,
-        run_extrablocks_sweep,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
-    table = rows(results)
+    grid = replace(F10, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    table = grid.rows(run_once(benchmark, grid.run))
     print()
     print(format_table(table, title="Fig. 10 — mean response time (ms) and SDRPP vs extra blocks %% (8 GB-equivalent, scaled 1/32)"))
 
     by_cell = {(r["trace"], r["ftl"], r["extra_%"]): r for r in table}
     traces = sorted({r["trace"] for r in table})
-    lo, hi = min(EXTRA_BLOCK_PERCENTS), max(EXTRA_BLOCK_PERCENTS)
+    lo, hi = min(grid.points), max(grid.points)
 
     # Shape 1: DLOOP beats the rivals in (nearly) all cells.
     wins = total = 0
     for trace in traces:
-        for pct in EXTRA_BLOCK_PERCENTS:
+        for pct in grid.points:
             dloop = by_cell[(trace, "dloop", pct)]["mean_ms"]
             for other in ("dftl", "fast"):
                 total += 1

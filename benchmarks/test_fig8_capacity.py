@@ -7,21 +7,17 @@ GC-bound write-heavy traces.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.capacity import CAPACITY_POINTS_GB, rows, run_capacity_sweep
+from repro.experiments.figures import F8
 from repro.metrics.report import format_table
 
 
 def test_fig8_capacity_sweep(benchmark):
-    results = run_once(
-        benchmark,
-        run_capacity_sweep,
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
-    table = rows(results)
+    grid = replace(F8, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    table = grid.rows(run_once(benchmark, grid.run))
     print()
     print(format_table(table, title="Fig. 8 — mean response time (ms) and SDRPP vs SSD capacity (scaled 1/32)"))
 
@@ -31,7 +27,7 @@ def test_fig8_capacity_sweep(benchmark):
     # Shape 1: DLOOP beats DFTL and FAST on every trace at every capacity.
     wins = losses = 0
     for trace in traces:
-        for cap in CAPACITY_POINTS_GB:
+        for cap in grid.points:
             dloop = by_cell[(trace, "dloop", cap)]["mean_ms"]
             for other in ("dftl", "fast"):
                 if dloop < by_cell[(trace, other, cap)]["mean_ms"]:
@@ -43,8 +39,8 @@ def test_fig8_capacity_sweep(benchmark):
 
     # Shape 2: bigger SSD -> lower mean response for DLOOP (delayed GC).
     for trace in ("financial1", "build"):
-        small = by_cell[(trace, "dloop", min(CAPACITY_POINTS_GB))]["mean_ms"]
-        large = by_cell[(trace, "dloop", max(CAPACITY_POINTS_GB))]["mean_ms"]
+        small = by_cell[(trace, "dloop", min(grid.points))]["mean_ms"]
+        large = by_cell[(trace, "dloop", max(grid.points))]["mean_ms"]
         assert large <= small, f"{trace}: dloop mean did not fall with capacity"
 
     # Shape 3: DLOOP spreads requests far more evenly than DFTL (whose

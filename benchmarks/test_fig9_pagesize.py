@@ -5,6 +5,8 @@ Shape checks: mean response time falls as pages grow (fewer pages per
 request), and DLOOP leads at the paper's default 2 KB point.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_REQUESTS, run_once
 
 # Gentler scale than the other figures: at 1/32 a 16 KB-page geometry
@@ -12,18 +14,13 @@ from conftest import BENCH_REQUESTS, run_once
 # size SSD does not have.  1/8 preserves >= 32 blocks/plane everywhere.
 FIG9_SCALE = 1.0 / 8.0
 
-from repro.experiments.pagesize import PAGE_SIZES_KB, rows, run_pagesize_sweep
+from repro.experiments.figures import F9
 from repro.metrics.report import format_table
 
 
 def test_fig9_pagesize_sweep(benchmark):
-    results = run_once(
-        benchmark,
-        run_pagesize_sweep,
-        scale=FIG9_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
-    table = rows(results)
+    grid = replace(F9, scale=FIG9_SCALE, num_requests=BENCH_REQUESTS)
+    table = grid.rows(run_once(benchmark, grid.run))
     print()
     print(format_table(table, title="Fig. 9 — mean response time (ms) and SDRPP vs page size (8 GB-equivalent, scaled 1/8)"))
 

@@ -8,26 +8,20 @@ the largest capacity point.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 
 from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
 
-from repro.experiments.capacity import run_capacity_sweep
+from repro.experiments.figures import F8
 from repro.metrics.report import format_table
 
 
-def run_largest_capacity():
-    return run_capacity_sweep(
-        capacities_gb=(2, 64),  # smallest fixes the footprint; largest measures
-        scale=BENCH_SCALE,
-        num_requests=BENCH_REQUESTS,
-    )
-
-
 def test_headline_improvement_at_64gb(benchmark):
-    results = run_once(benchmark, run_largest_capacity)
-    at_64 = [r for r in results if r.extras["capacity_gb"] == 64]
+    # F8 fixes the footprint at the 2 GB point, so the 64 GB cells run alone
+    grid = replace(F8, points=(64,), scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
+    results = run_once(benchmark, grid.run)
     means = defaultdict(dict)
-    for r in at_64:
+    for r in results:
         means[r.trace][r.ftl] = r.mean_response_ms
 
     rows = []

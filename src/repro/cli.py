@@ -320,23 +320,21 @@ def cmd_tracegen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.experiments import capacity, extrablocks, pagesize
+    from dataclasses import replace
 
-    if args.figure == 8:
-        results = capacity.run_capacity_sweep(
-            scale=args.scale, num_requests=args.requests, traces=args.traces or PAPER_TRACE_NAMES
-        )
-        table = capacity.rows(results)
-    elif args.figure == 9:
-        results = pagesize.run_pagesize_sweep(
-            scale=args.scale, num_requests=args.requests, traces=args.traces or PAPER_TRACE_NAMES
-        )
-        table = pagesize.rows(results)
-    else:
-        results = extrablocks.run_extrablocks_sweep(
-            scale=args.scale, num_requests=args.requests, traces=args.traces or PAPER_TRACE_NAMES
-        )
-        table = extrablocks.rows(results)
+    from repro.experiments.figures import F8, F9, F10
+
+    grid = replace(
+        {8: F8, 9: F9, 10: F10}[args.figure], scale=args.scale,
+        num_requests=args.requests, workloads=tuple(args.traces or PAPER_TRACE_NAMES),
+    )
+    try:
+        grid.scenarios()  # names, scale and request count, before any cell runs
+    except ValueError as exc:
+        print(f"repro-sim sweep: {exc}", file=sys.stderr)
+        return 2
+    results = grid.run()
+    table = grid.rows(results)
     print(format_table(table, title=f"Figure {args.figure} sweep (scale {args.scale:g})"))
     if args.out:
         from repro.experiments.results_io import save_results_csv, save_results_json

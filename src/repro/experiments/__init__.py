@@ -1,16 +1,24 @@
 """Experiment harness regenerating the paper's evaluation artefacts.
 
-One module per table/figure; each returns structured rows and can print
-a text table shaped like the paper's series (see DESIGN.md section 3
-for the experiment index).
+Every paper grid (Figs. 8-10 and the ablations) is a declaration in
+:mod:`repro.experiments.figures` over the shared scenario type; each
+returns structured rows and can print a text table shaped like the
+paper's series (see DESIGN.md section 3 for the experiment index).
 """
 
 from repro.experiments.config import ExperimentConfig, scaled_geometry, GB, MB
 from repro.experiments.runner import SimulationResult, run_simulation, run_workload
-from repro.experiments.capacity import run_capacity_sweep, CAPACITY_POINTS_GB
-from repro.experiments.pagesize import run_pagesize_sweep, PAGE_SIZES_KB
-from repro.experiments.extrablocks import run_extrablocks_sweep, EXTRA_BLOCK_PERCENTS
 from repro.experiments.figures import (
+    A1,
+    A2,
+    A3,
+    A4,
+    A6,
+    A9,
+    F8,
+    F9,
+    F10,
+    Grid,
     detect_axis,
     figure_series,
     render_figure,
@@ -25,16 +33,18 @@ from repro.experiments.results_io import (
     save_results_csv,
     save_results_json,
 )
-from repro.experiments.ablations import (
-    run_copyback_ablation,
-    run_striping_ablation,
-    run_sensitivity_ablation,
-    run_hotplane_ablation,
-    run_victim_policy_ablation,
-    run_channel_sweep,
-)
 
 __all__ = [
+    "A1",
+    "A2",
+    "A3",
+    "A4",
+    "A6",
+    "A9",
+    "F8",
+    "F9",
+    "F10",
+    "Grid",
     "detect_axis",
     "figure_series",
     "render_figure",
@@ -48,12 +58,6 @@ __all__ = [
     "load_results_json",
     "save_results_csv",
     "save_results_json",
-    "run_copyback_ablation",
-    "run_striping_ablation",
-    "run_sensitivity_ablation",
-    "run_hotplane_ablation",
-    "run_victim_policy_ablation",
-    "run_channel_sweep",
     "ExperimentConfig",
     "scaled_geometry",
     "GB",
@@ -61,10 +65,4 @@ __all__ = [
     "SimulationResult",
     "run_simulation",
     "run_workload",
-    "run_capacity_sweep",
-    "CAPACITY_POINTS_GB",
-    "run_pagesize_sweep",
-    "PAGE_SIZES_KB",
-    "run_extrablocks_sweep",
-    "EXTRA_BLOCK_PERCENTS",
 ]

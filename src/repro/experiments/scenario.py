@@ -8,10 +8,14 @@ Each declares its axes in its own order and formats its own ids;
 :func:`expand` turns them into frozen :class:`Scenario` cells, and
 :func:`repro.experiments.parallel.run_cells` runs those.
 
+The paper grids (:mod:`repro.experiments.figures`) declare their axes
+over the same type, pinning each cell's seed to its persona's.
+
 Expansion is deterministic: the product iterates in declared axis
-order, and every scenario's seed is folded (:func:`repro.seeding.
-fold_seed`) from the family's base seed and the scenario's own id — so
-adding a value to one axis never shifts the seeds of existing cells.
+order, and unless ``fields`` pins it, every scenario's seed is folded
+(:func:`repro.seeding.fold_seed`) from the family's base seed and the
+scenario's own id — so adding a value to one axis never shifts the
+seeds of existing cells.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ class Scenario:
     write_buffer_pages: Optional[int] = None
     #: the capacity axis value the geometry was sized from (reports only)
     capacity_mb: Optional[int] = None
+    #: FTL constructor overrides as ``(name, value)`` pairs; they win
+    #: over the config's own knobs (reports leave them out)
+    ftl_kwargs: Tuple[Tuple[str, object], ...] = ()
 
     def workload_spec(self) -> WorkloadSpec:
         """The seeded persona over this scenario's footprint.
@@ -107,6 +114,7 @@ class Scenario:
             geometry=self.geometry,
             ftl=self.ftl,
             precondition_fill=self.precondition_fill,
+            ftl_kwargs=dict(self.ftl_kwargs),
         )
 
     def build_ssd(self, *, sanitize: bool = False) -> SimulatedSSD:
@@ -147,6 +155,9 @@ class Scenario:
         return summary
 
 
+_FIELDS = frozenset(field.name for field in dataclasses.fields(Scenario))
+
+
 class Expansion(NamedTuple):
     """The runnable cells of an axis product, and the cells left out."""
 
@@ -180,10 +191,13 @@ def expand(
 ) -> Expansion:
     """The product of ``axes``, in their declared order.
 
-    ``axes`` pairs :class:`Scenario` field names with their values and
-    must include ``ftl``, ``workload`` and ``fault_plan``.  For each
+    ``axes`` pairs names with their values and must include ``ftl``,
+    ``workload`` and ``fault_plan``.  An axis named after a
+    :class:`Scenario` field sets that field; any other axis (a figure's
+    x axis) is read only by ``scenario_id`` and ``fields``.  For each
     point, ``scenario_id`` formats the id the seed is folded from and
-    ``fields`` supplies the remaining fields.  Unknown FTL, workload or
+    ``fields`` supplies the remaining fields — a ``seed`` among them
+    replaces the folded one.  Unknown FTL, workload or
     fault-plan names raise ``ValueError`` before any cell exists; a
     fault-plan cell on an FTL without modelled error paths
     (``fault_injection_supported``) is left out and named in
@@ -206,8 +220,9 @@ def expand(
             skipped.append((ftl, plan))
             continue
         sid = scenario_id(point)
-        scenarios.append(Scenario(
-            scenario_id=sid, seed=fold_seed(base_seed, sid),
-            **point, **fields(point),
-        ))
+        cell = {name: value for name, value in point.items() if name in _FIELDS}
+        scenarios.append(Scenario(**{
+            "scenario_id": sid, "seed": fold_seed(base_seed, sid),
+            **cell, **fields(point),
+        }))
     return Expansion(scenarios, skipped)

@@ -80,6 +80,22 @@ def test_sweep_and_report(tmp_path, capsys):
     assert "'winner': 'dloop'" in out
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--scale", "0"], "capacity 0 too small"),
+    (["--scale", "-1"], "too small"),
+    (["--requests", "0"], "num_requests must be >= 1"),
+])
+def test_sweep_rejects_bad_input_before_any_cell_runs(monkeypatch, capsys, bad, message):
+    import repro.experiments.figures as figures
+
+    monkeypatch.setattr(figures, "run_cells",
+                        lambda *args, **kwargs: pytest.fail("a cell ran"))
+    code = main(["sweep", "--figure", "8", "--traces", "financial1", *bad])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-sim sweep: ") and message in err
+
+
 def test_sweep_csv_output(tmp_path, capsys):
     out_file = str(tmp_path / "sweep.csv")
     main([

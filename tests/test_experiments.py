@@ -1,11 +1,12 @@
 """Experiment harness: tiny end-to-end sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, GB, scaled_geometry
 from repro.experiments.runner import run_simulation, run_workload
-from repro.experiments import capacity, extrablocks, pagesize
-from repro.experiments.ablations import run_copyback_ablation, run_striping_ablation
+from repro.experiments.figures import A1, A2, F8, F9, F10
 from repro.traces.model import KB, SizeMix, WorkloadSpec
 from repro.traces.synthetic import generate
 
@@ -58,55 +59,40 @@ def test_requests_wrapped_into_capacity():
     assert result.num_requests == 400  # all served despite wrapping
 
 
+def tiny(grid, **axes):
+    """``grid`` on financial1 at TINY_SCALE, 300 requests."""
+    return replace(grid, workloads=("financial1",), scale=TINY_SCALE,
+                   num_requests=300, **axes)
+
+
 def test_capacity_sweep_smoke():
-    results = capacity.run_capacity_sweep(
-        capacities_gb=(2, 8),
-        ftls=("dloop",),
-        traces=("financial1",),
-        scale=TINY_SCALE,
-        num_requests=300,
-    )
+    grid = tiny(F8, points=(2, 8), ftls=("dloop",))
+    results = grid.run()
     assert len(results) == 2
-    rows = capacity.rows(results)
+    rows = grid.rows(results)
     assert {r["capacity_gb"] for r in rows} == {2, 8}
 
 
 def test_pagesize_sweep_smoke():
-    results = pagesize.run_pagesize_sweep(
-        page_sizes_kb=(2, 4),
-        ftls=("pagemap",),
-        traces=("financial1",),
-        scale=TINY_SCALE,
-        num_requests=300,
-    )
-    rows = pagesize.rows(results)
+    grid = tiny(F9, points=(2, 4), ftls=("pagemap",))
+    rows = grid.rows(grid.run())
     assert {r["page_kb"] for r in rows} == {2, 4}
 
 
 def test_extrablocks_sweep_smoke():
-    results = extrablocks.run_extrablocks_sweep(
-        percents=(3, 10),
-        ftls=("pagemap",),
-        traces=("financial1",),
-        scale=TINY_SCALE,
-        num_requests=300,
-    )
-    rows = extrablocks.rows(results)
+    grid = tiny(F10, points=(3, 10), ftls=("pagemap",))
+    rows = grid.rows(grid.run())
     assert {r["extra_%"] for r in rows} == {3, 10}
 
 
 def test_copyback_ablation_smoke():
-    results = run_copyback_ablation(
-        traces=("financial1",), scale=TINY_SCALE, num_requests=300
-    )
+    results = tiny(A1).run()
     assert len(results) == 2
     assert {r.extras["use_copyback"] for r in results} == {True, False}
 
 
 def test_striping_ablation_smoke():
-    results = run_striping_ablation(
-        traces=("financial1",), scale=TINY_SCALE, num_requests=300
-    )
+    results = tiny(A2).run()
     assert {r.extras["striping"] for r in results} == {"lpn", "roaming", "random"}
 
 
