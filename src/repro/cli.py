@@ -23,13 +23,15 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.controller.controller import StreamOrderError
 from repro.experiments.config import ExperimentConfig, KB, MB
 from repro.experiments.runner import run_simulation
 from repro.flash.geometry import SSDGeometry
 from repro.ftl.registry import available_ftls
 from repro.metrics.ascii_chart import hbar_chart
 from repro.metrics.report import format_table
-from repro.traces.parser import iter_trace_file, parse_disksim, parse_spc, write_disksim, write_spc
+from repro.traces.parser import iter_trace_file, write_disksim, write_spc
+from repro.traces.stream import stream_workload
 from repro.traces.synthetic import EXTRA_TRACE_NAMES, PAPER_TRACE_NAMES, generate, make_workload
 
 
@@ -40,12 +42,6 @@ def _build_geometry(args) -> SSDGeometry:
         extra_blocks_percent=args.extra_pct,
         channels=args.channels,
     )
-
-
-def _load_trace(path: str):
-    if path.endswith(".spc") or path.endswith(".csv"):
-        return parse_spc(path)
-    return parse_disksim(path)
 
 
 def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
@@ -128,34 +124,20 @@ def cmd_simulate(args) -> int:
         geometry = config.geometry
     else:
         geometry = _build_geometry(args)
-    if args.queue_depth is not None and not args.stream:
-        raise SystemExit("--queue-depth requires --stream")
-    if args.chunk_requests is not None and not args.stream:
-        raise SystemExit("--chunk-requests requires --stream")
-    if args.stream and args.iodepth:
-        raise SystemExit("--stream is not supported with --iodepth "
-                         "(closed-loop mode has its own admission model)")
     if args.tenants is not None:
-        if not args.stream:
-            raise SystemExit("--tenants requires --stream")
         if args.replay:
             raise SystemExit("--tenants generates per-tenant synthetic "
                              "traffic; it does not compose with --replay")
         if args.crash_at_ms is not None:
             raise SystemExit("--tenants does not compose with --crash-at-ms")
     if args.replay:
-        trace = iter_trace_file(args.replay) if args.stream else _load_trace(args.replay)
+        trace = iter_trace_file(args.replay)
         trace_name = args.replay
     else:
         footprint = int(args.footprint_mb * MB) if args.footprint_mb else int(geometry.capacity_bytes * 0.55)
         spec = make_workload(args.workload, num_requests=args.requests,
                              footprint_bytes=footprint, seed=args.seed)
-        if args.stream:
-            from repro.traces.stream import DEFAULT_CHUNK_REQUESTS, stream_workload
-
-            trace = stream_workload(spec, args.chunk_requests or DEFAULT_CHUNK_REQUESTS)
-        else:
-            trace = generate(spec)
+        trace = stream_workload(spec)
         trace_name = spec.name
     if not args.config:
         config = ExperimentConfig(
@@ -176,9 +158,13 @@ def cmd_simulate(args) -> int:
     if args.crash_at_ms is not None and args.crash_at_ms <= 0:
         raise SystemExit("--crash-at-ms must be > 0")
     crash_at_us = args.crash_at_ms * 1000.0 if args.crash_at_ms is not None else None
-    if args.iodepth and crash_at_us is not None:
-        raise SystemExit("--crash-at-ms is not supported with --iodepth")
     if args.iodepth:
+        # closed-loop mode has its own admission model
+        for flag, value in (("--crash-at-ms", crash_at_us),
+                            ("--queue-depth", args.queue_depth),
+                            ("--tenants", args.tenants)):
+            if value is not None:
+                raise SystemExit(f"{flag} is not supported with --iodepth")
         from repro.controller.closedloop import ClosedLoopDriver
         from repro.controller.device import SimulatedSSD as _SSD
 
@@ -222,14 +208,18 @@ def cmd_simulate(args) -> int:
         )
         trace = iter(())
         trace_name = f"tenants[{args.tenants}]"
-    with _MaybeProfile(args.profile):
-        result = run_simulation(
-            trace, config, trace_name=trace_name,
-            trace_path=args.trace, stats_interval_us=stats_interval_us,
-            sanitize=args.sanitize, faults=faults, crash_at_us=crash_at_us,
-            stream=args.stream, queue_depth=args.queue_depth,
-            tenancy=tenancy,
-        )
+    try:
+        with _MaybeProfile(args.profile):
+            result = run_simulation(
+                trace, config, trace_name=trace_name,
+                trace_path=args.trace, stats_interval_us=stats_interval_us,
+                sanitize=args.sanitize, faults=faults, crash_at_us=crash_at_us,
+                queue_depth=args.queue_depth,
+                tenancy=tenancy,
+            )
+    except StreamOrderError as exc:
+        print(f"repro-sim simulate: {exc}", file=sys.stderr)
+        return 2
     rows = [
         {"metric": "mean response (ms)", "value": result.mean_response_ms},
         {"metric": "read mean (ms)", "value": result.read_response_ms},
@@ -295,8 +285,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tracegen(args) -> int:
-    from repro.traces.stream import stream_workload
-
     footprint = int(args.footprint_mb * MB) if args.footprint_mb else 64 * MB
     spec = make_workload(args.workload, num_requests=args.requests,
                          footprint_bytes=footprint, seed=args.seed)
@@ -349,7 +337,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace_stats(args) -> int:
     if args.trace:
-        trace = _load_trace(args.trace)
+        trace = list(iter_trace_file(args.trace))
         name = args.trace
     else:
         footprint = int(args.footprint_mb * MB) if args.footprint_mb else 64 * MB
@@ -516,7 +504,6 @@ def cmd_torture(args) -> int:
             budget=args.budget,
             double=args.double,
             write_buffer_pages=args.write_buffer,
-            stream=args.stream,
             queue_depth=args.queue_depth,
         )
     except ValueError as exc:
@@ -607,17 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="load geometry/FTL settings from a JSON config file")
     sim.add_argument("--iodepth", type=int, default=0,
                      help="closed-loop mode: keep N requests outstanding and report IOPS")
-    sim.add_argument("--stream", action="store_true",
-                     help="streaming replay: generate/parse and admit the trace "
-                          "lazily in bounded memory (see docs/workloads.md)")
     sim.add_argument("--queue-depth", type=int, default=None,
-                     help="bound the streaming admission window to N outstanding "
-                          "requests (NCQ model; requires --stream; default unbounded)")
-    sim.add_argument("--chunk-requests", type=int, default=None,
-                     help="generation block size for --stream synthetic traces "
-                          "(memory/speed knob; output is identical for any value)")
+                     help="bound the admission window to N outstanding "
+                          "requests (NCQ model; default unbounded)")
     sim.add_argument("--tenants", default=None, metavar="SPEC",
-                     help="multi-tenant run (requires --stream): a tenant count "
+                     help="multi-tenant run: a tenant count "
                           "(equal weights, the --workload persona) or "
                           "name=persona[:weight[:slo_ms]] entries, comma-"
                           "separated (see docs/multitenancy.md)")
@@ -742,12 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PAGES",
                          help="put a volatile DRAM write buffer of N pages "
                               "in front of the FTL (adds wb_flush points)")
-    torture.add_argument("--stream", action="store_true",
-                         help="replay through the NCQ streaming admission "
-                              "path instead of materialized submission")
     torture.add_argument("--queue-depth", type=int, default=None,
-                         help="bound the streaming admission window "
-                              "(requires --stream)")
+                         help="bound the admission window to N outstanding "
+                              "requests (default unbounded)")
     torture.add_argument("--point", metavar="KIND:INDEX",
                          help="replay a single crash point per cell instead "
                               "of sweeping (the repro command a failing "

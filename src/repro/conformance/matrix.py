@@ -68,7 +68,6 @@ class ScenarioMatrix:
                 num_requests=self.num_requests,
                 footprint_bytes=int(capacity * self.footprint_fraction),
                 precondition_fill=0.9,
-                stream=True,
             )
 
         return expand(

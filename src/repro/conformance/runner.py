@@ -1,11 +1,10 @@
 """Score an expanded scenario matrix through the shared parallel runner.
 
 Each :class:`~repro.experiments.scenario.Scenario` runs with the
-standard four probes attached and streaming replay (scenario traces are
-generated by the chunk-invariant stream generators, so workers never
-materialize them).  Outcomes come back in scenario order regardless of
-worker completion order — the report layer can therefore be
-byte-deterministic.
+standard four probes attached; its trace is generated as it replays
+(the chunk-invariant stream generators), so workers never hold it.
+Outcomes come back in scenario order regardless of worker completion
+order — the report layer can therefore be byte-deterministic.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ def score_scenario(scenario: Scenario) -> ScenarioOutcome:
     result = run_workload(
         scenario.workload_spec(),
         scenario.config(),
-        stream=scenario.stream,
         queue_depth=scenario.queue_depth,
         faults=scenario.fault_config(),
         conformance=True,

@@ -8,7 +8,8 @@ page-addressed requests (or a whole trace), and read the metrics off.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from repro.controller.controller import Controller
 from repro.flash.geometry import SSDGeometry
@@ -311,25 +312,33 @@ class SimulatedSSD:
         requests: Iterable[IoRequest],
         crash_at_us: float,
         *,
-        stream: bool = False,
         queue_depth: Optional[int] = None,
-    ) -> dict:
-        """Run until ``crash_at_us``, then power-fail and recover.
+    ) -> Tuple[dict, Iterator[IoRequest]]:
+        """Replay ``requests`` up to ``crash_at_us``, then power-fail and
+        recover.
 
-        Requests still in flight (or not yet arrived) at the crash
-        instant are lost, exactly as on a real power cut.  With
-        ``stream=True`` the requests are admitted through the NCQ window
-        (:meth:`Controller.submit_stream`); a crash mid-stream drops the
-        admitted-but-uncompleted window and leaves the unconsumed tail
-        in the caller's iterator for post-recovery replay.  Returns the
-        :meth:`crash` summary.
+        Only requests that arrive before the crash instant are admitted
+        (through the NCQ window, bounded by ``queue_depth``); the
+        admitted-but-uncompleted ones are lost with the power cut.
+        Returns the :meth:`crash` summary and the iterator to resume
+        from on the recovered device: the pre-crash requests the window
+        never admitted, then the first request at or after the crash,
+        then the rest of ``requests``.
         """
-        if stream:
-            self.controller.submit_stream(iter(requests), queue_depth=queue_depth)
-        else:
-            self.controller.submit_many(requests)
+        requests = iter(requests)
+        first_after: list = []
+
+        def before_crash() -> Iterator[IoRequest]:
+            for request in requests:
+                if request.arrival_us >= crash_at_us:
+                    first_after.append(request)
+                    return
+                yield request
+
+        head = before_crash()
+        self.controller.submit_stream(head, queue_depth=queue_depth)
         self._run_engine(crash_at_us)
-        return self.crash()
+        return self.crash(), chain(head, first_after, requests)
 
     def flush(self) -> float:
         """Drain the write buffer (no-op without one)."""

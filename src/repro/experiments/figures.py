@@ -38,7 +38,7 @@ PRECONDITION_MARGIN = 1.15
 
 
 def run_cell(scenario: Scenario) -> SimulationResult:
-    """One grid cell, replayed from a materialized trace."""
+    """One grid cell, replayed as its persona's trace is generated."""
     return run_workload(scenario.workload_spec(), scenario.config())
 
 

@@ -10,10 +10,8 @@ from repro.controller.device import SimulatedSSD
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.sdrpp import sdrpp
 from repro.metrics.wear import WearStats, wear_stats
-from repro.sim.request import IoOp
-from repro.traces.model import TraceRequest
-from repro.traces.synthetic import generate
-from repro.traces.model import WorkloadSpec
+from repro.traces.model import TraceRequest, WorkloadSpec
+from repro.traces.stream import io_requests, stream_workload
 
 
 @dataclass
@@ -84,7 +82,6 @@ def run_simulation(
     sanitize: bool = False,
     faults=None,
     crash_at_us: Optional[float] = None,
-    stream: bool = False,
     queue_depth: Optional[int] = None,
     probes: Optional[Sequence] = None,
     tenancy=None,
@@ -108,18 +105,22 @@ def run_simulation(
     for the measured run (after preconditioning, like the trace writer)
     — their scored verdicts land in ``result.extras['conformance']``.
 
-    ``stream=True`` replays the trace through
-    :meth:`SimulatedSSD.run_stream` without ever materializing it:
-    the trace iterable is consumed lazily through the controller's
-    admission window (bounded by ``queue_depth`` when given) and
-    response times are accumulated by the O(1)-memory streaming stats,
-    so multi-million-request traces run in bounded memory.  Either way
-    ``steady_response_ms`` is the MSER-truncated mean while the stats
-    reservoir still holds every response time, and the overall mean
-    once it has evicted (longer traces).  ``crash_at_us`` composes
-    with streaming: the admitted-but-uncompleted NCQ window is lost
-    with the power cut and the not-yet-admitted tail of the trace
-    resumes on the recovered device.
+    The trace is consumed lazily: page-aligned by
+    :func:`repro.traces.stream.io_requests` and admitted through
+    :meth:`SimulatedSSD.run_stream`'s window (bounded by
+    ``queue_depth`` when given), so multi-million-request traces run in
+    bounded memory.  Arrivals must be time-ordered; an earlier arrival
+    than its predecessor raises
+    :class:`repro.controller.controller.StreamOrderError`.
+    ``result.extras['stream']`` reports the queue depth, the peak number
+    of requests in flight and whether the stats reservoir still holds
+    every response.  ``steady_response_ms`` is the MSER-truncated mean
+    while it does, and the overall mean once it has evicted (longer
+    traces).  With ``crash_at_us``, :meth:`SimulatedSSD.run_with_crash`
+    splits the trace at the crash instant: requests in flight are lost
+    with the power cut, and the rest — the pre-crash requests the
+    window had not admitted, then every later one — replays on the
+    recovered device.
     """
     wall_start = time.perf_counter()  # dl: disable=DL101 — host wall-time metric, not sim state
     ssd = SimulatedSSD(
@@ -136,58 +137,29 @@ def run_simulation(
 
     extras: dict = {}
     tenant_fleet = None
-    if stream:
-        from repro.traces.stream import io_requests
+    if tenancy is not None:
+        # Multi-tenant replay: ``trace`` is ignored — the tenant
+        # streams come from the model, already translated into
+        # device LPNs and merged by the DRR scheduler.
+        if crash_at_us is not None:
+            raise ValueError("tenancy does not compose with crash_at_us")
+        from repro.tenancy.scheduler import drr_merge
+        from repro.tenancy.service import build_tenancy
 
-        if tenancy is not None:
-            # Multi-tenant replay: ``trace`` is ignored — the tenant
-            # streams come from the model, already translated into
-            # device LPNs and merged by the DRR scheduler.
-            if crash_at_us is not None:
-                raise ValueError("tenancy does not compose with crash_at_us")
-            from repro.tenancy.scheduler import drr_merge
-            from repro.tenancy.service import build_tenancy
-
-            tenant_fleet = build_tenancy(config.geometry, tenancy)
-            tenant_fleet.router.attach(ssd.controller)
-            stream_iter = drr_merge(tenant_fleet.queues)
-        else:
-            stream_iter = io_requests(trace, config.geometry)
-
-        def _drive() -> float:
-            if crash_at_us is None:
-                return ssd.run_stream(stream_iter, queue_depth=queue_depth)
-            # Power-fail mid-stream: the admitted-but-uncompleted NCQ
-            # window dies with the event queue, and the not-yet-admitted
-            # tail is still in the iterator — it replays on the
-            # recovered device (arrivals now in the past are admitted
-            # at the recovery clock).
-            extras["crash"] = ssd.run_with_crash(
-                stream_iter, crash_at_us, stream=True, queue_depth=queue_depth
-            )
-            return ssd.run_stream(stream_iter, queue_depth=queue_depth)
+        tenant_fleet = build_tenancy(config.geometry, tenancy)
+        tenant_fleet.router.attach(ssd.controller)
+        requests = drr_merge(tenant_fleet.queues)
     else:
-        if tenancy is not None:
-            raise ValueError("tenancy requires stream=True")
-        capacity = config.geometry.capacity_bytes
-        requests: List = []
-        for r in trace:
-            offset = r.offset_bytes % capacity
-            size = min(r.size_bytes, capacity - offset)
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            requests.append(ssd.byte_request(r.arrival_us, offset, size, op))
+        requests = io_requests(trace, config.geometry)
 
-        def _drive() -> float:
-            if crash_at_us is None:
-                return ssd.run(requests)
-            # Power-fail mid-trace: requests in flight at the crash
-            # instant are lost; the host "resumes" the remainder of the
-            # trace on the recovered device.
-            survivors = [r for r in requests if r.arrival_us >= crash_at_us]
-            extras["crash"] = ssd.run_with_crash(
-                [r for r in requests if r.arrival_us < crash_at_us], crash_at_us
-            )
-            return ssd.run(survivors)
+    def _drive() -> float:
+        if crash_at_us is None:
+            return ssd.run_stream(requests, queue_depth=queue_depth)
+        extras["crash"], rest = ssd.run_with_crash(
+            requests, crash_at_us, queue_depth=queue_depth
+        )
+        # Arrivals now in the past are admitted at the recovery clock.
+        return ssd.run_stream(rest, queue_depth=queue_depth)
 
     # Attach probes after preconditioning (same reasoning as the trace
     # writer below: score the measured run, not the bulk fill).
@@ -239,12 +211,11 @@ def run_simulation(
         steady_response_ms = stats.mean_response_ms()
     read_response_ms = stats.reads.mean / 1000.0 if stats.reads.count else 0.0
     write_response_ms = stats.writes.mean / 1000.0 if stats.writes.count else 0.0
-    if stream:
-        extras["stream"] = {
-            "queue_depth": queue_depth,
-            "peak_outstanding": ssd.controller.peak_outstanding,
-            "reservoir_exact": stats.reservoir.exact,
-        }
+    extras["stream"] = {
+        "queue_depth": queue_depth,
+        "peak_outstanding": ssd.controller.peak_outstanding,
+        "reservoir_exact": stats.reservoir.exact,
+    }
 
     if ssd.run_stats is not None:
         extras["run_stats"] = ssd.run_stats.summary()
@@ -293,34 +264,30 @@ def run_workload(
     spec: WorkloadSpec,
     config: ExperimentConfig,
     *,
-    stream: bool = False,
     queue_depth: Optional[int] = None,
     faults=None,
     conformance: bool = False,
     probes: Optional[Sequence] = None,
     tenants: int = 0,
 ) -> SimulationResult:
-    """Generate a synthetic workload and run it.
+    """Generate a synthetic workload and run it, in bounded memory.
 
-    ``stream=True`` never materializes the trace: generation and replay
-    both run in bounded memory (same requests, same seed — the streamed
-    and materialized paths are bit-identical by construction).
     ``conformance=True`` attaches the standard four contract probes
     (:func:`repro.conformance.rules.default_probes`) for the measured
     run; pass ``probes`` to supply a custom set instead.
-    ``tenants=N`` (stream-only) splits the device between N equal-weight
-    tenants all running ``spec``'s persona, merged through the tenancy
-    layer's DRR scheduler (per-tenant digests land in
-    ``result.extras['tenants']``).
+    ``tenants=N`` splits the device between N equal-weight tenants all
+    running ``spec``'s persona, merged through the tenancy layer's DRR
+    scheduler (per-tenant digests land in ``result.extras['tenants']``).
     """
     if conformance and probes is None:
         from repro.conformance.rules import default_probes
 
         probes = default_probes(config.geometry)
+    trace, trace_name, tenancy = stream_workload(spec), spec.name, None
     if tenants:
         from repro.tenancy.synthesizer import TenantSpec, TrafficModel
 
-        model = TrafficModel(
+        tenancy = TrafficModel(
             tenants=tuple(
                 TenantSpec(name=f"t{i}", persona=spec.name)
                 for i in range(tenants)
@@ -328,19 +295,8 @@ def run_workload(
             total_requests=spec.num_requests,
             base_seed=spec.seed,
         )
-        return run_simulation(
-            iter(()), config, trace_name=f"{spec.name}:t{tenants}",
-            stream=True, queue_depth=queue_depth, faults=faults,
-            probes=probes, tenancy=model,
-        )
-    if stream:
-        from repro.traces.stream import stream_workload
-
-        return run_simulation(
-            stream_workload(spec), config, trace_name=spec.name,
-            stream=True, queue_depth=queue_depth, faults=faults, probes=probes,
-        )
+        trace, trace_name = iter(()), f"{spec.name}:t{tenants}"
     return run_simulation(
-        generate(spec), config, trace_name=spec.name,
-        queue_depth=queue_depth, faults=faults, probes=probes,
+        trace, config, trace_name=trace_name, queue_depth=queue_depth,
+        faults=faults, probes=probes, tenancy=tenancy,
     )

@@ -3,7 +3,7 @@
 The conformance matrix (:class:`repro.conformance.ScenarioMatrix`) and
 the torture campaign (:class:`repro.torture.CampaignConfig`) are axis
 declarations over the same grid: FTL × workload × geometry × fault plan
-× queue depth × tenants, plus the streaming and write-buffer options.
+× queue depth × tenants, plus the write-buffer option.
 Each declares its axes in its own order and formats its own ids;
 :func:`expand` turns them into frozen :class:`Scenario` cells, and
 :func:`repro.experiments.parallel.run_cells` runs those.
@@ -71,8 +71,6 @@ class Scenario:
     queue_depth: Optional[int] = None
     #: equal-weight tenants sharing the device (0 = tenancy off)
     tenants: int = 0
-    #: replay through streamed (NCQ-window) admission
-    stream: bool = False
     write_buffer_pages: Optional[int] = None
     #: the capacity axis value the geometry was sized from (reports only)
     capacity_mb: Optional[int] = None

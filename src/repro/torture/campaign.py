@@ -1,7 +1,7 @@
 """Torture campaigns: systematic crash-point sweeps with recovery checks.
 
 One campaign is a grid of cells — FTL × workload × fault plan, plus
-the campaign-wide write-buffer / NCQ-streaming options — each one a
+the campaign-wide write-buffer and queue-depth options — each one a
 :class:`~repro.experiments.scenario.Scenario` on the tiny geometry,
 expanded and run by the same code as the conformance matrix.  Per cell:
 
@@ -61,15 +61,10 @@ class CampaignConfig:
     #: also re-crash each point during recovery (double crash)
     double: bool = False
     write_buffer_pages: Optional[int] = None
-    stream: bool = False
+    #: bound on the admitted-but-uncompleted requests (None = unbounded)
     queue_depth: Optional[int] = None
     precondition_fill: float = 0.7
     footprint_fraction: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.queue_depth is not None and not self.stream:
-            raise ValueError("queue_depth requires stream=True "
-                             "(it bounds streamed admission)")
 
     def expansion(self) -> Expansion:
         """The cells in FTL, workload, fault plan order, plus the cells
@@ -81,7 +76,6 @@ class CampaignConfig:
             footprint_bytes=int(geometry.capacity_bytes * self.footprint_fraction),
             precondition_fill=self.precondition_fill,
             queue_depth=self.queue_depth,
-            stream=self.stream,
             write_buffer_pages=self.write_buffer_pages,
         )
         return expand(
@@ -102,7 +96,6 @@ class CampaignConfig:
             "budget": self.budget,
             "double": self.double,
             "write_buffer_pages": self.write_buffer_pages,
-            "stream": self.stream,
             "queue_depth": self.queue_depth,
         }
 
@@ -172,10 +165,7 @@ class TortureCampaign:
 
     @staticmethod
     def _run_trace(cell: Scenario, ssd: SimulatedSSD, requests: List[IoRequest]) -> None:
-        if cell.stream:
-            ssd.run_stream(iter(requests), queue_depth=cell.queue_depth)
-        else:
-            ssd.run(requests)
+        ssd.run_stream(iter(requests), queue_depth=cell.queue_depth)
         if ssd.write_buffer is not None:
             ssd.flush()
 
@@ -218,7 +208,6 @@ class TortureCampaign:
         ssd.controller.on_complete.append(ledger.completed)
         ssd.controller.on_complete.append(lambda r: done.add(id(r)))
         requests = self._fresh_requests(base)
-        stream_iter = iter(requests) if cell.stream else None
         # Subscribed last: the sanitizer's shadow model and the ledger
         # must both observe the triggering event before the arm raises.
         arm = TortureArm().attach(armed=point)
@@ -226,12 +215,7 @@ class TortureCampaign:
                              double=double)
         try:
             try:
-                if stream_iter is not None:
-                    ssd.run_stream(stream_iter, queue_depth=cell.queue_depth)
-                else:
-                    ssd.run(requests)
-                if ssd.write_buffer is not None:
-                    ssd.flush()
+                self._run_trace(cell, ssd, requests)
             except TortureCrash:
                 result.fired = True
                 buffered = (
@@ -254,17 +238,13 @@ class TortureCampaign:
                 verdict = check_durability(ftl, ledger, buffered)
                 result.violations = verdict.violations
                 result.excused = len(verdict.excused)
-                # Finish the unacknowledged remainder of the trace: the
-                # recovered device must still be a working drive.
-                if stream_iter is not None:
-                    remaining = list(stream_iter)
-                else:
-                    remaining = [r for r in requests if id(r) not in done]
+                # Finish every request not completed before the crash:
+                # the recovered device must still be a working drive.
                 now = ssd.engine.now
                 ssd.run([
                     IoRequest(max(r.arrival_us, now), r.start_lpn,
                               r.page_count, r.op)
-                    for r in remaining
+                    for r in requests if id(r) not in done
                 ])
                 if ssd.write_buffer is not None:
                     ssd.flush()
@@ -373,8 +353,6 @@ class TortureCampaign:
             parts.append("--double")
         if cfg.write_buffer_pages is not None:
             parts.append(f"--write-buffer {cfg.write_buffer_pages}")
-        if cfg.stream:
-            parts.append("--stream")
         if cfg.queue_depth is not None:
             parts.append(f"--queue-depth {cfg.queue_depth}")
         return " ".join(parts)

@@ -18,8 +18,8 @@ module is the bounded-memory front end to ``SimulatedSSD.run_stream()``
 
 * :func:`io_requests` — lazily maps byte-addressed
   :class:`~repro.traces.model.TraceRequest` items onto page-aligned
-  :class:`~repro.sim.request.IoRequest` items, mirroring exactly what
-  ``repro.experiments.runner`` does when it materializes a trace.
+  :class:`~repro.sim.request.IoRequest` items: the one page alignment
+  every replay in ``repro.experiments.runner`` goes through.
 
 The sequential-continuation model fixes a long-standing generator bug:
 a dedicated sequential cursor advances *only* on sequential requests
@@ -258,10 +258,9 @@ def io_requests(
 ) -> Iterator[IoRequest]:
     """Lazily page-align byte-addressed trace requests for ``geometry``.
 
-    Mirrors the materialization loop in ``repro.experiments.runner``
-    (offset wrapped into capacity, size clamped, head/tail padded to
-    page boundaries) so a streamed replay sees the identical
-    ``IoRequest`` sequence.
+    The offset wraps into the capacity, the size is clamped to it and
+    the head and tail are padded to page boundaries
+    (:meth:`SimulatedSSD.byte_request` pads the same way).
     """
     capacity = geometry.capacity_bytes
     page = geometry.page_size

@@ -25,6 +25,20 @@ def test_simulate_prints_metrics(capsys):
     assert "dloop on financial1" in out
 
 
+def test_simulate_crash_under_a_bounded_queue_depth(capsys):
+    """``--queue-depth`` composes with ``--crash-at-ms`` on any run, and
+    every run prints its admission rows."""
+    code = main([
+        "simulate", "--ftl", "dloop", "--capacity-mb", "16",
+        "--requests", "300", "--precondition", "0.5",
+        "--queue-depth", "4", "--crash-at-ms", "40",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "stream: peak_outstanding" in out
+    assert "crash: dropped_events" in out
+
+
 def test_simulate_saves_json(tmp_path, capsys):
     out_file = str(tmp_path / "result.json")
     code = main([
@@ -52,6 +66,20 @@ def test_tracegen_and_replay(tmp_path, capsys):
     ])
     assert code == 0
     assert "fast on" in capsys.readouterr().out
+
+
+def test_replay_of_an_unordered_trace_is_a_usage_error(tmp_path, capsys):
+    """A replay file whose arrivals go backwards exits 2 with a one-line
+    message (it used to be sorted without a word)."""
+    trace_file = tmp_path / "unordered.spc"
+    trace_file.write_text("0,0,4096,w,0.002\n0,8,4096,w,0.001\n0,16,4096,r,0.003\n")
+    code = main(["simulate", "--ftl", "dloop", "--capacity-mb", "16",
+                 "--replay", str(trace_file), "--precondition", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("repro-sim simulate: streamed arrival 1000.0 precedes "
+                                   "predecessor 2000.0")
+    assert "mean response" not in captured.out
 
 
 def test_tracegen_disksim_format(tmp_path, capsys):

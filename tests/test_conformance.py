@@ -428,7 +428,7 @@ def test_run_workload_conformance_extras(small_geometry):
                          seed=3)
     config = ExperimentConfig(geometry=small_geometry, ftl="dloop",
                               precondition_fill=0.7)
-    result = run_workload(spec, config, stream=True, conformance=True)
+    result = run_workload(spec, config, conformance=True)
     conformance = result.extras["conformance"]
     assert set(conformance) == set(RULE_ORDER)
     assert conformance["request_scale_parallelism"]["exercised"]

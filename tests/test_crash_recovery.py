@@ -19,10 +19,16 @@ import random
 import numpy as np
 import pytest
 
+from repro.conformance.rules import ContractProbe, RuleResult
 from repro.controller.device import SimulatedSSD
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_simulation
 from repro.faults import FaultConfig
+from repro.flash.geometry import SSDGeometry
 from repro.perf.fingerprint import ftl_fingerprint
 from repro.sim.request import IoOp, IoRequest
+from repro.traces.stream import stream_workload
+from repro.traces.synthetic import generate, make_workload
 
 
 RECOVERABLE_FTLS = ("dloop", "dftl", "fast")
@@ -49,10 +55,8 @@ def _crash_resume(small_geometry, name, crash_at_us, *, faults=None,
                        faults=faults, write_buffer_pages=write_buffer_pages)
     ssd.precondition(0.5)
     requests = _workload(small_geometry.num_lpns)
-    pre = [r for r in requests if r.arrival_us < crash_at_us]
-    post = [r for r in requests if r.arrival_us >= crash_at_us]
-    info = ssd.run_with_crash(pre, crash_at_us)
-    ssd.run(post)
+    info, rest = ssd.run_with_crash(requests, crash_at_us)
+    ssd.run(rest)
     if ssd.sanitizer is not None:
         ssd.sanitizer.finalize()
     return ssd, info
@@ -148,3 +152,49 @@ def test_crash_then_power_cycle_round_trip(small_geometry):
     ssd.power_cycle()
     assert np.array_equal(np.array(ssd.ftl.page_table, dtype=np.int64), table)
     assert ssd.sanitizer.finalize()["violations"] == 0
+
+
+# ---- crash replays through the runner --------------------------------------
+
+
+class _CompletedArrivals(ContractProbe):
+    """Records the arrival time of every completed host request."""
+
+    rule = "completed-arrivals"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.arrivals = []
+
+    def __call__(self, event) -> None:
+        if event.category == "host" and event.name in ("read", "write", "trim"):
+            self.arrivals.append(event.ts_us)
+
+    def result(self) -> RuleResult:
+        return RuleResult(self.rule, None, True, "")
+
+
+@pytest.mark.parametrize("queue_depth", (None, 8))
+@pytest.mark.parametrize("on_arrival", (False, True), ids=("between", "on-arrival"))
+def test_crash_replay_completes_every_request_from_the_crash_on(queue_depth, on_arrival):
+    """The request arriving after the power cut is not lost with it
+    (regression: streamed admission had already pulled it into the event
+    queue, and the crash dropped it)."""
+    # 32 MB keeps up with the trace: the window is never full, so
+    # admission pulls each successor as its predecessor arrives.
+    geometry = SSDGeometry.from_capacity(32 * 2**20)
+    spec = make_workload("financial1", num_requests=600,
+                         footprint_bytes=geometry.capacity_bytes // 2, seed=5)
+    arrivals = [r.arrival_us for r in generate(spec)]
+    crash_at = arrivals[300] if on_arrival else (arrivals[299] + arrivals[300]) / 2
+    probe = _CompletedArrivals()
+    result = run_simulation(
+        stream_workload(spec),
+        ExperimentConfig(geometry=geometry, ftl="dloop", precondition_fill=0.5),
+        crash_at_us=crash_at, queue_depth=queue_depth, probes=[probe],
+    )
+    assert result.extras["crash"]["at_us"] == crash_at
+    assert result.extras["stream"]["queue_depth"] == queue_depth
+    assert (sorted(a for a in probe.arrivals if a >= crash_at)
+            == [a for a in arrivals if a >= crash_at])
+    assert "failed_requests" not in result.extras

@@ -459,7 +459,7 @@ def test_routed_delivery_equals_direct_calls(ftl_name, plan):
 
     source = _build_replay(geometry)
     if plan == "crash":
-        ssd.run_with_crash(source, 20_000.0, stream=True, queue_depth=8)
+        _, source = ssd.run_with_crash(source, 20_000.0, queue_depth=8)
         assert 0 < ssd.stats.count < 300  # guard: the cut fell mid-run
         sweep_both()
     ssd.run_stream(source, queue_depth=8)

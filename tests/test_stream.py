@@ -10,6 +10,7 @@ import pytest
 from repro.controller.device import SimulatedSSD
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
+from repro.ftl.registry import available_ftls
 from repro.metrics.streaming import (
     DeterministicReservoir,
     RunningMoments,
@@ -161,19 +162,24 @@ def _replay_spec(n=1200):
     return small_spec(n=n, footprint_bytes=4 * MB, seed=11)
 
 
-def _materialized_run(ftl_name):
-    spec = _replay_spec()
-    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
-    ssd.precondition(0.6)
-    capacity = REPLAY_GEOMETRY.capacity_bytes
+def _byte_requests(ssd, trace):
+    """``trace`` page-aligned by :meth:`SimulatedSSD.byte_request`, as a list."""
+    capacity = ssd.geometry.capacity_bytes
     requests = []
-    for r in generate(spec):
+    for r in trace:
         offset = r.offset_bytes % capacity
         size = min(r.size_bytes, capacity - offset)
         requests.append(ssd.byte_request(
             r.arrival_us, offset, size, IoOp.WRITE if r.is_write else IoOp.READ
         ))
-    end = ssd.run(requests)
+    return requests
+
+
+def _materialized_run(ftl_name):
+    spec = _replay_spec()
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
+    ssd.precondition(0.6)
+    end = ssd.run(_byte_requests(ssd, generate(spec)))
     fp = ftl_fingerprint(ssd.ftl, end)
     fp.update(engine_fingerprint(ssd.engine))
     return fp, ssd.stats
@@ -299,6 +305,66 @@ def test_run_stream_keeps_list_stats_when_asked():
 # ---- experiment runner integration ------------------------------------------
 
 
+def test_run_workload_honours_queue_depth():
+    """``queue_depth`` bounds the admission window of every run
+    (regression: without streaming it was silently ignored)."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_workload
+
+    spec = _replay_spec(n=300)
+    config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl="dloop",
+                              precondition_fill=0.6)
+    serial = run_workload(spec, config, queue_depth=1)
+    assert serial.extras["stream"] == {
+        "queue_depth": 1, "peak_outstanding": 1, "reservoir_exact": True}
+    assert serial.mean_response_ms > run_workload(spec, config).mean_response_ms
+
+
+def _list_replay_metrics(spec, config) -> dict:
+    """The reference a ``run_workload`` result must equal: the same
+    requests, materialized, through ``SimulatedSSD.run(list)``."""
+    from repro.experiments.runner import _steady_ms
+
+    ssd = SimulatedSSD(config.geometry, config.timing, ftl=config.ftl,
+                       **config.build_kwargs())
+    ssd.precondition(config.precondition_fill)
+    ssd.run(_byte_requests(ssd, generate(spec)))
+    stats, counters = ssd.stats, ssd.counters
+    moved = counters.programs + counters.copybacks + ssd.ftl.gc_stats.wasted_pages
+    return {
+        "mean_response_ms": stats.mean_response_ms(),
+        "steady_response_ms": (_steady_ms(stats.reservoir.values)
+                               if stats.reservoir.exact else stats.mean_response_ms()),
+        "read_response_ms": stats.reads.mean / 1000.0 if stats.reads.count else 0.0,
+        "write_response_ms": stats.writes.mean / 1000.0 if stats.writes.count else 0.0,
+        "p99_response_ms": stats.percentile_us(99) / 1000.0,
+        "write_amplification": moved / stats.pages_written,
+        "flash": [counters.reads, counters.programs, counters.copybacks,
+                  counters.erases, counters.as_dict()["plane_ops"]],
+        "num_requests": stats.count,
+        "failed_requests": stats.failed_requests,
+    }
+
+
+def _result_metrics(result) -> dict:
+    return {
+        "mean_response_ms": result.mean_response_ms,
+        "steady_response_ms": result.steady_response_ms,
+        "read_response_ms": result.read_response_ms,
+        "write_response_ms": result.write_response_ms,
+        "p99_response_ms": result.p99_response_ms,
+        "write_amplification": result.write_amplification,
+        "flash": [result.flash_reads, result.flash_programs, result.copybacks,
+                  result.erases, result.plane_ops],
+        "num_requests": result.num_requests,
+        "failed_requests": result.extras.get("failed_requests", 0),
+    }
+
+
+def _same_bits(result, reference: dict) -> bool:
+    return repr(_result_metrics(result)) == repr(reference)
+
+
 def test_run_workload_stream_mode():
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_workload
@@ -306,23 +372,21 @@ def test_run_workload_stream_mode():
     spec = _replay_spec(n=600)
     config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl="dloop",
                               precondition_fill=0.6)
-    result = run_workload(spec, config, stream=True, queue_depth=8)
+    result = run_workload(spec, config, queue_depth=8)
     assert result.num_requests == spec.num_requests
     assert result.mean_response_ms > 0
     assert result.extras["stream"]["queue_depth"] == 8
     assert 1 <= result.extras["stream"]["peak_outstanding"] <= 8
 
-    # Unbounded stream mode reports what the materialized runner does.
-    streamed = run_workload(spec, config, stream=True)
-    materialized = run_workload(spec, config)
-    assert streamed.num_requests == materialized.num_requests
-    assert streamed.mean_response_ms == materialized.mean_response_ms
-    assert streamed.p99_response_ms == materialized.p99_response_ms
+    # Unbounded, it reports what a list replay of the same trace does.
+    unbounded = run_workload(spec, config)
+    assert unbounded.extras["stream"]["queue_depth"] is None
+    assert _same_bits(unbounded, _list_replay_metrics(spec, config))
 
 
 def test_stream_and_materialized_runs_report_the_same_numbers():
-    """Up to the reservoir's capacity a streamed run and a materialized
-    run of the same trace report bit-equal response metrics, the
+    """Up to the reservoir's capacity ``run_workload`` and a list replay
+    of the same trace report bit-equal response metrics, the
     steady-state mean included (it windows over the reservoir)."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_workload
@@ -330,14 +394,31 @@ def test_stream_and_materialized_runs_report_the_same_numbers():
     spec = _replay_spec(n=StreamingRequestStats().reservoir.capacity)
     config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl="pagemap",
                               precondition_fill=0.6)
-    streamed = run_workload(spec, config, stream=True)
-    materialized = run_workload(spec, config)
-    assert streamed.extras["stream"]["reservoir_exact"]
-    metrics = ("mean_response_ms", "steady_response_ms", "read_response_ms",
-               "write_response_ms", "p99_response_ms")
-    assert ([repr(getattr(streamed, m)) for m in metrics]
-            == [repr(getattr(materialized, m)) for m in metrics])
-    assert streamed.steady_response_ms != streamed.mean_response_ms
+    result = run_workload(spec, config)
+    assert result.extras["stream"]["reservoir_exact"]
+    assert _same_bits(result, _list_replay_metrics(spec, config))
+    assert result.steady_response_ms != result.mean_response_ms
+
+
+@pytest.mark.parametrize("ftl_name", available_ftls())
+def test_run_workload_equals_list_replay_past_the_reservoir(ftl_name):
+    """6 000 requests, past the 4 096-slot reservoir: every registry
+    entry's ``run_workload`` result equals the list replay's, bit for
+    bit, in the response means, p99, write amplification, flash
+    counters and failed requests."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_workload
+
+    # A load the device keeps up with: the 1 200-request replay spec
+    # at 6 000 requests would queue thousands deep and thrash GC.
+    spec = small_spec(n=6000, footprint_bytes=2 * MB, request_rate_per_s=500.0, seed=11)
+    config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl=ftl_name,
+                              precondition_fill=0.3)
+    result = run_workload(spec, config)
+    assert not result.extras["stream"]["reservoir_exact"]
+    failed = result.extras.get("failed_requests", 0)
+    assert result.num_requests + failed == spec.num_requests
+    assert _same_bits(result, _list_replay_metrics(spec, config))
 
 
 def test_run_simulation_stream_composes_with_crash():
@@ -349,8 +430,7 @@ def test_run_simulation_stream_composes_with_crash():
     config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl="dloop",
                               precondition_fill=0.5)
     result = run_simulation(
-        stream_workload(spec), config,
-        stream=True, queue_depth=4, crash_at_us=15_000.0,
+        stream_workload(spec), config, queue_depth=4, crash_at_us=15_000.0,
     )
     crash = result.extras["crash"]
     assert crash["at_us"] == 15_000.0
@@ -584,16 +664,7 @@ def _shuffled_requests(n=600, seed=3):
     rng = random.Random(seed)
     trace = generate(spec)
     rng.shuffle(trace)
-    capacity = REPLAY_GEOMETRY.capacity_bytes
-    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
-    requests = []
-    for r in trace:
-        offset = r.offset_bytes % capacity
-        size = min(r.size_bytes, capacity - offset)
-        requests.append(ssd.byte_request(
-            r.arrival_us, offset, size, IoOp.WRITE if r.is_write else IoOp.READ
-        ))
-    return requests
+    return _byte_requests(SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop"), trace)
 
 
 def test_unordered_stream_raises_by_default():

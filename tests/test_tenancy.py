@@ -512,8 +512,7 @@ def test_run_workload_tenants_extras():
     spec = make_workload("financial1", num_requests=600, seed=11)
     config = ExperimentConfig(geometry=GEOMETRY, ftl="dloop",
                               precondition_fill=0.5)
-    result = run_workload(spec, config, stream=True, queue_depth=8,
-                          tenants=3)
+    result = run_workload(spec, config, queue_depth=8, tenants=3)
     extras = result.extras["tenants"]
     assert len(extras["summaries"]) == 3
     assert len(extras["completed_page_shares"]) == 3
@@ -522,16 +521,17 @@ def test_run_workload_tenants_extras():
 
 
 def test_tenancy_requires_stream_and_rejects_crash():
+    """Every replay streams, so tenancy needs no flag of its own; it
+    still rejects a crash replay."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_simulation
 
     config = ExperimentConfig(geometry=GEOMETRY, ftl="dloop")
     model = _fair_model(n_requests=100)
-    with pytest.raises(ValueError):
-        run_simulation(iter(()), config, tenancy=model)
-    with pytest.raises(ValueError):
-        run_simulation(iter(()), config, stream=True, tenancy=model,
-                       crash_at_us=1000.0)
+    result = run_simulation(iter(()), config, tenancy=model)
+    assert len(result.extras["tenants"]["summaries"]) == len(model.tenants)
+    with pytest.raises(ValueError, match="crash_at_us"):
+        run_simulation(iter(()), config, tenancy=model, crash_at_us=1000.0)
 
 
 def test_scenario_id_gains_tenant_axis_only_when_set():

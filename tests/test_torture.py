@@ -366,8 +366,7 @@ class TestCampaign:
 
     def test_streaming_cell(self):
         campaign = TortureCampaign(CampaignConfig(
-            ftls=("dloop",), num_requests=10, budget=3,
-            stream=True, queue_depth=2,
+            ftls=("dloop",), num_requests=10, budget=3, queue_depth=2,
         ))
         report = campaign.run_cell(campaign.cells()[0])
         assert report["violations_total"] == 0
@@ -384,12 +383,12 @@ class TestCampaign:
     def test_repro_command_round_trips_flags(self):
         campaign = TortureCampaign(CampaignConfig(
             ftls=("dftl",), fault_plans=("moderate",), num_requests=12,
-            double=True, write_buffer_pages=8, stream=True, queue_depth=4,
+            double=True, write_buffer_pages=8, queue_depth=4,
         ))
         cell = campaign.cells()[0]
         command = campaign.repro_command(cell, ("gc_step", 3), double=True)
         for token in ("--ftls dftl", "--faults moderate", "--double",
-                      "--point gc_step:3", "--write-buffer 8", "--stream",
+                      "--point gc_step:3", "--write-buffer 8",
                       "--queue-depth 4", "--requests 12"):
             assert token in command
 
@@ -596,19 +595,21 @@ class TestStreamingCrash:
         ssd = SimulatedSSD(small_geometry, ftl="dloop")
         ssd.precondition(0.6)
         requests = _write_workload(small_geometry, 300, seed=31, trim_share=0.0)
-        crash_at = requests[len(requests) // 2].arrival_us
-        tail = iter(_fresh(requests))
-        summary = ssd.run_with_crash(
-            tail, crash_at, stream=True, queue_depth=4
+        half = len(requests) // 2
+        crash_at = requests[half].arrival_us
+        summary, rest = ssd.run_with_crash(
+            _fresh(requests), crash_at, queue_depth=4
         )
         # admission state is volatile: fully reset by the crash
         assert ssd.controller._stream is None
         assert ssd.controller._stream_window == 0
         assert not ssd.controller._stream_deferred
         assert summary["recovered_mappings"] > 0
-        # the un-admitted tail stays with the caller and replays fine
-        remaining = list(tail)
-        assert remaining
+        # the un-admitted rest, from the first request at or after the
+        # crash on, comes back to the caller and replays fine
+        remaining = list(rest)
+        assert [r.arrival_us for r in remaining[-half:]] == [
+            r.arrival_us for r in requests[half:]]
         before = ssd.stats.count
         ssd.run_stream(iter(remaining))
         assert ssd.stats.count == before + len(remaining)
@@ -636,8 +637,7 @@ class TestStreamingCrash:
             geometry=small_geometry, ftl="dloop", precondition_fill=0.5
         )
         result = run_simulation(
-            generate(spec), config, stream=True, queue_depth=4,
-            crash_at_us=15_000.0,
+            generate(spec), config, queue_depth=4, crash_at_us=15_000.0,
         )
         crash = result.extras["crash"]
         assert crash["at_us"] == 15_000.0
