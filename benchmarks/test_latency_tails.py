@@ -24,8 +24,9 @@ def run_tails():
     spec = make_workload("tpcc", num_requests=BENCH_REQUESTS, footprint_bytes=footprint)
     trace = generate(spec)
     rows = []
-    for ftl in ("dloop", "dloop-nocb"):
-        ssd = SimulatedSSD(geometry, ftl=ftl, stats_interval_us=BENCH_STATS_INTERVAL_US)
+    for label, use_copyback in (("dloop", True), ("dloop-nocb", False)):
+        ssd = SimulatedSSD(geometry, ftl="dloop", use_copyback=use_copyback,
+                           stats_interval_us=BENCH_STATS_INTERVAL_US)
         ssd.precondition(0.55)
         histogram = LatencyHistogram()
 
@@ -42,7 +43,7 @@ def run_tails():
         counters = ssd.counters.as_dict()
         rows.append(
             {
-                "ftl": ftl,
+                "ftl": label,
                 "reads": summary["count"],
                 "read_mean_ms": summary["mean_us"] / 1000,
                 "read_p95_ms": summary["p95_us"] / 1000,

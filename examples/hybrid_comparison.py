@@ -21,7 +21,7 @@ from repro.traces.synthetic import generate, make_workload
 
 SCALE = 1 / 32
 
-FTLS = ("bast", "fast", "last", "superblock", "dftl", "dloop")
+FTLS = ("bast", "fast", "last", "dftl", "dloop")
 
 
 def main() -> None:

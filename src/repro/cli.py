@@ -30,7 +30,7 @@ from repro.flash.geometry import SSDGeometry
 from repro.ftl.registry import available_ftls
 from repro.metrics.ascii_chart import hbar_chart
 from repro.metrics.report import format_table
-from repro.traces.parser import iter_trace_file, write_disksim, write_spc
+from repro.traces.parser import TraceFormatError, iter_trace_file, write_disksim, write_spc
 from repro.traces.stream import stream_workload
 from repro.traces.synthetic import EXTRA_TRACE_NAMES, PAPER_TRACE_NAMES, generate, make_workload
 
@@ -117,6 +117,15 @@ class _MaybeProfile:
 
 
 def cmd_simulate(args) -> int:
+    # Both arrive from the replayed file, up front or mid-run.
+    try:
+        return _simulate(args)
+    except (StreamOrderError, TraceFormatError) as exc:
+        print(f"repro-sim simulate: {exc}", file=sys.stderr)
+        return 2
+
+
+def _simulate(args) -> int:
     if args.config:
         from repro.experiments.config import load_config
 
@@ -208,18 +217,14 @@ def cmd_simulate(args) -> int:
         )
         trace = iter(())
         trace_name = f"tenants[{args.tenants}]"
-    try:
-        with _MaybeProfile(args.profile):
-            result = run_simulation(
-                trace, config, trace_name=trace_name,
-                trace_path=args.trace, stats_interval_us=stats_interval_us,
-                sanitize=args.sanitize, faults=faults, crash_at_us=crash_at_us,
-                queue_depth=args.queue_depth,
-                tenancy=tenancy,
-            )
-    except StreamOrderError as exc:
-        print(f"repro-sim simulate: {exc}", file=sys.stderr)
-        return 2
+    with _MaybeProfile(args.profile):
+        result = run_simulation(
+            trace, config, trace_name=trace_name,
+            trace_path=args.trace, stats_interval_us=stats_interval_us,
+            sanitize=args.sanitize, faults=faults, crash_at_us=crash_at_us,
+            queue_depth=args.queue_depth,
+            tenancy=tenancy,
+        )
     rows = [
         {"metric": "mean response (ms)", "value": result.mean_response_ms},
         {"metric": "read mean (ms)", "value": result.read_response_ms},
@@ -337,7 +342,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace_stats(args) -> int:
     if args.trace:
-        trace = list(iter_trace_file(args.trace))
+        try:
+            trace = list(iter_trace_file(args.trace))
+        except TraceFormatError as exc:
+            print(f"repro-sim trace-stats: {exc}", file=sys.stderr)
+            return 2
         name = args.trace
     else:
         footprint = int(args.footprint_mb * MB) if args.footprint_mb else 64 * MB

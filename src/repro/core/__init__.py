@@ -8,7 +8,6 @@ with intra-plane copy-back operations that never touch the I/O bus.
 
 from repro.core.dloop import DloopFtl
 from repro.core.hotdloop import HotPlaneDloopFtl
-from repro.core.mpdloop import MultiPlaneDloopFtl
 from repro.core.hcdloop import HotColdDloopFtl
 
-__all__ = ["DloopFtl", "HotPlaneDloopFtl", "MultiPlaneDloopFtl", "HotColdDloopFtl"]
+__all__ = ["DloopFtl", "HotPlaneDloopFtl", "HotColdDloopFtl"]

@@ -14,11 +14,6 @@ from repro.flash.array import FlashArray
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.counters import FlashCounters
 from repro.flash.badblocks import BadBlockManager
-from repro.flash.commands import (
-    multi_plane_erase,
-    multi_plane_program,
-    multi_plane_read,
-)
 
 __all__ = [
     "SSDGeometry",
@@ -28,8 +23,5 @@ __all__ = [
     "FlashArray",
     "FlashTimekeeper",
     "FlashCounters",
-    "multi_plane_program",
-    "multi_plane_read",
-    "multi_plane_erase",
     "BadBlockManager",
 ]

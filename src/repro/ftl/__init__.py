@@ -15,7 +15,6 @@ from repro.ftl.dftl import DftlFtl
 from repro.ftl.fast import FastFtl
 from repro.ftl.bast import BastFtl
 from repro.ftl.last import LastFtl
-from repro.ftl.superblock import SuperblockFtl
 from repro.ftl.registry import available_ftls, create_ftl
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "FastFtl",
     "BastFtl",
     "LastFtl",
-    "SuperblockFtl",
     "available_ftls",
     "create_ftl",
 ]

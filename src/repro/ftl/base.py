@@ -151,8 +151,6 @@ class Ftl(abc.ABC):
 
         Default: independent per-page writes (they already overlap
         across planes/channels through the resource timelines).
-        Subclasses may override to use multi-plane commands
-        (Section II.B) for pages landing on one die.
         """
         completion = start
         for lpn in lpns:

@@ -1,6 +1,6 @@
 """Shared machinery for hybrid log-block FTLs (Section II.A).
 
-All log-block schemes (BAST, FAST, LAST, Superblock) share a skeleton:
+All log-block schemes (BAST, FAST, LAST) share a skeleton:
 block-mapped data blocks, a bounded pool of page-mapped log blocks, and
 merge operations that fold logs back into data blocks.  This mixin
 provides the common pieces; the schemes differ in how they *associate*

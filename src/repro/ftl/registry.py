@@ -16,15 +16,12 @@ _SRAM_MAP = ("cmt_entries", "max_gc_passes")
 #: Classes import lazily: naming an FTL never loads the others.
 _REGISTRY: Dict[str, Tuple[str, str, Dict[str, object], Tuple[str, ...]]] = {
     "dloop": ("repro.core.dloop", "DloopFtl", {}, ()),
-    "dloop-nocb": ("repro.core.dloop", "DloopFtl", {"use_copyback": False}, ()),
     "dloop-hot": ("repro.core.hotdloop", "HotPlaneDloopFtl", {}, ()),
-    "dloop-mp": ("repro.core.mpdloop", "MultiPlaneDloopFtl", {}, ()),
     "dloop-hc": ("repro.core.hcdloop", "HotColdDloopFtl", {}, ()),
     "dftl": ("repro.ftl.dftl", "DftlFtl", {}, ()),
     "fast": ("repro.ftl.fast", "FastFtl", {}, _SRAM_MAP),
     "bast": ("repro.ftl.bast", "BastFtl", {}, _SRAM_MAP),
     "last": ("repro.ftl.last", "LastFtl", {}, _SRAM_MAP),
-    "superblock": ("repro.ftl.superblock", "SuperblockFtl", {}, _SRAM_MAP),
     "pagemap": ("repro.ftl.pagemap", "PageMapFtl", {}, ("cmt_entries",)),
 }
 

@@ -86,9 +86,6 @@ _PLANE_SPAN_EVENTS = frozenset(
         schema.EV_FLASH_PROGRAM,
         schema.EV_FLASH_ERASE,
         schema.EV_FLASH_COPY_BACK,
-        schema.EV_MP_READ,
-        schema.EV_MP_PROGRAM,
-        schema.EV_MP_ERASE,
     }
 )
 #: ``flash`` events whose span occupies a channel (the transfer path).
@@ -96,8 +93,6 @@ _CHANNEL_SPAN_EVENTS = frozenset(
     {
         schema.EV_XFER_IN,
         schema.EV_XFER_OUT,
-        schema.EV_MP_XFER_IN,
-        schema.EV_MP_XFER_OUT,
     }
 )
 

@@ -63,7 +63,7 @@ EV_HOST_WRITE = "write"
 EV_HOST_TRIM = "trim"
 EV_POWER_LOSS = "power_loss"
 
-# flash (timekeeper + multi-plane command set)
+# flash (timekeeper)
 EV_FLASH_READ = "read"
 EV_FLASH_PROGRAM = "program"
 EV_FLASH_ERASE = "erase"
@@ -72,11 +72,6 @@ EV_XFER_IN = "xfer_in"
 EV_XFER_OUT = "xfer_out"
 EV_INTER_PLANE_COPY = "inter_plane_copy"
 EV_TIMELINE_RESET = "timeline_reset"
-EV_MP_READ = "mp_read"
-EV_MP_PROGRAM = "mp_program"
-EV_MP_ERASE = "mp_erase"
-EV_MP_XFER_IN = "mp_xfer_in"
-EV_MP_XFER_OUT = "mp_xfer_out"
 
 # array (shadow-NAND bookkeeping)
 EV_ALLOC_BLOCK = "alloc_block"
@@ -175,7 +170,6 @@ class EventSchema:
 
 
 _TIMEKEEPER = ("repro.flash.timekeeper",)
-_COMMANDS = ("repro.flash.commands",)
 _ARRAY = ("repro.flash.array",)
 #: program/invalidate are also emitted where a page path inlines the
 #: transition: the demand-paged family's host write and translation
@@ -280,36 +274,6 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
         modules=_TIMEKEEPER,
         description="resource timelines zeroed (post-preconditioning); "
                     "interval checkers must reset",
-    ),
-    EventSchema(
-        CAT_FLASH, EV_MP_READ,
-        {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
-        description="multi-plane read: per-plane sense + stream-out span",
-    ),
-    EventSchema(
-        CAT_FLASH, EV_MP_PROGRAM,
-        {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
-        description="multi-plane program: per-plane program span",
-    ),
-    EventSchema(
-        CAT_FLASH, EV_MP_ERASE,
-        {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
-        description="multi-plane erase: per-plane erase span",
-    ),
-    EventSchema(
-        CAT_FLASH, EV_MP_XFER_IN,
-        {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
-        description="multi-plane program: serialized data-in transfer",
-    ),
-    EventSchema(
-        CAT_FLASH, EV_MP_XFER_OUT,
-        {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
-        description="multi-plane read: serialized data-out transfer",
     ),
     # ---- array (shadow-NAND model input; ts is always 0) -----------------
     EventSchema(
@@ -628,12 +592,6 @@ CONSUMER_MODULES: Tuple[str, ...] = (
 #: reason.  Everything else must appear in the smoke trace.
 ALLOW_UNOBSERVED: FrozenSet[Tuple[str, str]] = frozenset(
     {
-        # Only repro.core.mpdloop uses the multi-plane command set, and
-        # only the program path; the read/erase halves are exercised by
-        # unit tests, not by any registered FTL's hot path.
-        (CAT_FLASH, EV_MP_READ),
-        (CAT_FLASH, EV_MP_ERASE),
-        (CAT_FLASH, EV_MP_XFER_OUT),
         # FAST's shifted-close path needs a misaligned sequential
         # stream interrupted mid-block — covered by tests/test_fast.py.
         (CAT_GC, EV_SHIFTED_CLOSE),

@@ -127,16 +127,9 @@ def _scenario_fast() -> None:
     ssd.verify()
 
 
-def _scenario_multi_plane() -> None:
-    """DLOOP-MP: multi-plane program + serialized data-in transfers."""
-    ssd = _new_ssd("dloop-mp")
-    ssd.run(_mixed_workload(ssd.geometry, 600, seed=14, trim_share=0.0))
-    ssd.verify()
-
-
 def _scenario_no_copyback() -> None:
     """Copy-back disabled: GC takes the inter-plane controller path."""
-    ssd = _new_ssd("dloop-nocb")
+    ssd = _new_ssd("dloop", use_copyback=False)
     ssd.precondition(0.7)
     ssd.run(_mixed_workload(ssd.geometry, 900, seed=15, trim_share=0.0))
     ssd.verify()
@@ -287,7 +280,6 @@ SCENARIOS: Dict[str, Callable[[], None]] = {
     "dloop": _scenario_dloop,
     "dftl": _scenario_dftl,
     "fast": _scenario_fast,
-    "multi-plane": _scenario_multi_plane,
     "no-copyback": _scenario_no_copyback,
     "faults": _scenario_faults,
     "bad-blocks": _scenario_bad_blocks,

@@ -21,6 +21,7 @@ from repro.traces.synthetic import (
 from repro.traces.stats import TraceStats, measure
 from repro.traces.analysis import WorkloadCharacter, characterize, compare_characters
 from repro.traces.parser import (
+    TraceFormatError,
     parse_disksim,
     write_disksim,
     parse_spc,
@@ -53,6 +54,7 @@ __all__ = [
     "WorkloadCharacter",
     "characterize",
     "compare_characters",
+    "TraceFormatError",
     "parse_disksim",
     "write_disksim",
     "parse_spc",

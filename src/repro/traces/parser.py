@@ -13,11 +13,14 @@ saved and replayed.
 
 Each format has two entry points: ``iter_*`` yields requests lazily
 (O(1) memory — the streaming replay path), and ``parse_*`` materializes
-the same sequence into a list.
+the same sequence into a list.  A line that does not parse raises
+:class:`TraceFormatError` naming the line (and the file, when the source
+is a path).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, List, TextIO, Union
 
 from repro.traces.model import TraceRequest
@@ -25,6 +28,15 @@ from repro.traces.model import TraceRequest
 SECTOR = 512
 
 Source = Union[str, TextIO, Iterable[str]]
+
+
+class TraceFormatError(ValueError):
+    """A trace that cannot be replayed: a malformed line, or a file
+    with no requests at all."""
+
+
+def _where(source: Source, lineno: int) -> str:
+    return f"{source}: line {lineno}" if isinstance(source, str) else f"line {lineno}"
 
 
 def _lines(source: Source) -> Iterator[str]:
@@ -46,15 +58,19 @@ def iter_disksim(source: Source) -> Iterator[TraceRequest]:
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+            raise TraceFormatError(
+                f"{_where(source, lineno)}: expected 5 fields, got {len(parts)}")
         arrival_ms, _devno, blkno, bcount, flags = parts
-        is_read = int(flags) & 1 == 1
-        yield TraceRequest(
-            arrival_us=float(arrival_ms) * 1000.0,
-            offset_bytes=int(blkno) * SECTOR,
-            size_bytes=int(bcount) * SECTOR,
-            is_write=not is_read,
-        )
+        try:
+            request = TraceRequest(
+                arrival_us=float(arrival_ms) * 1000.0,
+                offset_bytes=int(blkno) * SECTOR,
+                size_bytes=int(bcount) * SECTOR,
+                is_write=int(flags) & 1 == 0,
+            )
+        except ValueError as exc:
+            raise TraceFormatError(f"{_where(source, lineno)}: {exc}") from None
+        yield request
 
 
 def parse_disksim(source: Source) -> List[TraceRequest]:
@@ -81,17 +97,22 @@ def iter_spc(source: Source) -> Iterator[TraceRequest]:
             continue
         parts = line.split(",")
         if len(parts) < 5:
-            raise ValueError(f"line {lineno}: expected >=5 comma fields, got {len(parts)}")
+            raise TraceFormatError(
+                f"{_where(source, lineno)}: expected >=5 comma fields, got {len(parts)}")
         _asu, lba, size, opcode, timestamp = parts[:5]
         op = opcode.strip().lower()
         if op not in ("r", "w"):
-            raise ValueError(f"line {lineno}: bad opcode {opcode!r}")
-        yield TraceRequest(
-            arrival_us=float(timestamp) * 1e6,
-            offset_bytes=int(lba) * SECTOR,
-            size_bytes=int(size),
-            is_write=op == "w",
-        )
+            raise TraceFormatError(f"{_where(source, lineno)}: bad opcode {opcode!r}")
+        try:
+            request = TraceRequest(
+                arrival_us=float(timestamp) * 1e6,
+                offset_bytes=int(lba) * SECTOR,
+                size_bytes=int(size),
+                is_write=op == "w",
+            )
+        except ValueError as exc:
+            raise TraceFormatError(f"{_where(source, lineno)}: {exc}") from None
+        yield request
 
 
 def parse_spc(source: Source) -> List[TraceRequest]:
@@ -103,11 +124,18 @@ def iter_trace_file(path: str) -> Iterator[TraceRequest]:
     """Lazily parse a trace file, choosing the format by extension.
 
     ``.spc``/``.csv`` parse as SPC; everything else as DiskSim ASCII —
-    the same convention the CLI's ``--replay`` flag uses.
+    the same convention the CLI's ``--replay`` flag uses.  The first
+    request is parsed up front: a file without one raises
+    :class:`TraceFormatError` here, not after a replay of nothing.
     """
     if path.endswith(".spc") or path.endswith(".csv"):
-        return iter_spc(path)
-    return iter_disksim(path)
+        requests = iter_spc(path)
+    else:
+        requests = iter_disksim(path)
+    first = next(requests, None)
+    if first is None:
+        raise TraceFormatError(f"{path}: no requests")
+    return chain((first,), requests)
 
 
 def write_spc(requests: Iterable[TraceRequest], handle: TextIO, asu: int = 0) -> None:

@@ -14,12 +14,12 @@ from repro.controller.device import SimulatedSSD
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.base import Ftl
-from repro.ftl.registry import available_ftls
 from repro.lint.sanitizer import SanitizerError
 from repro.obs.tracebus import BUS
 from repro.perf.fingerprint import ftl_fingerprint
 from repro.sim.request import IoOp, IoRequest
 from repro.torture.arm import TortureArm, TortureCrash
+from tests.ftl_cases import ftl_cases, resolve
 
 MB = 2**20
 GEOMETRY = SSDGeometry.from_capacity(8 * MB)
@@ -44,7 +44,8 @@ TINY = SSDGeometry(
 def _observe(ftl_name, rows, run):
     """Everything a run shows: the whole TraceBus capture, request stats,
     counters, fingerprint, in-flight high-water mark, completions."""
-    ssd = SimulatedSSD(TINY, TimingParams(), ftl=ftl_name)
+    name, kwargs = resolve(ftl_name)
+    ssd = SimulatedSSD(TINY, TimingParams(), ftl=name, **kwargs)
     if type(ssd.ftl)._gc_exclude is not Ftl._gc_exclude:
         # the log-block family has no background pass to drive
         ssd.background_gc = BackgroundGc(ssd.engine, ssd.ftl, ssd.controller)
@@ -89,7 +90,7 @@ integer_rows = st.lists(
 )
 
 
-@pytest.mark.parametrize("ftl_name", available_ftls())
+@pytest.mark.parametrize("ftl_name", ftl_cases())
 @settings(max_examples=25, deadline=None)
 @given(rows=integer_rows)
 def test_list_and_stream_are_one_run(ftl_name, rows):
@@ -105,8 +106,7 @@ def test_list_and_stream_are_one_run(ftl_name, rows):
 
 
 @pytest.mark.parametrize(
-    "ftl_name", ["dftl", "dloop", "dloop-hc", "dloop-hot", "dloop-mp", "dloop-nocb",
-                 "pagemap"])
+    "ftl_name", ["dftl", "dloop", "dloop-hc", "dloop-hot", "dloop-nocb", "pagemap"])
 def test_idle_time_gc_sees_one_order(ftl_name):
     """Bursts of tie-rich integer arrivals with idle gaps between them:
     ``on_idle`` fires at the same instants either way, so background

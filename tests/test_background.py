@@ -107,7 +107,7 @@ def test_parameter_validation(small_geometry):
         BackgroundGc(ssd.engine, ssd.ftl, ssd.controller, max_passes_per_idle=0)
 
 
-@pytest.mark.parametrize("ftl", ["bast", "fast", "last", "superblock"])
+@pytest.mark.parametrize("ftl", ["bast", "fast", "last"])
 def test_log_block_ftls_rejected(ftl):
     """Hybrids have no GC pass to run when idle: a typed error up front,
     not a bare ``NotImplementedError`` at the first idle tick."""

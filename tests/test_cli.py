@@ -82,6 +82,32 @@ def test_replay_of_an_unordered_trace_is_a_usage_error(tmp_path, capsys):
     assert "mean response" not in captured.out
 
 
+#: suffix -> (a well-formed line, a line with two fields)
+REPLAY_FORMATS = {
+    ".spc": ("0,0,4096,w,0.001\n", "0,8\n"),
+    ".ds": ("1.0 0 0 8 0\n", "2.0 0\n"),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(REPLAY_FORMATS))
+@pytest.mark.parametrize("case", ("empty", "two-field-line"))
+def test_replay_of_a_malformed_trace_is_a_usage_error(tmp_path, capsys, suffix, case):
+    """An empty file and a short line each exit 2 with one line naming
+    the file (and the line), instead of replaying nothing or ending in a
+    raw traceback."""
+    good, short = REPLAY_FORMATS[suffix]
+    trace_file = tmp_path / f"{case}{suffix}"
+    trace_file.write_text("" if case == "empty" else good + short)
+    code = main(["simulate", "--ftl", "dloop", "--capacity-mb", "16",
+                 "--replay", str(trace_file), "--precondition", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    expected = "no requests" if case == "empty" else "line 2: expected"
+    assert captured.err.startswith(f"repro-sim simulate: {trace_file}: {expected}")
+    assert captured.err.count("\n") == 1
+    assert "mean response" not in captured.out
+
+
 def test_tracegen_disksim_format(tmp_path, capsys):
     trace_file = str(tmp_path / "trace.ds")
     main(["tracegen", "--workload", "build", "--requests", "50",

@@ -13,9 +13,11 @@ def test_default_construction_is_dloop():
 
 
 def test_ftl_selection_by_name(small_geometry):
-    for name in ("dloop", "dftl", "fast", "pagemap", "dloop-hot", "dloop-nocb"):
+    for name in ("dloop", "dftl", "fast", "pagemap", "dloop-hot"):
         ssd = SimulatedSSD(small_geometry, ftl=name)
         assert isinstance(ssd.ftl, Ftl)
+    # constructor knobs reach the FTL the name builds
+    assert SimulatedSSD(small_geometry, ftl="dloop", use_copyback=False).ftl.use_copyback is False
 
 
 def test_unknown_ftl_rejected(small_geometry):

@@ -20,8 +20,7 @@ spell differently.  This file holds it to four things:
 * **end of life** — both raise sites end in ``OutOfSpaceError`` with the
   text each FTL has always put into ``IoRequest.error``.
 
-(The golden replay sweep this builds on is ``tests/test_kernels.py``; its
-rename to this file's name is ROADMAP item 7a's.)
+(The golden replay sweep this builds on is ``tests/test_replay_sweep.py``.)
 """
 
 from __future__ import annotations
@@ -48,12 +47,13 @@ from repro.ftl.translation import DemandPagedFtl
 from repro.obs.tracebus import BUS
 from repro.perf.fingerprint import ftl_fingerprint
 from repro.sim.request import IoOp, IoRequest
+from tests.ftl_cases import resolve
 from tests.test_reclaim_paths import _arm_generations, event_stream_crc
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "replay_sweep_fingerprints.json")
 
 #: The FTLs whose ``write_page`` is ``DemandPagedFtl.write_page`` itself.
-FAMILY = ("dloop", "dloop-nocb", "dloop-hc", "dloop-mp", "dftl")
+FAMILY = ("dloop", "dloop-nocb", "dloop-hc", "dftl")
 
 
 def _small(blocks_per_plane: int = 16, pages_per_block: int = 8,
@@ -192,7 +192,8 @@ def _host_lpns(device: dict) -> list:
 
 def _build(name: str, device: dict, mode: str, composed: bool):
     geometry = device["geometry"]
-    ftl = create_ftl(name, geometry, TimingParams(), **device["kwargs"])
+    name, kwargs = resolve(name)
+    ftl = create_ftl(name, geometry, TimingParams(), **device["kwargs"], **kwargs)
     if composed:
         _composed(ftl)
     if MODES[mode] is not None:
@@ -364,7 +365,8 @@ def test_recorded_host_write_cells_take_their_paths():
 
 @pytest.mark.parametrize("name", FAMILY)
 def test_one_host_write_body(name):
-    ftl = create_ftl(name, _small())
+    name, kwargs = resolve(name)
+    ftl = create_ftl(name, _small(), **kwargs)
     assert type(ftl).write_page is DemandPagedFtl.write_page
     assert type(ftl).read_page is DemandPagedFtl.read_page
     assert type(ftl).trim_page is DemandPagedFtl.trim_page
@@ -390,7 +392,7 @@ END_OF_LIFE_TEXT = {
              "cannot place write for lpn {lpn} — device full"),
 }
 END_OF_LIFE_TEXT["dloop-nocb"] = END_OF_LIFE_TEXT["dloop-hc"] = END_OF_LIFE_TEXT["dloop"]
-END_OF_LIFE_TEXT["dloop-mp"] = END_OF_LIFE_TEXT["dloop-hot"] = END_OF_LIFE_TEXT["dloop"]
+END_OF_LIFE_TEXT["dloop-hot"] = END_OF_LIFE_TEXT["dloop"]
 
 
 LPN = 7
@@ -400,7 +402,8 @@ def _full_device(name: str) -> SimulatedSSD:
     """A preconditioned device with every write point open and ``LPN``'s
     mapping cached, whose free pools then vanish: every block still free
     is taken out of circulation, as worn-out blocks are."""
-    ssd = SimulatedSSD(_small(), ftl=name)
+    name, kwargs = resolve(name)
+    ssd = SimulatedSSD(_small(), ftl=name, **kwargs)
     ssd.precondition(0.5)
     ftl = ssd.ftl
     for lpn in range(ftl.geometry.num_planes):

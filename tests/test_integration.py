@@ -7,8 +7,14 @@ import pytest
 from repro.controller.device import SimulatedSSD
 from repro.flash.address import PageState
 from repro.sim.request import IoOp, IoRequest
+from tests.ftl_cases import resolve
 
 ALL_FTLS = ("dloop", "dloop-nocb", "dloop-hot", "dftl", "fast", "pagemap")
+
+
+def _ssd(geometry, case: str) -> SimulatedSSD:
+    name, kwargs = resolve(case)
+    return SimulatedSSD(geometry, ftl=name, **kwargs)
 
 
 def mixed_workload(geometry, n=1200, seed=99, footprint=0.7):
@@ -27,7 +33,7 @@ def mixed_workload(geometry, n=1200, seed=99, footprint=0.7):
 
 @pytest.mark.parametrize("ftl", ALL_FTLS)
 def test_every_ftl_survives_mixed_workload(small_geometry, ftl):
-    ssd = SimulatedSSD(small_geometry, ftl=ftl)
+    ssd = _ssd(small_geometry, ftl)
     ssd.run(mixed_workload(small_geometry))
     ssd.verify()
     assert ssd.stats.count == 1200
@@ -39,7 +45,7 @@ def test_all_ftls_agree_on_final_logical_state(small_geometry):
     workload = mixed_workload(small_geometry)
     mapped_sets = {}
     for ftl in ALL_FTLS:
-        ssd = SimulatedSSD(small_geometry, ftl=ftl)
+        ssd = _ssd(small_geometry, ftl)
         ssd.run(list(workload))
         table = ssd.ftl.page_table
         mapped = frozenset(int(lpn) for lpn in ssd.ftl.mapped_lpns())
@@ -84,12 +90,12 @@ def test_dloop_spreads_requests_more_evenly_than_dftl(small_geometry):
 def test_dloop_gc_frees_bus_for_reads(small_geometry):
     """Channel busy time during GC-heavy load: DLOOP << DLOOP-no-copyback."""
     busy = {}
-    for ftl in ("dloop", "dloop-nocb"):
-        ssd = SimulatedSSD(small_geometry, ftl=ftl)
+    for use_copyback in (True, False):
+        ssd = SimulatedSSD(small_geometry, ftl="dloop", use_copyback=use_copyback)
         ssd.precondition(0.7)
         ssd.run(mixed_workload(small_geometry, n=2500, seed=9))
-        busy[ftl] = float(sum(ssd.counters.channel_busy_us))
-    assert busy["dloop"] < busy["dloop-nocb"]
+        busy[use_copyback] = float(sum(ssd.counters.channel_busy_us))
+    assert busy[True] < busy[False]
 
 
 def test_wear_spread_reasonable_for_dloop(small_geometry):

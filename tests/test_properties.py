@@ -139,9 +139,7 @@ def test_copy_back_never_slower_than_inter_plane(data):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    ftl_name=st.sampled_from(
-        ["dloop", "dloop-mp", "dftl", "fast", "bast", "last", "superblock", "pagemap"]
-    ),
+    ftl_name=st.sampled_from(["dloop", "dftl", "fast", "bast", "last", "pagemap"]),
     ops=st.lists(
         st.tuples(st.booleans(), st.integers(0, int(TINY.num_lpns * 0.6) - 1)),
         min_size=1,
@@ -151,9 +149,7 @@ def test_copy_back_never_slower_than_inter_plane(data):
 def test_ftl_matches_reference_model(ftl_name, ops):
     """Any op sequence: the FTL's mapping equals a dict reference model,
     flash state stays consistent, and time never goes backwards."""
-    kwargs = {"cmt_entries": 16} if ftl_name in ("dloop", "dloop-mp", "dftl") else {}
-    if ftl_name == "superblock":
-        kwargs = {"superblock_size": 2}
+    kwargs = {"cmt_entries": 16} if ftl_name in ("dloop", "dftl") else {}
     ftl = create_ftl(ftl_name, TINY, TimingParams(), **kwargs)
     reference = {}
     t = 0.0

@@ -6,8 +6,8 @@ FTL: small seeded runs, driven straight through the FTL interface (so
 the logical outcome cannot depend on simulated time), that provably
 take an **emergency pass**, a **mid-pass overflow** (copy-back and
 controller-copy mode), a **runtime block retirement**, FAST's
-partial/full/shifted-close **merge mix**, and the BAST/LAST/superblock
-merge and local-GC loops.  Each cell pins the determinism fingerprint,
+partial/full/shifted-close **merge mix**, and the BAST/LAST merge
+loops.  Each cell pins the determinism fingerprint,
 every ``GcStats`` counter and the FTL's own merge statistics.
 
 The cells must not go vacuous: ``test_recorded_cells_take_their_paths``
@@ -76,8 +76,8 @@ def _program_faults(rate: float, fails_to_retire: int = 1) -> dict:
 CELLS = {
     # (i) emergency passes and (ii) mid-pass overflows
     "dloop/cornered": dict(CORNERED, ftl="dloop", kwargs=dict(cmt_entries=16, gc_threshold=3)),
-    "dloop-nocb/cornered": dict(CORNERED, ftl="dloop-nocb",
-                                kwargs=dict(cmt_entries=16, gc_threshold=3)),
+    "dloop-nocb/cornered": dict(CORNERED, ftl="dloop",
+                                kwargs=dict(cmt_entries=16, gc_threshold=3, use_copyback=False)),
     "dloop-hc/cornered": dict(CORNERED, ftl="dloop-hc",
                               kwargs=dict(cmt_entries=16, gc_threshold=3)),
     "dftl/cornered": dict(CORNERED, ftl="dftl", kwargs=dict(cmt_entries=16, gc_threshold=3)),
@@ -89,11 +89,13 @@ CELLS = {
     # With the feasibility bound lifted (what an FTL that does not define
     # ``_gc_max_valid`` gets) a victim can outgrow its plane mid-pass in
     # controller-copy mode too.
-    "dloop-nocb/unbounded": dict(CORNERED, ftl="dloop-nocb", unbounded=True,
-                                 kwargs=dict(cmt_entries=16, gc_threshold=3)),
+    "dloop-nocb/unbounded": dict(CORNERED, ftl="dloop", unbounded=True,
+                                 kwargs=dict(cmt_entries=16, gc_threshold=3,
+                                             use_copyback=False)),
     # (iii) runtime block retirement: an external bad-block scan ...
     "dloop/retire": dict(ROOMY, ftl="dloop", kwargs=dict(cmt_entries=32), retire_at=(150, 300)),
-    "dloop-nocb/retire": dict(ROOMY, ftl="dloop-nocb", kwargs=dict(cmt_entries=32),
+    "dloop-nocb/retire": dict(ROOMY, ftl="dloop",
+                              kwargs=dict(cmt_entries=32, use_copyback=False),
                               retire_at=(150, 300)),
     "dloop-hc/retire": dict(ROOMY, ftl="dloop-hc", kwargs=dict(cmt_entries=32),
                             retire_at=(150, 300)),
@@ -111,15 +113,13 @@ CELLS = {
     "fast/merge-mix": dict(ROOMY, ftl="fast", kwargs={}, sequential=0.25),
     "fast/shifted-close": dict(ROOMY, ftl="fast", kwargs={}, sequential=0.25,
                                faults=_program_faults(0.03, fails_to_retire=3)),
-    # the other hybrids' merge / local-GC loops
+    # the other hybrids' merge loops
     "bast/merges": dict(ROOMY, ftl="bast", kwargs={}, sequential=0.3),
     "last/merges": dict(ROOMY, ftl="last", kwargs={}, sequential=0.3),
-    "superblock/local-gc": dict(ROOMY, ftl="superblock", kwargs=dict(superblock_size=2)),
 }
 
 #: The FTL-specific statistics object each hybrid keeps.
-_EXTRA_STATS = {"fast": "fast_stats", "bast": "bast_stats", "last": "last_stats",
-                "superblock": "sb_stats"}
+_EXTRA_STATS = {"fast": "fast_stats", "bast": "bast_stats", "last": "last_stats"}
 
 
 def _retirement_target(ftl) -> int:
@@ -283,7 +283,6 @@ def test_recorded_cells_take_their_paths():
     assert golden["bast/merges"]["ftl_stats"]["full_merges"] > 0
     assert golden["last/merges"]["ftl_stats"]["partial_merges"] > 0
     assert golden["last/merges"]["ftl_stats"]["full_merges"] > 0
-    assert golden["superblock/local-gc"]["ftl_stats"]["local_gcs"] > 0
 
 
 # ---- a fruitless pass ends the GC invocation -----------------------------------------
@@ -322,7 +321,7 @@ def test_a_fruitless_pass_ends_the_invocation(cell_id):
 #: Cells whose relocations go through ``inter_plane_copy``: the log-block
 #: family's gather/append loops and ``_collect``'s controller branch.
 MERGE_STREAM_CELLS = ("fast/merge-mix", "fast/shifted-close", "bast/merges", "last/merges",
-                      "superblock/local-gc", "dftl/cornered", "dloop-nocb/cornered")
+                      "dftl/cornered", "dloop-nocb/cornered")
 
 
 def _arm_generations(ftl) -> None:
@@ -407,32 +406,10 @@ def test_overflow_copy_is_charged_to_the_plane_it_lands_on():
     assert spilled > 0
 
 
-# The two tests below arm OOB generations so that every page written so
+# The test below arms OOB generations so that every page written so
 # far holds content generation 1 while generation 2 of every LPN has
 # been *issued* (and sits, say, in a DRAM write buffer) but not
 # programmed: a relocated copy must keep 1.
-
-
-def test_superblock_local_gc_preserves_content_generations(timing):
-    from repro.ftl.superblock import SuperblockFtl
-
-    ftl = SuperblockFtl(_geometry(16, 8, 25.0), timing, superblock_size=2)
-    array = ftl.array
-    array.enable_oob_generations()
-    pages = ftl.pages_per_superblock
-    array.lpn_gen_np[:pages] = 1
-    t = 0.0
-    for lpn in range(pages):
-        t = ftl.write_page(lpn, t)
-    array.lpn_gen_np[:pages] = 2
-    placed = [ftl.current_ppn(lpn) for lpn in range(pages)]
-    hot = range(0, pages, 2)  # rewritten: these legitimately carry generation 2
-    while ftl.sb_stats.local_gcs < 4:
-        for lpn in hot:
-            t = ftl.write_page(lpn, t)
-    cold = [lpn for lpn in range(1, pages, 2)]
-    assert any(ftl.current_ppn(lpn) != placed[lpn] for lpn in cold), "nothing was relocated"
-    assert {array.read_gen(ftl.current_ppn(lpn)) for lpn in cold} == {1}
 
 
 def test_wear_leveler_preserves_content_generations(timing):

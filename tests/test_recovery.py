@@ -22,9 +22,7 @@ def churn(ftl, n=2000, seed=77):
             ftl.read_page(lpn, float(i))
 
 
-@pytest.mark.parametrize(
-    "name", ["dloop", "dftl", "fast", "bast", "last", "superblock", "pagemap"]
-)
+@pytest.mark.parametrize("name", ["dloop", "dftl", "fast", "bast", "last", "pagemap"])
 def test_rebuild_recovers_exact_mapping(small_geometry, timing, name):
     ftl = create_ftl(name, small_geometry, timing)
     churn(ftl)

@@ -1,16 +1,47 @@
 """FTL registry and bulk-fill equivalence."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.experiments import figures
 from repro.flash.timing import TimingParams
 from repro.ftl.registry import available_ftls, create_ftl, dropped_kwargs, ftl_class
 
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
 
 def test_available_ftls_lists_all():
-    names = available_ftls()
-    for expected in ("dloop", "dloop-nocb", "dloop-hot", "dftl", "fast", "pagemap"):
-        assert expected in names
+    assert available_ftls() == [
+        "bast", "dftl", "dloop", "dloop-hc", "dloop-hot", "fast", "last", "pagemap"]
+
+
+# ---- the rule an entry must meet ---------------------------------------------
+
+
+def test_every_entry_is_read_by_a_benchmark_or_a_paper_grid():
+    # An FTL earns its registry entry when a claim reads it: a check
+    # under benchmarks/ names it, or a paper grid in
+    # repro.experiments.figures runs it.
+    named = set()
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        named.update(n for n in available_ftls() if f'"{n}"' in text or f"'{n}'" in text)
+    gridded = {ftl for grid in vars(figures).values()
+               if isinstance(grid, figures.Grid) for ftl in grid.ftls}
+    unread = sorted(set(available_ftls()) - named - gridded)
+    assert unread == [], f"registry entries no benchmark or paper grid reads: {unread}"
+
+
+def test_no_two_entries_share_a_class():
+    # A variant that only sets constructor knobs is ``ftl_kwargs`` on its
+    # family's entry (as A1 runs DLOOP without copy-back), not a name.
+    by_class = {}
+    for name in available_ftls():
+        by_class.setdefault(ftl_class(name), []).append(name)
+    shared = sorted(names for names in by_class.values() if len(names) > 1)
+    assert shared == [], f"registry entries sharing a class: {shared}"
 
 
 def test_create_by_name(small_geometry):
@@ -30,19 +61,17 @@ def test_ftl_class_is_what_create_ftl_builds(small_geometry):
     for name in available_ftls():
         assert type(create_ftl(name, small_geometry)) is ftl_class(name)
     supported = {n for n in available_ftls() if ftl_class(n).fault_injection_supported}
-    assert supported == {"dftl", "dloop", "dloop-hc", "dloop-hot", "dloop-mp",
-                         "dloop-nocb", "fast"}
+    assert supported == {"dftl", "dloop", "dloop-hc", "dloop-hot", "fast"}
     # SRAM-mapped FTLs accept and drop the CMT knob
     assert {n for n in available_ftls() if "cmt_entries" in dropped_kwargs(n)} == {
-        "bast", "fast", "last", "pagemap", "superblock"}
+        "bast", "fast", "last", "pagemap"}
 
 
 #: ``len(vars(ftl))`` per registry entry.  CPython 3.11 stores instance
 #: attributes inline only while an instance carries at most 30 of them.
 INLINE_SLOT_LIMIT = 30
 INSTANCE_ATTRIBUTES = {
-    "pagemap": 23, "dftl": 25, "dloop": 26, "dloop-nocb": 26, "bast": 26, "dloop-mp": 28,
-    "fast": 29, "superblock": 29,
+    "pagemap": 23, "dftl": 25, "dloop": 26, "bast": 26, "fast": 29,
     # known exceptions, already past the limit
     "dloop-hc": 31, "last": 33, "dloop-hot": 34,
 }
@@ -62,7 +91,7 @@ def test_ftl_instances_stay_within_the_inline_slot_limit(small_geometry):
 
 
 def test_dloop_nocb_flag(small_geometry):
-    ftl = create_ftl("dloop-nocb", small_geometry)
+    ftl = create_ftl("dloop", small_geometry, use_copyback=False)
     assert ftl.use_copyback is False
 
 

@@ -19,6 +19,7 @@ from repro.flash.geometry import SSDGeometry
 from repro.lint import SanitizerError, SimSanitizer
 from repro.obs.tracebus import BUS
 from repro.sim.request import IoOp, IoRequest
+from tests.ftl_cases import ftl_cases, resolve
 
 
 @pytest.fixture(autouse=True)
@@ -421,9 +422,7 @@ def _routing_state(sanitizer):
 
 
 def _cells():
-    from repro.ftl.registry import available_ftls
-
-    return [(name, "plain") for name in available_ftls()] + [
+    return [(name, "plain") for name in ftl_cases()] + [
         ("dloop", "zero-rate-faults"), ("dloop", "crash"),
     ]
 
@@ -439,8 +438,9 @@ def test_routed_delivery_equals_direct_calls(ftl_name, plan):
         dies_per_chip=1, planes_per_die=2, blocks_per_plane=48,
         pages_per_block=16, page_size=512, extra_blocks_percent=25.0,
     )
+    name, kwargs = resolve(ftl_name)
     ssd = SimulatedSSD(
-        geometry, ftl=ftl_name, faults={} if plan == "zero-rate-faults" else None
+        geometry, ftl=name, faults={} if plan == "zero-rate-faults" else None, **kwargs
     )
     ssd.precondition(0.6)
     routed = SimSanitizer(ssd.ftl).attach()

@@ -7,8 +7,8 @@ conformance matrix and the torture campaign shared one scenario type,
 and of the nine paper-grid drivers' cells (Figs. 8-10 and ablations
 A1-A4, A6, A9 on financial1 at 1/256 scale), recorded before the
 figures became scenario expansions.  Each report here is regenerated
-and must match.  One more entry, ``torture-exhaustive`` (the seven-FTL,
-10-request exhaustive campaign), takes about 16 s and is checked by
+and must match.  One more entry, ``torture-exhaustive`` (the six-FTL,
+10-request exhaustive campaign), takes about 30 s and is checked by
 CI's smoke job instead.
 """
 
@@ -219,21 +219,20 @@ def test_fault_applicability_reads_the_registry_not_an_instance(monkeypatch):
 
     monkeypatch.setattr(Ftl, "__init__", no_instances)
     expansion = CampaignConfig(
-        ftls=("bast", "dloop", "fast", "last", "pagemap", "superblock"),
+        ftls=("bast", "dloop", "fast", "last", "pagemap"),
         fault_plans=("none", "moderate"),
     ).expansion()
     assert [(s.ftl, s.fault_plan) for s in expansion.scenarios] == [
         ("bast", "none"), ("dloop", "none"), ("dloop", "moderate"),
         ("fast", "none"), ("fast", "moderate"), ("last", "none"),
-        ("pagemap", "none"), ("superblock", "none"),
+        ("pagemap", "none"),
     ]
     assert expansion.not_applicable == [
-        ("bast", "moderate"), ("last", "moderate"),
-        ("pagemap", "moderate"), ("superblock", "moderate"),
+        ("bast", "moderate"), ("last", "moderate"), ("pagemap", "moderate"),
     ]
     assert expansion.not_applicable_note() == (
-        "4 cells not applicable: fault plan 'moderate' on bast, last, "
-        "pagemap, superblock (no modelled error paths)"
+        "3 cells not applicable: fault plan 'moderate' on bast, last, "
+        "pagemap (no modelled error paths)"
     )
 
 

@@ -10,7 +10,6 @@ import pytest
 from repro.controller.device import SimulatedSSD
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
-from repro.ftl.registry import available_ftls
 from repro.metrics.streaming import (
     DeterministicReservoir,
     RunningMoments,
@@ -30,6 +29,7 @@ from repro.traces.parser import (
 )
 from repro.traces.stream import io_requests, stream_workload
 from repro.traces.synthetic import financial1, generate
+from tests.ftl_cases import ftl_cases, resolve
 
 MB = 1024 * KB
 
@@ -400,7 +400,7 @@ def test_stream_and_materialized_runs_report_the_same_numbers():
     assert result.steady_response_ms != result.mean_response_ms
 
 
-@pytest.mark.parametrize("ftl_name", available_ftls())
+@pytest.mark.parametrize("ftl_name", ftl_cases())
 def test_run_workload_equals_list_replay_past_the_reservoir(ftl_name):
     """6 000 requests, past the 4 096-slot reservoir: every registry
     entry's ``run_workload`` result equals the list replay's, bit for
@@ -412,7 +412,8 @@ def test_run_workload_equals_list_replay_past_the_reservoir(ftl_name):
     # A load the device keeps up with: the 1 200-request replay spec
     # at 6 000 requests would queue thousands deep and thrash GC.
     spec = small_spec(n=6000, footprint_bytes=2 * MB, request_rate_per_s=500.0, seed=11)
-    config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl=ftl_name,
+    name, kwargs = resolve(ftl_name)
+    config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl=name, ftl_kwargs=kwargs,
                               precondition_fill=0.3)
     result = run_workload(spec, config)
     assert not result.extras["stream"]["reservoir_exact"]

@@ -334,25 +334,6 @@ class TestCampaign:
         assert result.double
         assert not result.violations
 
-    def test_superblock_survives_every_crash_point(self):
-        # Superblock membership, write points and the journal ring are
-        # SRAM: recovery must rebuild them from page owners instead of
-        # trusting what survived in the Python object.  (The 24-request
-        # cell — 1 291 points — is the CLI run CHANGES.md reports; these
-        # are its first two failing points plus a full smaller sweep.)
-        campaign = TortureCampaign(CampaignConfig(ftls=("superblock",)))
-        cell = campaign.cells()[0]
-        for point in (("erase", 0), ("erase", 5)):
-            result = campaign.run_point(cell, point)
-            assert result.fired and not result.violations
-        campaign = TortureCampaign(CampaignConfig(
-            ftls=("superblock",), num_requests=10, double=True,
-        ))
-        report = campaign.run_cell(campaign.cells()[0])
-        assert not report["sampled"]
-        assert report["unreached"] == 0
-        assert report["violations_total"] == 0
-
     def test_write_buffer_cell(self):
         campaign = TortureCampaign(CampaignConfig(
             ftls=("dloop",), num_requests=10, budget=3, write_buffer_pages=4,

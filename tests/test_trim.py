@@ -37,7 +37,7 @@ def test_read_after_trim_is_unmapped(small_geometry, timing):
     assert ftl.stats.unmapped_reads == before + 1
 
 
-@pytest.mark.parametrize("name", ["dloop", "dftl", "fast", "bast", "last", "superblock", "pagemap"])
+@pytest.mark.parametrize("name", ["dloop", "dftl", "fast", "bast", "last", "pagemap"])
 def test_trim_integrity_all_ftls(small_geometry, timing, name):
     ftl = create_ftl(name, small_geometry, timing)
     rng = random.Random(13)
