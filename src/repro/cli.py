@@ -120,8 +120,12 @@ def cmd_simulate(args) -> int:
     # Both arrive from the replayed file, up front or mid-run.
     try:
         return _simulate(args)
-    except (StreamOrderError, TraceFormatError) as exc:
+    except TraceFormatError as exc:  # names the file and line itself
         print(f"repro-sim simulate: {exc}", file=sys.stderr)
+        return 2
+    except StreamOrderError as exc:
+        where = f"{args.replay}: " if args.replay else ""
+        print(f"repro-sim simulate: {where}{exc}", file=sys.stderr)
         return 2
 
 

@@ -4,7 +4,7 @@ from repro.controller.controller import Controller
 from repro.controller.device import SimulatedSSD
 from repro.controller.writebuffer import WriteBuffer
 from repro.controller.background import BackgroundGc
-from repro.controller.closedloop import ClosedLoopDriver, ClosedLoopResult, ops_from_spec
+from repro.controller.closedloop import ClosedLoopDriver, ClosedLoopResult
 
 __all__ = [
     "Controller",
@@ -13,5 +13,4 @@ __all__ = [
     "BackgroundGc",
     "ClosedLoopDriver",
     "ClosedLoopResult",
-    "ops_from_spec",
 ]

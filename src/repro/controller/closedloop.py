@@ -90,19 +90,3 @@ class ClosedLoopDriver:
             pages_read=stats.pages_read,
             pages_written=stats.pages_written,
         )
-
-
-def ops_from_spec(spec, *, page_size: int, num_lpns: int) -> Iterator[Op]:
-    """Turn a WorkloadSpec's address/op stream into closed-loop ops.
-
-    Arrival times are ignored (the loop sets the pace); addresses, sizes
-    and the read/write mix are preserved.
-    """
-    from repro.traces.synthetic import generate
-
-    for request in generate(spec):
-        first = request.offset_bytes // page_size
-        last = (request.end_bytes - 1) // page_size
-        first = min(first, num_lpns - 1)
-        count = min(last - first + 1, num_lpns - first)
-        yield (first, max(1, count), request.is_write)

@@ -111,9 +111,6 @@ class SimulatedSSD:
 
     # ---- request construction -----------------------------------------------
 
-    def page_request(self, arrival_us: float, start_lpn: int, page_count: int, op: IoOp) -> IoRequest:
-        return IoRequest(arrival_us, start_lpn, page_count, op)
-
     def byte_request(self, arrival_us: float, offset_bytes: int, size_bytes: int, op: IoOp) -> IoRequest:
         """Page-align a byte-addressed request (pads head and tail)."""
         if size_bytes < 1:

@@ -80,7 +80,3 @@ class HotColdDloopFtl(DloopFtl):
             self.allocators[plane].active_blocks()
             | self.hot_allocators[plane].active_blocks()
         )
-
-    def hot_fraction(self) -> float:
-        total = self.hot_writes + self.cold_writes
-        return self.hot_writes / total if total else 0.0

@@ -94,6 +94,3 @@ class HotPlaneDloopFtl(DloopFtl):
         while len(parked) < count and self.array.free_block_count(plane) > self.gc_threshold + 1:
             block = self.array.allocate_block(plane)
             parked.append(block)
-
-    def parked_counts(self) -> np.ndarray:
-        return np.array([len(p) for p in self._parked], dtype=np.int64)

@@ -22,7 +22,6 @@ from repro.experiments.figures import (
     detect_axis,
     figure_series,
     render_figure,
-    render_table,
     summarize_wins,
 )
 from repro.experiments.parallel import run_cells
@@ -48,7 +47,6 @@ __all__ = [
     "detect_axis",
     "figure_series",
     "render_figure",
-    "render_table",
     "summarize_wins",
     "run_cells",
     "mser_start",

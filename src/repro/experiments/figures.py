@@ -27,7 +27,6 @@ from repro.experiments.runner import SimulationResult, run_workload
 from repro.experiments.scenario import Scenario, expand
 from repro.flash.geometry import SSDGeometry
 from repro.metrics.ascii_chart import series_chart
-from repro.metrics.report import format_table
 from repro.traces.synthetic import PAPER_TRACE_NAMES, make_workload
 
 #: the trace footprint, as a fraction of the paper capacity it is fixed at
@@ -275,22 +274,6 @@ def render_figure(
             series_chart(by_ftl, x_labels=points, title=f"[{trace}] {metric} vs {axis}")
         )
     return "\n\n".join(blocks)
-
-
-def render_table(results: Sequence[SimulationResult], *, title: str | None = None) -> str:
-    """The figure's underlying numbers as a grouped table."""
-    axis = detect_axis(results)
-    rows = [
-        {
-            "trace": r.trace,
-            "ftl": r.ftl,
-            axis: r.extras[axis],
-            "mean_ms": r.mean_response_ms,
-            "sdrpp": r.sdrpp,
-        }
-        for r in sorted(results, key=lambda r: (r.trace, str(r.extras[axis]), r.ftl))
-    ]
-    return format_table(rows, title=title)
 
 
 def summarize_wins(results: Sequence[SimulationResult], winner: str = "dloop") -> dict:

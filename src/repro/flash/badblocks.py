@@ -93,11 +93,12 @@ class BadBlockManager:
 
     # ---- reporting ---------------------------------------------------------
     #
-    # Both fractions are sampled every StatsSampler tick, so they must
-    # be cheap: retired_fraction is O(1) off the array's live counter;
+    # Both fractions are cheap enough to read every StatsSampler tick:
+    # retired_fraction is O(1) off the array's live counter;
     # remaining_life_fraction is a fused dot product with no boolean
     # temporaries (bad blocks are rare — their correction term indexes
-    # only when any exist).
+    # only when any exist).  The sampler itself publishes the raw
+    # bad-block count.
 
     def retired_fraction(self) -> float:
         return self.array.bad_block_count() / self.array.geometry.num_physical_blocks

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
 
 @dataclass
 class FlashCounters:
@@ -43,10 +41,6 @@ class FlashCounters:
     @property
     def total_ops(self) -> int:
         return sum(self.plane_ops)
-
-    def plane_request_std(self) -> float:
-        """Std-dev of per-plane request counts (the raw SDRPP quantity)."""
-        return float(np.std(self.plane_ops))
 
     @property
     def copyback_ratio(self) -> float:

@@ -16,7 +16,7 @@ paper's extended simulator implements (Section IV.B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 GB = 1024 ** 3
@@ -130,10 +130,6 @@ class SSDGeometry:
     def capacity_bytes(self) -> int:
         return self.num_lpns * self.page_size
 
-    @property
-    def block_size(self) -> int:
-        return self.pages_per_block * self.page_size
-
     # ---- topology ------------------------------------------------------
 
     def plane_to_channel(self, plane: int) -> int:
@@ -142,30 +138,6 @@ class SSDGeometry:
             return plane % self.channels
         planes_per_channel = self.num_planes // self.channels
         return plane // planes_per_channel
-
-    def plane_to_die(self, plane: int) -> int:
-        """Global die index of a plane.
-
-        Channel-interleaved: planes on the same die sit ``channels``
-        apart; die-major: they are consecutive.
-        """
-        if self.plane_order == "channel-interleaved":
-            channel = plane % self.channels
-            within_channel = plane // self.channels
-            die_in_channel = within_channel // self.planes_per_die
-            return channel * self.dies_per_channel + die_in_channel
-        return plane // self.planes_per_die
-
-    def planes_of_die(self, die: int) -> range:
-        """Global plane indices belonging to one die."""
-        if self.plane_order == "channel-interleaved":
-            channel = die // self.dies_per_channel
-            die_in_channel = die % self.dies_per_channel
-            first = channel + die_in_channel * self.planes_per_die * self.channels
-            step = self.channels
-            return range(first, first + step * self.planes_per_die, step)
-        first = die * self.planes_per_die
-        return range(first, first + self.planes_per_die)
 
     # ---- construction helpers ------------------------------------------
 
@@ -208,16 +180,6 @@ class SSDGeometry:
             page_size=page_size,
             extra_blocks_percent=extra_blocks_percent,
         )
-
-    def with_page_size(self, page_size: int) -> "SSDGeometry":
-        """Same capacity, different page size (Fig. 9 sweep)."""
-        scale = page_size / self.page_size
-        blocks = max(1, int(round(self.blocks_per_plane / scale)))
-        return replace(self, page_size=page_size, blocks_per_plane=blocks)
-
-    def with_extra_blocks(self, percent: float) -> "SSDGeometry":
-        """Same capacity, different over-provisioning (Fig. 10 sweep)."""
-        return replace(self, extra_blocks_percent=percent)
 
     def describe(self) -> dict:
         """Table I-style parameter summary."""

@@ -842,10 +842,6 @@ class Ftl(abc.ABC):
         for kind, bad in coherence_findings(stores):
             raise AssertionError(_integrity_text(stores, kind, bad))
 
-    def _maybe_debug_check(self) -> None:
-        if self.debug_checks:
-            self.verify_integrity()
-
     # ---- reporting --------------------------------------------------------------
 
     def describe(self) -> dict:

@@ -54,9 +54,13 @@ class BastFtl(LogBlockMixin, Ftl):
         self.num_lbns = geometry.num_lpns // ppb
         self.num_planes = geometry.num_planes
         self.data_block = np.full(self.num_lbns, -1, dtype=np.int64)
+        self.map_journal = MapJournal(self.array, self.clock)
         if num_log_blocks is None:
             total_extra = geometry.num_planes * geometry.extra_blocks_per_plane
-            margin = max(2, geometry.num_planes // 2)
+            # On a full device every data block is mapped, so the extra
+            # blocks hold the log pool, the journal's ring and the fresh
+            # block a full merge gathers into before it frees two.
+            margin = max(self.map_journal.ring_blocks + 1, geometry.num_planes // 2)
             num_log_blocks = max(1, total_extra - margin)
         if num_log_blocks < 1:
             raise ValueError("BAST needs at least 1 log block")
@@ -65,7 +69,6 @@ class BastFtl(LogBlockMixin, Ftl):
         self.log_of_lbn: OrderedDict[int, int] = OrderedDict()
         self._log_plane_rr = 0
         self.bast_stats = BastStats()
-        self.map_journal = MapJournal(self.array, self.clock)
 
     # ---- host interface ---------------------------------------------------
 

@@ -30,10 +30,6 @@ class GlobalTranslationDirectory:
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_tpage
 
-    def lpns_of_tvpn(self, tvpn: int) -> range:
-        first = tvpn * self.entries_per_tpage
-        return range(first, first + self.entries_per_tpage)
-
     def lookup(self, tvpn: int) -> int:
         """PPN of a translation page, or -1 if never materialised."""
         return self.tpage_ppn[tvpn]
@@ -50,6 +46,3 @@ class GlobalTranslationDirectory:
 
     def is_mapped(self, tvpn: int) -> bool:
         return self.tpage_ppn[tvpn] != -1
-
-    def mapped_count(self) -> int:
-        return sum(1 for ppn in self.tpage_ppn if ppn != -1)

@@ -13,8 +13,6 @@ cost no flash time.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.flash.address import OWNER_NONE
@@ -361,9 +359,3 @@ class LogBlockMixin:
         return {
             "data_blocks_mapped": int(np.count_nonzero(self.data_block != -1)),
         }
-
-
-def latest_copy_block(ftl, lbn: int) -> Optional[int]:
-    """Diagnostic: the data block currently registered for ``lbn``."""
-    block = int(ftl.data_block[lbn])
-    return None if block == -1 else block

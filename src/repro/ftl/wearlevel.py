@@ -101,7 +101,3 @@ class StaticWearLeveler:
         t = self.ftl._gc_mapping_updates(moved, t)
         self.stats.migrations += 1
         return t
-
-    def wear_gap(self) -> int:
-        counts = self.ftl.array.block_erase_count_np
-        return int(counts.max() - counts.min())

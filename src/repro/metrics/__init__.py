@@ -1,9 +1,9 @@
 """Evaluation metrics (Section V.A) and reporting tools."""
 
-from repro.metrics.sdrpp import sdrpp, plane_request_counts
+from repro.metrics.sdrpp import sdrpp
 from repro.metrics.wear import WearStats, wear_stats
 from repro.metrics.report import format_table
-from repro.metrics.latency import LatencyHistogram, ThroughputPoint, windowed_throughput
+from repro.metrics.latency import LatencyHistogram
 from repro.metrics.amplification import AmplificationReport, amplification
 from repro.metrics.ascii_chart import hbar_chart, series_chart, sparkline
 from repro.metrics.utilization import UtilizationReport, utilization
@@ -17,13 +17,10 @@ from repro.metrics.streaming import (
 
 __all__ = [
     "sdrpp",
-    "plane_request_counts",
     "WearStats",
     "wear_stats",
     "format_table",
     "LatencyHistogram",
-    "ThroughputPoint",
-    "windowed_throughput",
     "AmplificationReport",
     "amplification",
     "hbar_chart",

@@ -1,15 +1,13 @@
-"""Latency distribution tooling: log-bucketed histogram + windowed throughput.
+"""Latency distribution tooling: a log-bucketed histogram.
 
 The paper reports only mean response time; real evaluations also need
-tails and time-series.  These helpers are pure-Python/numpy and stream-
-friendly (O(1) per sample for the histogram).
+tails.  The histogram is pure-Python/numpy and stream-friendly (O(1)
+per sample).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -58,10 +56,6 @@ class LatencyHistogram:
         self.sum_us += value_us
         self.max_seen = max(self.max_seen, value_us)
 
-    def record_many(self, values_us: Iterable[float]) -> None:
-        for value in values_us:
-            self.record(value)
-
     @property
     def mean_us(self) -> float:
         return self.sum_us / self.total if self.total else 0.0
@@ -93,34 +87,3 @@ class LatencyHistogram:
             "p99_us": self.percentile(99),
             "max_us": self.max_seen,
         }
-
-
-@dataclass(frozen=True)
-class ThroughputPoint:
-    window_start_us: float
-    requests: int
-    requests_per_s: float
-
-
-def windowed_throughput(
-    arrival_times_us: Sequence[float], window_us: float = 1e6
-) -> List[ThroughputPoint]:
-    """Requests-per-second over fixed windows of the trace timeline."""
-    if window_us <= 0:
-        raise ValueError("window_us must be > 0")
-    if len(arrival_times_us) == 0:
-        return []
-    arrivals = np.sort(np.asarray(arrival_times_us, dtype=np.float64))
-    first = arrivals[0]
-    indices = ((arrivals - first) // window_us).astype(np.int64)
-    points = []
-    for window_index in range(int(indices[-1]) + 1):
-        count = int(np.count_nonzero(indices == window_index))
-        points.append(
-            ThroughputPoint(
-                window_start_us=first + window_index * window_us,
-                requests=count,
-                requests_per_s=count / (window_us / 1e6),
-            )
-        )
-    return points

@@ -16,11 +16,6 @@ import numpy as np
 from repro.flash.counters import FlashCounters
 
 
-def plane_request_counts(counters: FlashCounters) -> np.ndarray:
-    """Per-plane operation counts accumulated by the timekeeper."""
-    return np.asarray(counters.plane_ops)
-
-
 def sdrpp(counters_or_counts) -> float:
     """Natural log of the std-dev of per-plane request counts."""
     if isinstance(counters_or_counts, FlashCounters):

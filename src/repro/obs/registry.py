@@ -88,24 +88,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile (returns an upper bound).
-
-        The answer is the smallest bucket bound covering fraction ``q``
-        of observations; overflow observations report ``inf``.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        need = q * self.count
-        seen = 0
-        for bound, count in zip(self.buckets, self.counts):
-            seen += count
-            if seen >= need:
-                return bound
-        return float("inf")
-
     def summary(self) -> dict:
         return {
             "count": self.count,

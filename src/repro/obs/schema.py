@@ -617,10 +617,6 @@ def names_in(category: str) -> FrozenSet[str]:
     )
 
 
-def has_wildcard(category: str) -> bool:
-    return (category, WILDCARD) in REGISTRY
-
-
 def payload_keys(categories: Optional[Iterable[str]] = None) -> FrozenSet[str]:
     """Union of payload keys declared in ``categories`` (default: all)."""
     wanted = set(categories) if categories is not None else None

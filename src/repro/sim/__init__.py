@@ -6,6 +6,5 @@ time order.  All simulated times are in microseconds (float).
 
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.request import IoOp, IoRequest
-from repro.sim.process import Environment, Event, Process, Timeout
 
-__all__ = ["Engine", "EventHandle", "IoOp", "IoRequest", "Environment", "Event", "Process", "Timeout"]
+__all__ = ["Engine", "EventHandle", "IoOp", "IoRequest"]

@@ -34,11 +34,6 @@ class Namespace:
         if self.num_lpns < 1:
             raise NamespaceError(f"num_lpns must be >= 1, got {self.num_lpns}")
 
-    @property
-    def end_lpn(self) -> int:
-        """One past the last device LPN of the extent."""
-        return self.base_lpn + self.num_lpns
-
     def translate(self, local_lpn: int, page_count: int = 1) -> int:
         """Map a namespace-local LPN run to its device LPN.
 

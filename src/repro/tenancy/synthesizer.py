@@ -168,8 +168,6 @@ class TrafficModel:
     tenants: Tuple[TenantSpec, ...]
     #: total requests across all tenants (split by popularity)
     total_requests: int = 12_000
-    #: service population aggregated behind the tenants
-    users: int = 1_000_000
     #: Zipf exponent of tenant popularity over declaration rank
     popularity_theta: float = 1.0
     diurnal_period_us: float = DEFAULT_DIURNAL_PERIOD_US
@@ -192,10 +190,6 @@ class TrafficModel:
                    for rank in range(len(self.tenants))]
         total = sum(weights)
         return [w / total for w in weights]
-
-    def tenant_users(self) -> List[int]:
-        """Users aggregated behind each tenant (popularity split)."""
-        return [max(1, round(self.users * p)) for p in self.popularity()]
 
     def tenant_request_counts(self) -> List[int]:
         return [max(1, round(self.total_requests * p))

@@ -11,7 +11,6 @@ from repro.traces.synthetic import (
     tpcc,
     exchange,
     build_server,
-    named_workloads,
     make_workload,
     web_server,
     streaming,
@@ -19,7 +18,7 @@ from repro.traces.synthetic import (
     EXTRA_TRACE_NAMES,
 )
 from repro.traces.stats import TraceStats, measure
-from repro.traces.analysis import WorkloadCharacter, characterize, compare_characters
+from repro.traces.analysis import WorkloadCharacter, characterize
 from repro.traces.parser import (
     TraceFormatError,
     parse_disksim,
@@ -43,7 +42,6 @@ __all__ = [
     "tpcc",
     "exchange",
     "build_server",
-    "named_workloads",
     "make_workload",
     "web_server",
     "streaming",
@@ -53,7 +51,6 @@ __all__ = [
     "measure",
     "WorkloadCharacter",
     "characterize",
-    "compare_characters",
     "TraceFormatError",
     "parse_disksim",
     "write_disksim",

@@ -18,7 +18,7 @@ validated against them and new traces can be classified:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -114,13 +114,3 @@ def characterize(trace: Iterable[TraceRequest], *, chunk_bytes: int = 64 * KB) -
         hot1_share=share(0.01),
         burstiness_cv=burstiness,
     )
-
-
-def compare_characters(traces: Dict[str, Sequence[TraceRequest]], **kwargs) -> List[dict]:
-    """Character rows for several traces (for `format_table`)."""
-    rows = []
-    for name, trace in traces.items():
-        row = {"trace": name}
-        row.update(characterize(trace, **kwargs).row())
-        rows.append(row)
-    return rows

@@ -30,7 +30,7 @@ streamed and materialized paths are bit-identical by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.traces.model import KB, SizeMix, TraceRequest, WorkloadSpec
 from repro.traces.stream import stream_workload
@@ -151,11 +151,6 @@ def make_workload(name: str, num_requests: int = 20000, footprint_bytes: int = 9
     if seed is None:
         return factory(num_requests, footprint_bytes)
     return factory(num_requests, footprint_bytes, seed)
-
-
-def named_workloads(num_requests: int = 20000, footprint_bytes: int = 96 * MB) -> Dict[str, WorkloadSpec]:
-    """All five paper workloads at a common scale."""
-    return {name: make_workload(name, num_requests, footprint_bytes) for name in PAPER_TRACE_NAMES}
 
 
 # ---- additional archetypes (beyond the paper's five) ---------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.traces.analysis import characterize, compare_characters
+from repro.traces.analysis import characterize
 from repro.traces.model import KB, SizeMix, TraceRequest, WorkloadSpec
 from repro.traces.synthetic import generate
 
@@ -75,13 +75,6 @@ def test_empty_trace_rejected():
 def test_bad_chunk_rejected():
     with pytest.raises(ValueError):
         characterize([TraceRequest(0.0, 0, 100, True)], chunk_bytes=0)
-
-
-def test_compare_characters_rows():
-    traces = {"a": generate(spec(seed=1)), "b": generate(spec(seed=2))}
-    rows = compare_characters(traces)
-    assert [r["trace"] for r in rows] == ["a", "b"]
-    assert "hot10_%" in rows[0]
 
 
 def test_row_is_table_friendly():

@@ -108,3 +108,27 @@ def test_bulk_fill(ftl):
 def test_needs_at_least_one_log_block(small_geometry, timing):
     with pytest.raises(ValueError):
         BastFtl(small_geometry, timing, num_log_blocks=0)
+
+
+@pytest.mark.parametrize("fill", [1.0, 0.999])
+def test_full_device_keeps_room_for_a_merge(fill):
+    """With every data block mapped, the extra blocks hold the log pool,
+    the map journal's two ring blocks and the fresh block a full merge
+    gathers into.  A pool sized with room for only two of those ran out
+    of free blocks mid-merge and failed 636 of these 1 500 requests."""
+    from repro.controller.device import SimulatedSSD
+    from repro.flash.geometry import KB, SSDGeometry
+    from repro.traces.stream import stream_io_requests
+    from repro.traces.synthetic import make_workload
+
+    geometry = SSDGeometry(channels=2, dies_per_chip=1, planes_per_die=2,
+                           blocks_per_plane=64, pages_per_block=64,
+                           page_size=2 * KB, extra_blocks_percent=10.0)
+    ssd = SimulatedSSD(geometry, ftl="bast")
+    ssd.precondition(fill)
+    spec = make_workload("tpcc", 1500, int(geometry.capacity_bytes * 0.9))
+    ssd.run_stream(stream_io_requests(spec, geometry), queue_depth=1)
+    assert ssd.controller.stats.failed_requests == 0
+    ssd.ftl.verify_integrity()
+    extra = geometry.num_planes * geometry.extra_blocks_per_plane
+    assert ssd.ftl.num_log_blocks + ssd.ftl.map_journal.ring_blocks + 1 <= extra

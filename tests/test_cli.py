@@ -70,15 +70,15 @@ def test_tracegen_and_replay(tmp_path, capsys):
 
 def test_replay_of_an_unordered_trace_is_a_usage_error(tmp_path, capsys):
     """A replay file whose arrivals go backwards exits 2 with a one-line
-    message (it used to be sorted without a word)."""
+    message that names the file (it used to be sorted without a word)."""
     trace_file = tmp_path / "unordered.spc"
     trace_file.write_text("0,0,4096,w,0.002\n0,8,4096,w,0.001\n0,16,4096,r,0.003\n")
     code = main(["simulate", "--ftl", "dloop", "--capacity-mb", "16",
                  "--replay", str(trace_file), "--precondition", "0.5"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("repro-sim simulate: streamed arrival 1000.0 precedes "
-                                   "predecessor 2000.0")
+    assert captured.err.startswith(f"repro-sim simulate: {trace_file}: streamed arrival "
+                                   "1000.0 precedes predecessor 2000.0")
     assert "mean response" not in captured.out
 
 

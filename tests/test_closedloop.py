@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.controller.closedloop import ClosedLoopDriver, ops_from_spec
+from repro.controller.closedloop import ClosedLoopDriver
 from repro.controller.device import SimulatedSSD
-from repro.traces.model import KB, SizeMix, WorkloadSpec
 
 
 def simple_ops(n, stride=1, write=True):
@@ -64,24 +63,6 @@ def test_iodepth_validation(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
     with pytest.raises(ValueError):
         ClosedLoopDriver(ssd, simple_ops(10), iodepth=0)
-
-
-def test_ops_from_spec_bounds(small_geometry):
-    spec = WorkloadSpec(
-        name="cl",
-        num_requests=300,
-        write_fraction=0.5,
-        request_rate_per_s=1000.0,
-        size_mix=SizeMix.fixed(2 * KB),
-        footprint_bytes=8 * 1024 * 1024,
-        seed=4,
-    )
-    ops = list(ops_from_spec(spec, page_size=small_geometry.page_size,
-                             num_lpns=small_geometry.num_lpns))
-    assert len(ops) == 300
-    for lpn, count, _w in ops:
-        assert 0 <= lpn < small_geometry.num_lpns
-        assert lpn + count <= small_geometry.num_lpns
 
 
 def test_closed_loop_with_dloop_gc(small_geometry):

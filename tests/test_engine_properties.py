@@ -1,6 +1,7 @@
 """Property-based tests for the DES engine, geometry and parsers."""
 
 import io
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,14 +88,11 @@ def test_geometry_arithmetic_consistent(channels, dies, planes, blocks, page_kb,
     assert geom.capacity_bytes == geom.num_lpns * geom.page_size
     assert geom.extra_blocks_per_plane >= 0
     assert geom.physical_blocks_per_plane >= geom.blocks_per_plane
-    # every plane maps to a valid channel and die; dies partition planes
-    seen = set()
-    for plane in range(geom.num_planes):
-        assert 0 <= geom.plane_to_channel(plane) < channels
-        die = geom.plane_to_die(plane)
-        assert 0 <= die < geom.num_dies
-        seen.add(plane)
-    assert seen == set(range(geom.num_planes))
+    assert geom.num_dies * geom.planes_per_die == geom.num_planes
+    # every channel serves the same number of planes
+    per_channel = Counter(geom.plane_to_channel(p) for p in range(geom.num_planes))
+    assert sorted(per_channel) == list(range(channels))
+    assert set(per_channel.values()) == {geom.num_planes // channels}
 
 
 @given(capacity_mb=st.integers(8, 4096))
@@ -103,7 +101,7 @@ def test_from_capacity_close_to_target(capacity_mb):
     target = capacity_mb * 1024 * 1024
     geom = SSDGeometry.from_capacity(target)
     # rounding to whole blocks per plane: within one block row of target
-    tolerance = geom.num_planes * geom.block_size
+    tolerance = geom.num_planes * geom.pages_per_block * geom.page_size
     assert abs(geom.capacity_bytes - target) <= tolerance
 
 

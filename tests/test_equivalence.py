@@ -152,7 +152,8 @@ class _ComposedWrite:
         self.page_table[lpn] = new_ppn
         t = self.tm.charge_update(lpn, t)
         t = self._maybe_gc(plane, t)
-        self._maybe_debug_check()
+        if self.debug_checks:
+            self.verify_integrity()
         return t
 
 

@@ -7,7 +7,6 @@ from repro.experiments.figures import (
     detect_axis,
     figure_series,
     render_figure,
-    render_table,
     summarize_wins,
 )
 from repro.experiments.runner import SimulationResult
@@ -72,12 +71,6 @@ def test_render_figure_contains_sparklines():
     assert "[t1] mean_response_ms vs capacity_gb" in text
     assert "dloop" in text and "fast" in text
     assert "x: [2, 8]" in text
-
-
-def test_render_table_groups_cells():
-    text = render_table(capacity_grid(), title="numbers")
-    assert "capacity_gb" in text.splitlines()[1]
-    assert text.count("dloop") == 2
 
 
 def test_summarize_wins():

@@ -34,19 +34,6 @@ def test_plane_to_channel_is_interleaved(small_geometry):
         assert small_geometry.plane_to_channel(plane) == plane % channels
 
 
-def test_planes_of_die_partition_all_planes():
-    geom = SSDGeometry()
-    seen = set()
-    for die in range(geom.num_dies):
-        planes = list(geom.planes_of_die(die))
-        assert len(planes) == geom.planes_per_die
-        for plane in planes:
-            assert geom.plane_to_die(plane) == die
-            assert plane not in seen
-            seen.add(plane)
-    assert seen == set(range(geom.num_planes))
-
-
 def test_from_capacity_round_trip():
     geom = SSDGeometry.from_capacity(8 * GB)
     assert geom.capacity_bytes == 8 * GB
@@ -63,20 +50,6 @@ def test_from_capacity_scales_blocks_not_planes():
 def test_from_capacity_too_small_raises():
     with pytest.raises(ValueError):
         SSDGeometry.from_capacity(1024)
-
-
-def test_with_page_size_preserves_capacity():
-    geom = SSDGeometry.from_capacity(8 * GB)
-    for page_kb in (2, 4, 8, 16):
-        resized = geom.with_page_size(page_kb * KB)
-        assert resized.capacity_bytes == geom.capacity_bytes
-        assert resized.page_size == page_kb * KB
-
-
-def test_with_extra_blocks():
-    geom = SSDGeometry().with_extra_blocks(10.0)
-    assert geom.extra_blocks_percent == 10.0
-    assert geom.capacity_bytes == SSDGeometry().capacity_bytes
 
 
 def test_invalid_parameters_rejected():
@@ -102,13 +75,6 @@ def test_die_major_plane_order():
     # consecutive planes share a channel under die-major ordering
     assert geom.plane_to_channel(0) == geom.plane_to_channel(1)
     assert geom.plane_to_channel(0) != geom.plane_to_channel(planes_per_channel)
-    # dies still partition planes
-    seen = set()
-    for die in range(geom.num_dies):
-        for plane in geom.planes_of_die(die):
-            assert geom.plane_to_die(plane) == die
-            seen.add(plane)
-    assert seen == set(range(geom.num_planes))
 
 
 def test_channel_interleaved_spreads_consecutive_planes():

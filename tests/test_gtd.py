@@ -22,7 +22,8 @@ def test_tvpn_of_groups_consecutive_lpns():
 def test_lpns_of_tvpn_inverse():
     gtd = GlobalTranslationDirectory(num_lpns=1024, page_size=256)
     for tvpn in range(gtd.num_tpages):
-        for lpn in gtd.lpns_of_tvpn(tvpn):
+        first = tvpn * gtd.entries_per_tpage
+        for lpn in range(first, first + gtd.entries_per_tpage):
             assert gtd.tvpn_of(lpn) == tvpn
 
 
@@ -30,7 +31,7 @@ def test_unmapped_by_default():
     gtd = GlobalTranslationDirectory(num_lpns=100, page_size=256)
     assert not gtd.is_mapped(0)
     assert gtd.lookup(0) == -1
-    assert gtd.mapped_count() == 0
+    assert not any(gtd.is_mapped(t) for t in range(gtd.num_tpages))
 
 
 def test_update_and_lookup():
@@ -38,10 +39,9 @@ def test_update_and_lookup():
     gtd.update(1, 777)
     assert gtd.is_mapped(1)
     assert gtd.lookup(1) == 777
-    assert gtd.mapped_count() == 1
     gtd.update(1, 888)
     assert gtd.lookup(1) == 888
-    assert gtd.mapped_count() == 1
+    assert [t for t in range(gtd.num_tpages) if gtd.is_mapped(t)] == [1]
 
 
 def test_tiny_page_size_floor():

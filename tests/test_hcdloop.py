@@ -72,7 +72,7 @@ def test_reduces_gc_work_on_skewed_load(small_geometry, timing):
 def test_integrity_under_churn(ftl):
     skewed_load(ftl, n=4000, seed=7)
     ftl.verify_integrity()
-    assert 0.0 <= ftl.hot_fraction() <= 1.0
+    assert ftl.hot_writes + ftl.cold_writes > 0
 
 
 def test_window_validation(small_geometry, timing):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.metrics.amplification import AmplificationReport
 from repro.metrics.ascii_chart import hbar_chart, series_chart, sparkline
-from repro.metrics.latency import LatencyHistogram, windowed_throughput
+from repro.metrics.latency import LatencyHistogram
 
 
 # ---- histogram ---------------------------------------------------------------
@@ -24,7 +24,8 @@ def test_histogram_percentile_accuracy():
     h = LatencyHistogram(min_us=1, max_us=1e6, buckets_per_decade=20)
     rng = np.random.default_rng(0)
     samples = rng.lognormal(mean=5, sigma=1, size=20000)
-    h.record_many(samples)
+    for value in samples:
+        h.record(value)
     for q in (50, 95, 99):
         exact = float(np.percentile(samples, q))
         approx = h.percentile(q)
@@ -63,25 +64,6 @@ def test_empty_histogram():
     h = LatencyHistogram()
     assert h.mean_us == 0.0
     assert h.percentile(99) == 0.0
-
-
-# ---- throughput ---------------------------------------------------------------
-
-
-def test_windowed_throughput_buckets():
-    arrivals = [0, 0.2e6, 0.9e6, 1.1e6, 2.5e6]
-    points = windowed_throughput(arrivals, window_us=1e6)
-    assert [p.requests for p in points] == [3, 1, 1]
-    assert points[0].requests_per_s == 3.0
-
-
-def test_windowed_throughput_empty():
-    assert windowed_throughput([]) == []
-
-
-def test_windowed_throughput_validation():
-    with pytest.raises(ValueError):
-        windowed_throughput([1.0], window_us=0)
 
 
 # ---- amplification ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from repro.flash.array import FlashArray
 from repro.flash.counters import FlashCounters
 from repro.metrics.report import format_table
-from repro.metrics.sdrpp import plane_request_counts, sdrpp
+from repro.metrics.sdrpp import sdrpp
 from repro.metrics.wear import wear_stats
 
 
@@ -34,17 +34,10 @@ def test_sdrpp_accepts_counters():
     assert sdrpp(counters) == 0.0
 
 
-def test_plane_request_counts_is_a_copy():
-    counters = FlashCounters(4, 2)
-    counts = plane_request_counts(counters)
-    counts[0] = 999
-    assert counters.plane_ops[0] == 0
-
-
 def test_counters_std():
     counters = FlashCounters(2, 1)
     counters.plane_ops[:] = [0, 10]
-    assert counters.plane_request_std() == pytest.approx(5.0)
+    assert sdrpp(counters) == pytest.approx(math.log(5.0 + 1))
     assert counters.total_ops == 10
 
 

@@ -12,8 +12,8 @@ from repro.flash.geometry import SSDGeometry
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.timing import TimingParams
 from repro.ftl.allocator import PlaneAllocator
-from repro.ftl.cmt import CachedMappingTable
 from repro.ftl.registry import create_ftl
+from tests.test_cmt import recording_tm
 
 TINY = SSDGeometry(
     channels=2,
@@ -48,32 +48,100 @@ def test_codec_round_trip(plane, block, page):
 # ---- CMT ----------------------------------------------------------------------
 
 
+#: 4 planes x (32 + 8 extra) blocks x 8 pages of 256 bytes: 64 mapping
+#: entries per translation page, and room on any one plane for every
+#: write-back of a 100-step sequence.
+SMALL = SSDGeometry(
+    channels=2,
+    packages_per_channel=1,
+    chips_per_package=1,
+    dies_per_chip=1,
+    planes_per_die=2,
+    blocks_per_plane=32,
+    pages_per_block=8,
+    page_size=256,
+    extra_blocks_percent=25.0,
+)
+
+
+class SlruModel:
+    """Reference segmented LRU (paper Fig. 6): entries enter probation, a
+    hit promotes to protected, protected overflow re-enters at the
+    probation MRU end, eviction takes the probation LRU end (the
+    protected LRU end once probation is empty)."""
+
+    def __init__(self, capacity, entries_per_tpage):
+        self.capacity = capacity
+        self.protected_capacity = capacity // 2
+        self.entries_per_tpage = entries_per_tpage
+        self.probation = []  # [lpn, dirty] pairs, LRU first
+        self.protected = []
+        self.written = []  # tvpns of dirty evictions, in order
+
+    def _find(self, segment, lpn):
+        for i, (entry, _dirty) in enumerate(segment):
+            if entry == lpn:
+                return i
+        return None
+
+    def access(self, lpn, update):
+        i = self._find(self.protected, lpn)
+        if i is not None:
+            _, dirty = self.protected.pop(i)
+            self.protected.append([lpn, dirty or update])
+            return True
+        i = self._find(self.probation, lpn)
+        if i is not None:
+            _, dirty = self.probation.pop(i)
+            self.protected.append([lpn, dirty or update])
+            while len(self.protected) > self.protected_capacity:
+                self.probation.append(self.protected.pop(0))
+            return True
+        while len(self.probation) + len(self.protected) >= self.capacity:
+            victim, dirty = (self.probation or self.protected).pop(0)
+            if dirty:
+                self.written.append(victim // self.entries_per_tpage)
+        self.probation.append([lpn, update])
+        return False
+
+
 @given(
     capacity=st.integers(1, 16),
-    ops=st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=200),
+    ops=st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=100),
 )
 def test_cmt_never_overflows_and_stays_consistent(capacity, ops):
-    cmt = CachedMappingTable(capacity)
-    for lpn, dirty in ops:
-        if cmt.touch(lpn):
-            if dirty:
-                cmt.mark_dirty(lpn)
+    """``charge_lookup`` / ``charge_update`` follow the reference model
+    step for step: same segments, same order, same dirty flags and the
+    same write-backs."""
+    tm, written = recording_tm(SMALL, TimingParams(), capacity)
+    model = SlruModel(capacity, tm.gtd.entries_per_tpage)
+    for x, update in ops:
+        lpn = x * 37  # few entries, so hits recur; over seven translation pages
+        model.access(lpn, update)
+        if update:
+            tm.charge_update(lpn, 0.0)
         else:
-            cmt.insert(lpn, dirty=dirty)
-        assert len(cmt) <= capacity
-        assert lpn in cmt  # just-accessed entry is resident
-    # every cached lpn answers is_dirty without error
-    for lpn in cmt.cached_lpns():
-        cmt.is_dirty(lpn)
+            tm.charge_lookup(lpn, 0.0)
+        assert len(tm.cmt) <= capacity
+        assert lpn in tm.cmt  # just-accessed entry is resident
+        assert [list(e) for e in tm.cmt.probation.items()] == model.probation
+        assert [list(e) for e in tm.cmt.protected.items()] == model.protected
+        assert written == model.written
 
 
-@given(ops=st.lists(st.integers(0, 30), min_size=1, max_size=100))
+@given(ops=st.lists(st.tuples(st.integers(0, 30), st.booleans()), min_size=1, max_size=100))
 def test_cmt_hits_plus_misses_equals_touches(ops):
-    cmt = CachedMappingTable(8)
-    for lpn in ops:
-        if not cmt.touch(lpn):
-            cmt.insert(lpn)
-    assert cmt.stats.hits + cmt.stats.misses == len(ops)
+    tm, _ = recording_tm(SMALL, TimingParams(), 8)
+    model = SlruModel(8, tm.gtd.entries_per_tpage)
+    hits = 0
+    for lpn, update in ops:
+        hits += model.access(lpn, update)
+        if update:
+            tm.charge_update(lpn, 0.0)
+        else:
+            tm.charge_lookup(lpn, 0.0)
+    assert tm.cmt.stats.hits + tm.cmt.stats.misses == len(ops)
+    assert tm.cmt.stats.hits == hits
 
 
 # ---- allocator parity ------------------------------------------------------------
@@ -241,7 +309,8 @@ def test_histogram_percentiles_ordered(values):
     from repro.metrics.latency import LatencyHistogram
 
     h = LatencyHistogram()
-    h.record_many(values)
+    for value in values:
+        h.record(value)
     assert h.total == len(values)
     p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
     assert p50 <= p95 <= p99

@@ -60,9 +60,9 @@ class TestRegistry:
         assert schema.lookup("flash", "read") is not None
         assert schema.lookup("flash", "raed") is None
         # The engine category declares a wildcard: any name matches.
-        assert schema.has_wildcard("engine")
+        assert ("engine", schema.WILDCARD) in schema.REGISTRY
         assert schema.lookup("engine", "anything.qualname") is not None
-        assert not schema.has_wildcard("flash")
+        assert ("flash", schema.WILDCARD) not in schema.REGISTRY
 
     def test_names_in_and_payload_keys(self):
         assert "read" in schema.names_in("flash")

@@ -39,7 +39,7 @@ def test_namespace_translate_and_bounds():
     assert ns.translate(0) == 100
     assert ns.translate(49) == 149
     assert ns.translate(40, page_count=10) == 140
-    assert ns.end_lpn == 150
+    assert ns.base_lpn + ns.num_lpns == 150
     with pytest.raises(NamespaceError):
         ns.translate(50)
     with pytest.raises(NamespaceError):
@@ -64,7 +64,7 @@ def test_build_namespaces_partitions_back_to_back():
     for ns in namespaces:
         assert ns.base_lpn == base
         assert ns.num_lpns >= 1
-        base = ns.end_lpn
+        base = ns.base_lpn + ns.num_lpns
     assert base <= 1000
     # Equal split of 1000 over 3: each within one page of the others.
     extents = [ns.num_lpns for ns in namespaces]
@@ -123,7 +123,7 @@ def test_drr_emits_every_request_translated_and_tagged():
     assert len(merged) == 120
     for request in merged:
         ns = queues[request.tenant].namespace
-        assert ns.base_lpn <= request.start_lpn < ns.end_lpn
+        assert ns.base_lpn <= request.start_lpn < ns.base_lpn + ns.num_lpns
     assert sum(1 for r in merged if r.tenant == 0) == 50
     assert sum(1 for r in merged if r.tenant == 1) == 70
 
@@ -316,7 +316,7 @@ def test_tenant_streams_stay_inside_their_extent():
         while queue.head is not None:
             request = queue.pop()
             assert ns.base_lpn <= request.start_lpn
-            assert request.start_lpn + request.page_count <= ns.end_lpn
+            assert request.start_lpn + request.page_count <= ns.base_lpn + ns.num_lpns
 
 
 def _composed_tenant_stream(model, index, namespace, page_size):

@@ -206,9 +206,9 @@ def multi_chip_geometry():
 def test_channel_serialises_same_die_transfers(timing):
     geom = multi_chip_geometry()
     clock = FlashTimekeeper(geom, timing)
-    die0_planes = list(geom.planes_of_die(0))
-    end0 = clock.program_page(die0_planes[0], 0.0)
-    end1 = clock.program_page(die0_planes[1], 0.0)
+    # one channel: die d holds planes 2d and 2d + 1
+    end0 = clock.program_page(0, 0.0)
+    end1 = clock.program_page(1, 0.0)
     # same die: second transfer waits for the bus (the die's serial bus
     # is held exactly as long as its channel), programs overlap
     assert end1 > 0
@@ -221,10 +221,9 @@ def test_die_bus_separate_from_channel(timing):
     transfers, so a per-die bus timeline would add no delay there."""
     geom = multi_chip_geometry()
     clock = FlashTimekeeper(geom, timing)
-    d0 = list(geom.planes_of_die(0))[0]
-    d1 = list(geom.planes_of_die(1))[0]
-    end0 = clock.program_page(d0, 0.0)
-    end1 = clock.program_page(d1, 0.0)
+    # one channel: plane 0 is on die 0, plane 2 on die 1
+    end0 = clock.program_page(0, 0.0)
+    end1 = clock.program_page(2, 0.0)
     assert end1 == pytest.approx(end0 + timing.page_transfer_us(geom.page_size))
 
 

@@ -9,7 +9,7 @@ from repro.traces.model import KB, SizeMix, TraceRequest, WorkloadSpec
 from repro.traces.synthetic import PAPER_TRACE_NAMES
 from repro.traces.parser import parse_disksim, parse_spc, write_disksim, write_spc
 from repro.traces.stats import measure
-from repro.traces.synthetic import generate, make_workload, named_workloads
+from repro.traces.synthetic import generate, make_workload
 from repro.traces.zipf import ZipfSampler
 
 MB = 1024 * KB
@@ -98,10 +98,8 @@ def test_zipf_concentrates_accesses():
 
 
 def test_all_five_paper_workloads_build():
-    specs = named_workloads(num_requests=500, footprint_bytes=8 * MB)
-    assert set(specs) == set(PAPER_TRACE_NAMES)
-    for name, spec in specs.items():
-        trace = generate(spec)
+    for name in PAPER_TRACE_NAMES:
+        trace = generate(make_workload(name, 500, 8 * MB))
         assert len(trace) == 500
         stats = measure(name, trace)
         assert stats.num_writes + stats.num_reads == 500

@@ -49,7 +49,6 @@ def test_miss_on_mapped_tpage_costs_a_read(small_geometry, timing):
     tm = make_tm(small_geometry, timing)
     tvpn = tm.gtd.tvpn_of(0)
     tm.write_back(tvpn, 0.0)  # materialise the translation page
-    tm.cmt.drop(0)
     t = tm.charge_lookup(0, 1000.0)
     assert t > 1000.0
     assert tm.stats.tpage_reads == 1
@@ -114,7 +113,7 @@ def test_gc_update_cached_entries_flip_dirty_free(small_geometry, timing):
     t = tm.gc_update_mappings([(0, 55)], 7.0)
     assert t == 7.0
     assert tm.stats.tpage_writes == before
-    assert tm.cmt.is_dirty(0)
+    assert tm.cmt.probation[0] is True
 
 
 def test_gc_update_free_mode_charges_nothing(small_geometry, timing):
@@ -128,7 +127,7 @@ def test_gc_update_cached_mode_inserts_dirty(small_geometry, timing):
     tm = make_tm(small_geometry, timing, cmt_entries=8, gc_mode="cached")
     tm.gc_update_mappings([(5, 100)], 0.0)
     assert 5 in tm.cmt
-    assert tm.cmt.is_dirty(5)
+    assert tm.cmt.probation[5] is True
 
 
 def test_invalid_gc_mode_rejected(small_geometry, timing):

@@ -1,10 +1,9 @@
-"""Utilisation report and simulated-clock helpers."""
+"""Utilisation report."""
 
 import pytest
 
 from repro.flash.counters import FlashCounters
 from repro.metrics.utilization import utilization
-from repro.sim.clock import format_us, from_ms, from_seconds, ms, seconds
 
 
 def test_utilization_fractions():
@@ -44,18 +43,3 @@ def test_copyback_load_is_plane_bound(small_geometry, timing):
     assert report.mean_channel == 0.0
     assert report.peak_plane > 0.9
 
-
-def test_clock_conversions():
-    assert ms(1500.0) == 1.5
-    assert seconds(2_000_000.0) == 2.0
-    assert from_ms(1.5) == 1500.0
-    assert from_seconds(2.0) == 2_000_000.0
-
-
-def test_format_us_ranges():
-    assert format_us(500.0) == "500.0us"
-    assert format_us(1500.0) == "1.50ms"
-    assert format_us(2_500_000.0) == "2.50s"
-    assert format_us(120_000_000.0) == "2.00min"
-    with pytest.raises(ValueError):
-        format_us(-1.0)
