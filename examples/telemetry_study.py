@@ -15,8 +15,18 @@ import random
 
 from repro.controller.device import SimulatedSSD
 from repro.experiments.config import scaled_geometry
+from repro.metrics.ascii_chart import series_chart
 from repro.metrics.report import format_table
 from repro.sim.request import IoOp, IoRequest
+
+#: Sparkline label -> RunStats series drawn for each run.
+PANEL = {
+    "min_free_blocks": "min_free_blocks",
+    "total_free_blocks": "total_free_blocks",
+    "outstanding": "queue_depth",
+    "gc_passes": "gc_passes",
+    "flash_programs": "flash_programs",
+}
 
 
 def bursty_requests(geometry, bursts=30, burst_len=60, gap_us=250_000.0, seed=5):
@@ -39,7 +49,7 @@ def main() -> None:
     rows = []
     for background in (False, True):
         # stats_interval_us attaches the repro.obs snapshot sampler;
-        # ssd.telemetry renders its series as sparklines.
+        # ssd.run_stats holds its series, drawn here as sparklines.
         ssd = SimulatedSSD(
             geometry,
             ftl="dloop",
@@ -51,7 +61,9 @@ def main() -> None:
         ssd.verify()
         stats = ssd.ftl.gc_stats
         label = "with background GC" if background else "foreground GC only"
-        print(ssd.telemetry.render(f"== {label} =="))
+        series = ssd.run_stats.series()
+        panel = {name: series[key] for name, key in PANEL.items()}
+        print(series_chart(panel, title=f"== {label} =="))
         print()
         rows.append(
             {

@@ -8,7 +8,7 @@ The subcommands cover the library's workflows end to end::
     repro-sim simulate  --faults --crash-at-ms 500 ...          # + faults / power loss
     repro-sim simulate  --profile run.pstats ...                # + cProfile
     repro-sim tracegen  --workload tpcc --out trace.spc ...     # save a trace
-    repro-sim sweep     --figure 8 --out fig8.csv ...           # a paper grid
+    repro-sim sweep     --figure 8 --out fig8.json ...          # a paper grid
     repro-sim conform   --ftls dloop dftl --json report.json    # contract conformance
     repro-sim torture   --budget 40 --json torture.json         # crash-point sweeps
     repro-sim report    --input results.json                    # tables/charts
@@ -325,6 +325,10 @@ def cmd_sweep(args) -> int:
         {8: F8, 9: F9, 10: F10}[args.figure], scale=args.scale,
         num_requests=args.requests, workloads=tuple(args.traces or PAPER_TRACE_NAMES),
     )
+    if args.out and not args.out.endswith(".json"):
+        print(f"repro-sim sweep: --out {args.out}: results are written as JSON; "
+              "name a .json file", file=sys.stderr)
+        return 2
     try:
         grid.scenarios()  # names, scale and request count, before any cell runs
     except ValueError as exc:
@@ -334,12 +338,9 @@ def cmd_sweep(args) -> int:
     table = grid.rows(results)
     print(format_table(table, title=f"Figure {args.figure} sweep (scale {args.scale:g})"))
     if args.out:
-        from repro.experiments.results_io import save_results_csv, save_results_json
+        from repro.experiments.results_io import save_results_json
 
-        if args.out.endswith(".json"):
-            save_results_json(results, args.out)
-        else:
-            save_results_csv(results, args.out)
+        save_results_json(results, args.out)
         print(f"\nresults saved to {args.out}")
     return 0
 
@@ -431,9 +432,13 @@ def cmd_schema(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.experiments.results_io import load_results_json
+    from repro.experiments.results_io import ResultsFormatError, load_results_json
 
-    results = load_results_json(args.input)
+    try:
+        results = load_results_json(args.input)
+    except ResultsFormatError as exc:
+        print(f"repro-sim report: {args.input}: {exc}", file=sys.stderr)
+        return 2
     table = [
         {"trace": r.trace, "ftl": r.ftl, "mean_ms": r.mean_response_ms,
          "p99_ms": r.p99_response_ms, "sdrpp": r.sdrpp, **r.extras}
@@ -652,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", type=float, default=1 / 32)
     sweep.add_argument("--requests", type=int, default=4000)
     sweep.add_argument("--traces", nargs="*", choices=PAPER_TRACE_NAMES, default=None)
-    sweep.add_argument("--out", help="save results (.csv or .json)")
+    sweep.add_argument("--out", help="save results as JSON (a .json path)")
     sweep.set_defaults(func=cmd_sweep)
 
     stats = sub.add_parser("trace-stats", help="characterise a trace (Table II + locality metrics)")

@@ -86,19 +86,14 @@ class SimulatedSSD:
             from repro.controller.background import BackgroundGc
 
             self.background_gc = BackgroundGc(self.engine, self.ftl, self.controller)
-        self.telemetry = None
         self.run_stats = None
-        self.metrics = None
         if stats_interval_us is not None:
-            from repro.metrics.timeseries import Telemetry
             from repro.obs.sampler import StatsSampler
 
             self._sampler = StatsSampler(
                 self.engine, self.ftl, self.controller, stats_interval_us
             )
-            self.telemetry = Telemetry.from_run_stats(self._sampler.stats)
             self.run_stats = self._sampler.stats
-            self.metrics = self._sampler.registry
         # Opt-in runtime invariant checking (repro-sim simulate --sanitize).
         # Attached before any flash activity so the shadow NAND model in
         # the sanitizer starts from the factory-fresh array state.

@@ -46,7 +46,6 @@ class DloopFtl(DemandPagedFtl):
         *,
         cmt_entries: int = 4096,
         gc_threshold: int = 3,
-        max_gc_passes: int = 8,
         use_copyback: bool = True,
         gc_victim_policy: str = "greedy",
         translation_gc_mode: str = "batched",
@@ -58,7 +57,6 @@ class DloopFtl(DemandPagedFtl):
             cmt_entries=cmt_entries,
             translation_gc_mode=translation_gc_mode,
             gc_threshold=gc_threshold,
-            max_gc_passes=max_gc_passes,
             gc_victim_policy=gc_victim_policy,
             debug_checks=debug_checks,
         )

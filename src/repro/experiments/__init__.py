@@ -26,12 +26,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.parallel import run_cells
 from repro.experiments.steady_state import mser_start, steady_mean, steady_state_start
-from repro.experiments.results_io import (
-    load_results_csv,
-    load_results_json,
-    save_results_csv,
-    save_results_json,
-)
+from repro.experiments.results_io import load_results_json, save_results_json
 
 __all__ = [
     "A1",
@@ -52,9 +47,7 @@ __all__ = [
     "mser_start",
     "steady_mean",
     "steady_state_start",
-    "load_results_csv",
     "load_results_json",
-    "save_results_csv",
     "save_results_json",
     "ExperimentConfig",
     "scaled_geometry",

@@ -1,4 +1,4 @@
-"""Result persistence: SimulationResult <-> JSON / CSV.
+"""Result persistence: SimulationResult <-> JSON.
 
 Sweeps are expensive; persisting results lets the report/plot step
 re-run without re-simulating, and lets CI archive the regenerated
@@ -7,7 +7,6 @@ figures next to the paper's numbers.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import Iterable, List, TextIO, Union
 
@@ -76,12 +75,6 @@ def result_from_dict(payload: dict) -> SimulationResult:
     )
 
 
-def _open(sink: Sink, mode: str):
-    if isinstance(sink, str):
-        return open(sink, mode, encoding="utf-8", newline="")
-    return sink
-
-
 def save_results_json(results: Iterable[SimulationResult], sink: Sink) -> None:
     payload = [result_to_dict(r) for r in results]
     if isinstance(sink, str):
@@ -91,41 +84,19 @@ def save_results_json(results: Iterable[SimulationResult], sink: Sink) -> None:
         json.dump(payload, sink, indent=2)
 
 
+class ResultsFormatError(ValueError):
+    """The input is not the results JSON :func:`save_results_json` writes."""
+
+
 def load_results_json(source: Sink) -> List[SimulationResult]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.load(source)
-    return [result_from_dict(item) for item in payload]
-
-
-def save_results_csv(results: Iterable[SimulationResult], sink: Sink) -> None:
-    """Flat CSV: scalar fields + extras columns (no plane vectors)."""
-    results = list(results)
-    extra_keys = sorted({key for r in results for key in r.extras})
-    fieldnames = _SCALAR_FIELDS + [f"extra_{k}" for k in extra_keys]
-    close = isinstance(sink, str)
-    handle = _open(sink, "w")
     try:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for r in results:
-            row = {name: getattr(r, name) for name in _SCALAR_FIELDS}
-            for k in extra_keys:
-                row[f"extra_{k}"] = r.extras.get(k, "")
-            writer.writerow(row)
-    finally:
-        if close:
-            handle.close()
-
-
-def load_results_csv(source: Sink) -> List[dict]:
-    """CSV rows as dicts (strings; for table/report use)."""
-    close = isinstance(source, str)
-    handle = _open(source, "r")
-    try:
-        return list(csv.DictReader(handle))
-    finally:
-        if close:
-            handle.close()
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        else:
+            payload = json.load(source)
+        return [result_from_dict(item) for item in payload]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ResultsFormatError(
+            f"not a results JSON file ({type(exc).__name__}: {exc})"
+        ) from exc

@@ -54,14 +54,6 @@ class SimulationResult:
         total = self.flash_programs + self.copybacks + self.gc_wasted_pages
         return total / self.host_pages_written
 
-    def row(self) -> dict:
-        return {
-            "trace": self.trace,
-            "ftl": self.ftl,
-            "mean_ms": self.mean_response_ms,
-            "sdrpp": self.sdrpp,
-        }
-
 
 def _steady_ms(response_us: List[float]) -> float:
     """Mean response over the detected steady-state region (ms)."""

@@ -49,18 +49,6 @@ class FlashCounters:
         moves = self.copybacks + self.interplane_copies
         return self.copybacks / moves if moves else 0.0
 
-    def snapshot(self) -> dict:
-        return {
-            "reads": self.reads,
-            "programs": self.programs,
-            "erases": self.erases,
-            "copybacks": self.copybacks,
-            "interplane_copies": self.interplane_copies,
-            "skipped_pages": self.skipped_pages,
-            "read_retries": self.read_retries,
-            "plane_ops": self.plane_ops.copy(),
-        }
-
     def as_dict(self) -> dict:
         """Plain-python view (no numpy types), for traces/JSON/reports.
 

@@ -58,6 +58,12 @@ def _integrity_text(stores, kind: str, bad: np.ndarray) -> str:
 #: Blocks per ``arange`` in :func:`block_lpns`.
 _FILL_BATCH = 4096
 
+#: Victim collections one host operation may fund (bounded foreground GC).
+MAX_GC_PASSES = 8
+
+#: Seed of the RNG behind the randomised victim policies.
+GC_POLICY_SEED = 0
+
 
 def block_lpns(n_blocks: int, ppb: int) -> Iterator[np.ndarray]:
     """The int32 LPNs ``i * ppb .. (i + 1) * ppb - 1`` of each logical
@@ -102,9 +108,7 @@ class Ftl(abc.ABC):
         timing: TimingParams | None = None,
         *,
         gc_threshold: int = 3,
-        max_gc_passes: int = 8,
         gc_victim_policy: str = "greedy",
-        gc_policy_seed: int = 0,
         debug_checks: bool = False,
     ):
         if gc_victim_policy not in VICTIM_POLICIES:
@@ -123,9 +127,8 @@ class Ftl(abc.ABC):
         self.page_table_np = np.frombuffer(self.page_table, dtype=np.int32)
         self.gc_threshold = gc_threshold
         self.array.register_gc_threshold(gc_threshold)
-        self.max_gc_passes = max_gc_passes
         self.gc_victim_policy = gc_victim_policy
-        self._gc_rng = random.Random(gc_policy_seed)
+        self._gc_rng = random.Random(GC_POLICY_SEED)
         self.debug_checks = debug_checks
         self.stats = FtlStats()
         self.gc_stats = GcStats()
@@ -283,12 +286,12 @@ class Ftl(abc.ABC):
                      {"trigger_plane": plane, "low_planes": sorted(queue)}, None, "i")
         t = now
         # Bounded foreground GC: each host operation funds at most
-        # ``max_gc_passes`` victim collections, spent on the most
+        # ``MAX_GC_PASSES`` victim collections, spent on the most
         # starved planes first (the triggering plane ties at its free
         # count).  Planes still below threshold are picked up by the
         # next operation — incremental reclamation, never a device-wide
         # stop-the-world sweep per write.
-        budget = self.max_gc_passes
+        budget = MAX_GC_PASSES
         gc_stats = self.gc_stats
         while queue and budget > 0:
             # The triggering plane first — its caller is about to
@@ -841,15 +844,3 @@ class Ftl(abc.ABC):
         stores = mapping_stores(self)
         for kind, bad in coherence_findings(stores):
             raise AssertionError(_integrity_text(stores, kind, bad))
-
-    # ---- reporting --------------------------------------------------------------
-
-    def describe(self) -> dict:
-        return {
-            "ftl": self.name,
-            "gc_threshold": self.gc_threshold,
-            "host_reads": self.stats.host_reads,
-            "host_writes": self.stats.host_writes,
-            "gc": self.gc_stats,
-            "flash": self.clock.counters.as_dict(),
-        }

@@ -43,7 +43,6 @@ class DftlFtl(DemandPagedFtl):
         *,
         cmt_entries: int = 4096,
         gc_threshold: int = 3,
-        max_gc_passes: int = 8,
         translation_gc_mode: str = "batched",
         gc_victim_policy: str = "greedy",
         debug_checks: bool = False,
@@ -54,7 +53,6 @@ class DftlFtl(DemandPagedFtl):
             cmt_entries=cmt_entries,
             translation_gc_mode=translation_gc_mode,
             gc_threshold=gc_threshold,
-            max_gc_passes=max_gc_passes,
             gc_victim_policy=gc_victim_policy,
             debug_checks=debug_checks,
         )

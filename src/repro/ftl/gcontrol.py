@@ -30,22 +30,6 @@ class GcStats:
     translation_updates: int = 0
     busy_us: float = 0.0
 
-    def merge(self, other: "GcStats") -> None:
-        for name in (
-            "invocations",
-            "passes",
-            "emergency_passes",
-            "background_passes",
-            "erased_blocks",
-            "moved_pages",
-            "copyback_moves",
-            "controller_moves",
-            "wasted_pages",
-            "translation_updates",
-            "busy_us",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 def parity_minimizing_order(ppns, codec, allocator):
     """Yield victim pages ordered to match destination page parity.

@@ -44,12 +44,12 @@ class MapJournal:
         self._ring: list = []
         self._current = None
         self.map_writes = 0
-        self.skipped_writes = 0
         # Logical content model of the journal: the block-map entries
         # whose updates actually reached flash.  Survives a power cycle
         # (it models on-flash data); ``reset_volatile`` does not touch
-        # it.  Entries become stale only through ``skipped_writes``
-        # (recovery must validate against page owners).
+        # it.  Entries become stale only through an update whose
+        # persistence ``record_update`` skipped (recovery must validate
+        # against page owners).
         self._persisted: dict = {}
 
     def record_update(self, now: float, lbn: int | None = None,
@@ -68,7 +68,6 @@ class MapJournal:
                 # device: skip persistence (cost model only).  The
                 # update never reaches flash, so the persisted content
                 # model keeps its stale entry.
-                self.skipped_writes += 1
                 return t
         journal_block = self._current
         offset = int(self.array.block_write_ptr[journal_block])

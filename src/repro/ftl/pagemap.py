@@ -35,7 +35,6 @@ class PageMapFtl(Ftl):
         striping: str = "lpn",
         use_copyback: bool = True,
         gc_threshold: int = 3,
-        max_gc_passes: int = 8,
         seed: int = 0,
         gc_victim_policy: str = "greedy",
         debug_checks: bool = False,
@@ -44,7 +43,6 @@ class PageMapFtl(Ftl):
             geometry,
             timing,
             gc_threshold=gc_threshold,
-            max_gc_passes=max_gc_passes,
             gc_victim_policy=gc_victim_policy,
             debug_checks=debug_checks,
         )

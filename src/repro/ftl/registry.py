@@ -9,8 +9,8 @@ from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import TimingParams
 from repro.ftl.base import Ftl
 
-#: SRAM-mapped FTLs take no CMT knob and no GC pass budget.
-_SRAM_MAP = ("cmt_entries", "max_gc_passes")
+#: SRAM-mapped FTLs take no CMT knob.
+_SRAM_MAP = ("cmt_entries",)
 
 #: name -> (module, class, constructor defaults, kwargs accepted and dropped).
 #: Classes import lazily: naming an FTL never loads the others.
@@ -22,7 +22,7 @@ _REGISTRY: Dict[str, Tuple[str, str, Dict[str, object], Tuple[str, ...]]] = {
     "fast": ("repro.ftl.fast", "FastFtl", {}, _SRAM_MAP),
     "bast": ("repro.ftl.bast", "BastFtl", {}, _SRAM_MAP),
     "last": ("repro.ftl.last", "LastFtl", {}, _SRAM_MAP),
-    "pagemap": ("repro.ftl.pagemap", "PageMapFtl", {}, ("cmt_entries",)),
+    "pagemap": ("repro.ftl.pagemap", "PageMapFtl", {}, _SRAM_MAP),
 }
 
 

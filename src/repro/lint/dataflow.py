@@ -50,7 +50,7 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.rules import FileContext, Finding, Rule
+from repro.lint.rules import FileContext, Finding, Rule, scope_walk
 
 #: The mutually incompatible address domains.
 ADDRESS_DOMAINS = frozenset(
@@ -127,17 +127,6 @@ class _Scope:
         return start, end
 
 
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk one scope without descending into nested functions."""
-    stack: List[ast.AST] = list(getattr(scope, "body", []))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _callable_params(fn: ast.AST, *, method: bool) -> List[str]:
     args = fn.args  # type: ignore[attr-defined]
     names = [a.arg for a in [*args.posonlyargs, *args.args]]
@@ -208,7 +197,7 @@ class DomainFlowRule(Rule):
                 domain = infer_domain(arg.arg)
                 if domain is not None:
                     env[arg.arg] = domain
-        for stmt in _scope_walk(node):
+        for stmt in scope_walk(node):
             targets: List[ast.AST] = []
             if isinstance(stmt, ast.Assign):
                 targets = list(stmt.targets)
@@ -224,7 +213,7 @@ class DomainFlowRule(Rule):
         # Value-flow: an untyped name assigned a typed value carries
         # the value's domain (one round; textual order is close enough
         # for straight-line simulator code).
-        for stmt in _scope_walk(node):
+        for stmt in scope_walk(node):
             if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
                 continue
             target = stmt.targets[0]
@@ -298,7 +287,7 @@ class DomainFlowRule(Rule):
         methods: Dict[Tuple[str, str], ast.AST],
     ) -> Iterator[Finding]:
         env = scope.env
-        for node in _scope_walk(scope.node):
+        for node in scope_walk(scope.node):
             if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
                 left = self._expr_domain(node.left, env)
                 right = self._expr_domain(node.right, env)

@@ -107,6 +107,18 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
+def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk one scope (a module or a function body) without descending
+    into nested functions."""
+    stack: List[ast.AST] = list(getattr(scope, "body", []))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
 class Rule:
     """Base class for a lint rule with a stable code."""
 
@@ -371,17 +383,6 @@ class SetIterationRule(Rule):
         for scope in scopes:
             yield from self._check_scope(ctx, scope)
 
-    def _scope_walk(self, scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk a scope without descending into nested functions."""
-        body = scope.body if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)) else []
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
     def _check_scope(self, ctx: FileContext, scope: ast.AST) -> Iterator[Finding]:
         collector = _ScopeSetNames()
         body = scope.body if hasattr(scope, "body") else []
@@ -402,7 +403,7 @@ class SetIterationRule(Rule):
                 return True
             return isinstance(node, ast.Name) and node.id in set_names
 
-        for node in self._scope_walk(scope):
+        for node in scope_walk(scope):
             if isinstance(node, ast.For) and is_set_like(node.iter):
                 yield self.finding(
                     ctx,

@@ -37,7 +37,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import repro.obs.schema as schema
-from repro.lint.rules import FileContext, Finding, Rule
+from repro.lint.rules import FileContext, Finding, Rule, scope_walk
 
 #: Attribute names that mark a receiver as a TraceBus handle.
 _BUS_ATTRS = frozenset({"bus", "_bus"})
@@ -63,22 +63,10 @@ def _scopes(tree: ast.Module) -> List[ast.AST]:
     return scopes
 
 
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk one scope without descending into nested functions."""
-    body = getattr(scope, "body", [])
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _string_assignments(scope: ast.AST) -> Dict[str, Set[str]]:
     """Names assigned string constants anywhere in ``scope``."""
     values: Dict[str, Set[str]] = {}
-    for node in _scope_walk(scope):
+    for node in scope_walk(scope):
         if not isinstance(node, ast.Assign):
             continue
         if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
@@ -211,7 +199,7 @@ def _payload_keys(
     if isinstance(expr, ast.Name):
         base: Optional[Set[str]] = None
         maybe: Set[str] = set()
-        for node in _scope_walk(scope):
+        for node in scope_walk(scope):
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
@@ -234,7 +222,7 @@ def _extract_emit_sites(ctx: FileContext) -> List[_EmitSite]:
     sites: List[_EmitSite] = []
     for scope in _scopes(ctx.tree):
         strings: Optional[Dict[str, Set[str]]] = None
-        for node in _scope_walk(scope):
+        for node in scope_walk(scope):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             method = node.func.attr
@@ -434,7 +422,7 @@ def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_Cons
                 for arg in scope.args.args
                 if arg.arg in ("category", "name")
             )
-        for node in _scope_walk(scope):
+        for node in scope_walk(scope):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -447,7 +435,7 @@ def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_Cons
                         field_aliases[target.id] = value.attr
                     elif _is_args_expr(value):
                         args_names.add(target.id)
-        for node in _scope_walk(scope):
+        for node in scope_walk(scope):
             if isinstance(node, ast.Compare):
                 _scan_compare(node, scan, field_aliases, resolver)
             elif isinstance(node, ast.Call):

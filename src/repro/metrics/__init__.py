@@ -8,7 +8,6 @@ from repro.metrics.amplification import AmplificationReport, amplification
 from repro.metrics.ascii_chart import hbar_chart, series_chart, sparkline
 from repro.metrics.utilization import UtilizationReport, utilization
 from repro.metrics.endurance import EnduranceEstimate, estimate_endurance
-from repro.metrics.timeseries import Telemetry
 from repro.metrics.streaming import (
     DeterministicReservoir,
     RunningMoments,
@@ -30,7 +29,6 @@ __all__ = [
     "utilization",
     "EnduranceEstimate",
     "estimate_endurance",
-    "Telemetry",
     "DeterministicReservoir",
     "RunningMoments",
     "StreamingRequestStats",

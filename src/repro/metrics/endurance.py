@@ -28,14 +28,6 @@ class EnduranceEstimate:
         """Terabytes writable by the host before rated wear-out."""
         return self.total_bytes_writable / TB
 
-    def lifetime_days(self, daily_write_bytes: float) -> float:
-        if daily_write_bytes <= 0:
-            raise ValueError("daily_write_bytes must be > 0")
-        return self.total_bytes_writable / daily_write_bytes
-
-    def lifetime_years(self, daily_write_bytes: float) -> float:
-        return self.lifetime_days(daily_write_bytes) / 365.0
-
     def dwpd(self, lifetime_years: float = 5.0) -> float:
         """Drive-writes-per-day sustainable over ``lifetime_years``."""
         if lifetime_years <= 0:

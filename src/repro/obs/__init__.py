@@ -1,4 +1,4 @@
-"""Observability layer: tracing, metrics and live run statistics.
+"""Observability layer: tracing and live run statistics.
 
 The standard lens for looking *inside* a simulated device:
 
@@ -7,8 +7,6 @@ The standard lens for looking *inside* a simulated device:
 * :mod:`repro.obs.chrome_trace` — export recorded events as Chrome
   trace-event JSON for Perfetto / ``chrome://tracing``, one row per
   plane and per channel;
-* :mod:`repro.obs.registry` — counters / gauges / fixed-bucket
-  histograms;
 * :mod:`repro.obs.sampler` — periodic snapshot sampler (queue depth,
   free blocks per plane, CMT occupancy, copy-back ratio) driven by the
   simulation clock.
@@ -17,7 +15,6 @@ See ``docs/observability.md`` for the recording/viewing workflow.
 """
 
 from repro.obs.chrome_trace import ChromeTraceWriter
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import RunStats, StatsSampler
 from repro.obs.tracebus import BUS, TraceBus, TraceEvent
 
@@ -26,10 +23,6 @@ __all__ = [
     "TraceBus",
     "TraceEvent",
     "ChromeTraceWriter",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "RunStats",
     "StatsSampler",
 ]

@@ -3,16 +3,13 @@
 Samples device gauges on a fixed simulated-time grid (plus the idle
 edges, so bursts are never missed): host queue depth, free-block count
 per plane, CMT occupancy, and the cumulative copy-back ratio, alongside
-the cumulative GC-pass and flash-program counts.  Three consumers feed
-off one pass:
-
-* :class:`RunStats` — aligned time series, the programmatic surface
-  (``repro.metrics.timeseries`` renders these as sparklines);
-* a :class:`~repro.obs.registry.MetricsRegistry` — live gauges/
-  histograms for anything polling "current state";
-* the :class:`~repro.obs.tracebus.TraceBus` — counter samples that the
-  Chrome-trace exporter turns into Perfetto counter tracks (queue
-  depth, free blocks, copy-back ratio) whenever a trace is recording.
+the cumulative GC-pass and flash-program counts.  Each sample is
+written once, to :class:`RunStats` (aligned time series;
+``repro.metrics.ascii_chart.series_chart(stats.series())`` renders
+them as sparklines), and, whenever a trace is recording, to the
+:class:`~repro.obs.tracebus.TraceBus` as counter samples that the
+Chrome-trace exporter turns into Perfetto counter tracks (queue depth,
+free blocks, copy-back ratio).
 
 Sampling never perturbs results: it only reads state, and its engine
 events re-arm solely while host work remains pending, so it cannot keep
@@ -22,13 +19,9 @@ a finished simulation alive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracebus import BUS, TraceBus
-
-#: Fixed bucket bounds for the queue-depth histogram (requests).
-QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
+from repro.obs.tracebus import BUS
 
 
 @dataclass
@@ -103,28 +96,14 @@ class StatsSampler:
     ``SimulatedSSD(stats_interval_us=...)``.
     """
 
-    def __init__(
-        self,
-        engine,
-        ftl,
-        controller,
-        interval_us: float = 50_000.0,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-        bus: Optional[TraceBus] = None,
-    ):
+    def __init__(self, engine, ftl, controller, interval_us: float = 50_000.0):
         if interval_us <= 0:
             raise ValueError("interval_us must be > 0")
         self.engine = engine
         self.ftl = ftl
         self.controller = controller
         self.stats = RunStats(interval_us=interval_us)
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.bus = bus if bus is not None else BUS
         self._num_planes = ftl.geometry.num_planes
-        self._depth_histogram = self.registry.histogram(
-            "queue_depth", QUEUE_DEPTH_BUCKETS
-        )
         self._armed = False
         # sample on every idle edge too, so bursts are never missed
         controller.on_idle.append(self.sample_now)
@@ -155,8 +134,7 @@ class StatsSampler:
         array = self.ftl.array
         free = [array.free_block_count(p) for p in range(self._num_planes)]
         counters = self.ftl.clock.counters
-        gc_copies = counters.copybacks + counters.interplane_copies
-        copyback_ratio = counters.copybacks / gc_copies if gc_copies else 0.0
+        copyback_ratio = counters.copyback_ratio
         depth = self.controller.outstanding
         cmt = len(self.ftl.cmt) if hasattr(self.ftl, "cmt") else 0
         now = self.engine.now
@@ -193,34 +171,7 @@ class StatsSampler:
         stats.total_retries.append(request_stats.total_retries)
         stats.lost_pages.append(request_stats.lost_pages)
 
-        registry = self.registry
-        registry.gauge("queue_depth_now").set(depth)
-        registry.gauge("free_blocks_min").set(min(free))
-        registry.gauge("free_blocks_total").set(sum(free))
-        registry.gauge("cmt_entries").set(cmt)
-        registry.gauge("copyback_ratio").set(copyback_ratio)
-        registry.gauge("bad_blocks_total").set(bad_blocks)
-        registry.gauge("peak_outstanding").set(controller.peak_outstanding)
-        registry.gauge("failed_requests_total").set(request_stats.failed_requests)
-        registry.gauge("retried_requests_total").set(request_stats.retried_requests)
-        registry.gauge("retries_total").set(request_stats.total_retries)
-        registry.gauge("lost_pages_total").set(request_stats.lost_pages)
-        if faults is not None:
-            registry.gauge("fault_events_total").set(fault_events)
-            registry.gauge("fault_lost_pages").set(self.ftl.stats.lost_pages)
-        tenants = controller.tenants
-        if tenants is not None:
-            for lane in tenants.lanes:
-                nsid = lane.namespace.nsid
-                registry.gauge(f"tenant{nsid}_completed_pages").set(
-                    lane.completed_pages
-                )
-                registry.gauge(f"tenant{nsid}_slo_violations").set(
-                    lane.slo_violations
-                )
-        self._depth_histogram.observe(depth)
-
-        bus = self.bus
+        bus = BUS
         if bus.enabled:
             bus.counter("queue_depth", now, {"outstanding": depth})
             bus.counter("free_blocks", now, {"min": min(free), "total": sum(free)})
@@ -248,6 +199,7 @@ class StatsSampler:
                      "read_retries": fstats.read_retries,
                      "lost_pages": fstats.uncorrectable_reads},
                 )
+            tenants = controller.tenants
             if tenants is not None:
                 # One sample per tenant lane; single-tenant traces keep
                 # their track list unchanged (tenants is None).

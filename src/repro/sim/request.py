@@ -81,11 +81,6 @@ class IoRequest:
             raise ValueError(f"arrival_us must be >= 0, got {self.arrival_us}")
 
     @property
-    def lpns(self) -> range:
-        """The logical pages this request touches."""
-        return range(self.start_lpn, self.start_lpn + self.page_count)
-
-    @property
     def is_write(self) -> bool:
         return self.op is IoOp.WRITE
 

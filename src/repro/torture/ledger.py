@@ -48,7 +48,6 @@ class AckLedger:
         #: LPNs touched by requests that completed *with* an error
         #: status (partially applied; no durability promise either way)
         self.indeterminate: set = set()
-        self.acked_requests = 0
         # id(request) -> (request, kind, per-page generations); the
         # request object is pinned in the value so a recycled id() can
         # never alias a dead entry.
@@ -130,7 +129,6 @@ class AckLedger:
                     range(start, start + request.page_count)
                 )
             return
-        self.acked_requests += 1
         if kind == "write":
             acked = self.acked_write_np
             for lpn, gen in zip(range(start, start + request.page_count), gens):

@@ -100,12 +100,10 @@ def test_tbw_scales_inversely_with_wa():
 def test_lifetime_math():
     geom = SSDGeometry()  # 8 GB
     est = estimate_endurance(geom, 2.0, rated_cycles=3000)
-    daily = 8 * 1024 ** 3  # one full drive write per day
-    # raw budget ~ 8.24GB * 3000 / 2 => ~12360 days of 8GB/day (approx)
-    assert est.lifetime_days(daily) == pytest.approx(
-        est.total_bytes_writable / daily
+    # the host budget spread over five years, in drive writes per day
+    assert est.dwpd(5.0) == pytest.approx(
+        est.total_bytes_writable / (5 * 365 * est.capacity_bytes)
     )
-    assert est.lifetime_years(daily) == pytest.approx(est.lifetime_days(daily) / 365)
     assert est.dwpd(5.0) > 0
 
 
@@ -116,8 +114,6 @@ def test_endurance_validation():
     with pytest.raises(ValueError):
         estimate_endurance(geom, 1.0, rated_cycles=0)
     est = estimate_endurance(geom, 1.0)
-    with pytest.raises(ValueError):
-        est.lifetime_days(0)
     with pytest.raises(ValueError):
         est.dwpd(0)
 

@@ -150,14 +150,38 @@ def test_sweep_rejects_bad_input_before_any_cell_runs(monkeypatch, capsys, bad, 
     assert err.startswith("repro-sim sweep: ") and message in err
 
 
-def test_sweep_csv_output(tmp_path, capsys):
-    out_file = str(tmp_path / "sweep.csv")
-    main([
+def test_sweep_csv_output(monkeypatch, tmp_path, capsys):
+    """Results are written as JSON only; any other suffix is refused
+    before a cell runs."""
+    import repro.experiments.figures as figures
+
+    monkeypatch.setattr(figures, "run_cells",
+                        lambda *args, **kwargs: pytest.fail("a cell ran"))
+    out_file = tmp_path / "sweep.csv"
+    code = main([
         "sweep", "--figure", "9", "--scale", str(1 / 256),
-        "--requests", "200", "--traces", "financial2", "--out", out_file,
+        "--requests", "200", "--traces", "financial2", "--out", str(out_file),
     ])
-    header = open(out_file).readline()
-    assert "mean_response_ms" in header
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-sim sweep: ") and str(out_file) in err
+    assert err.count("\n") == 1
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("content", [
+    "ftl,trace,mean_response_ms\ndloop,financial1,1.5\n",  # the CSV sweep once wrote
+    json.dumps({"ftl": "dloop"}),  # JSON, but not a list of results
+], ids=["csv", "json-not-results"])
+def test_report_of_a_non_results_file_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "fig8.csv"
+    path.write_text(content)
+    code = main(["report", "--input", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro-sim report: {path}: not a results JSON file")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_with_config_file(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_verify_detects_corruption(small_geometry):
 
 
 def test_all_device_features_compose(small_geometry):
-    """Write buffer + background GC + telemetry in one device."""
+    """Write buffer + background GC + the stats sampler in one device."""
     import random
 
     from repro.sim.request import IoOp, IoRequest
@@ -109,7 +109,7 @@ def test_all_device_features_compose(small_geometry):
     ssd.verify()
     assert ssd.stats.count == 400
     assert ssd.write_buffer.stats.write_hits + ssd.write_buffer.stats.write_misses > 0
-    assert len(ssd.telemetry.times_us) > 0
+    assert len(ssd.run_stats.times_us) > 0
     assert ssd.background_gc.stats.ticks >= 0
 
 

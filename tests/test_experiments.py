@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.experiments.config import ExperimentConfig, GB, scaled_geometry
 from repro.experiments.runner import run_simulation, run_workload
 from repro.experiments.figures import A1, A2, F8, F9, F10

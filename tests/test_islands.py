@@ -6,7 +6,10 @@ executes it.  The scan asks that every non-dunder ``def``/``class`` in
 ``src/`` be named somewhere in ``src/``, ``benchmarks/``, ``examples/``
 or ``perfbench/`` -- as a name, an attribute, an import or a string
 constant (``getattr`` and the FTL registry look classes up by string).
-A package's re-export (its imports and ``__all__``) is not a consumer.
+A method (a ``def`` in a class body) is reached through an object, so
+only an attribute or a string names it: a local variable or an import
+that shares its name does not.  A package's re-export (its imports and
+``__all__``) is not a consumer.
 """
 
 import ast
@@ -38,6 +41,7 @@ KEEP = {
     "block_to_index_in_plane": "AddressCodec reference for the block layout the page paths inline",
     # the state a caller observes an FTL, a device or the bus through
     "is_mapped": "Ftl/GTD lookup a caller reads mapping state through",
+    "step": "Engine.step: the single-step seam the engine tests drive, whose loop Engine.run inlines",
     "mapped_lpns": "Ftl's logical view a caller compares FTLs through",
     "log_blocks_in_use": "hybrid FTLs' log-pool occupancy, bounded by the pool size",
     "retired_fraction": "bad-block manager's wear gauge (docs/robustness.md)",
@@ -45,20 +49,26 @@ KEEP = {
     "subscriber_count": "TraceBus state that shows a run unsubscribed what it attached",
     # the other half of a format src/ reads or writes
     "save_config": "writes the experiment-config JSON that `repro-sim simulate --config` loads",
-    "load_results_csv": "reads the results CSV that `repro-sim sweep --out` writes",
     "parse_disksim": "list form of iter_disksim, the twin of parse_spc",
-    "inc": "Counter/Gauge API of MetricsRegistry (docs/observability.md)",
-    "dec": "Gauge API of MetricsRegistry (docs/observability.md)",
 }
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _definitions():
+    """name -> [(where, is_method)] for every def/class in ``src/``."""
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, _DEFS):
                 found.setdefault(node.name, []).append(
-                    f"{path.relative_to(ROOT)}:{node.lineno}")
+                    (f"{path.relative_to(ROOT)}:{node.lineno}", id(node) in methods))
     return found
 
 
@@ -75,7 +85,8 @@ def _re_exports(tree, is_package):
 
 
 def _named():
-    names = set()
+    """(every name in any form, the names used as an attribute or a string)."""
+    names, reached = set(), set()
     for folder in CONSUMERS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -86,22 +97,32 @@ def _named():
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    reached.add(node.attr)
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+                    reached.add(node.value)
+    return names | reached, reached
+
+
+def _unconsumed(definitions, named):
+    """name -> the definitions of it that nothing outside the tests names."""
+    anywhere, reached = named
+    found = {}
+    for name, defs in definitions.items():
+        where = [w for w, is_method in defs
+                 if name not in (reached if is_method else anywhere)]
+        if where:
+            found[name] = where
+    return found
 
 
 def test_every_definition_in_src_has_a_consumer():
-    named = _named()
     islands = {
-        name: where for name, where in _definitions().items()
+        name: where for name, where in _unconsumed(_definitions(), _named()).items()
         if not (name.startswith("__") and name.endswith("__"))
         and not name.startswith(DISPATCH_PREFIXES)
         and name not in KEEP
-        and name not in named
     }
     assert islands == {}, f"defined in src/ but named only by tests: {islands}"
 
@@ -109,7 +130,6 @@ def test_every_definition_in_src_has_a_consumer():
 def test_every_kept_name_is_still_an_island():
     # A keep-list entry that gained a consumer, or whose code is gone,
     # no longer needs its reason.
-    named = _named()
-    defined = _definitions()
-    stale = sorted(name for name in KEEP if name not in defined or name in named)
+    unconsumed = _unconsumed(_definitions(), _named())
+    stale = sorted(name for name in KEEP if name not in unconsumed)
     assert stale == [], f"keep-list entries that are not islands: {stale}"

@@ -1,5 +1,5 @@
-"""Observability layer units: TraceBus, MetricsRegistry, Chrome export,
-FlashCounters dict/reset, and the snapshot sampler."""
+"""Observability layer units: TraceBus, Chrome export, FlashCounters
+dict/reset, and the snapshot sampler."""
 
 import io
 import json
@@ -12,7 +12,6 @@ from repro.obs.chrome_trace import (
     PID_PLANES,
     ChromeTraceWriter,
 )
-from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracebus import BUS, TraceBus, TraceEvent
 
 
@@ -297,53 +296,6 @@ def test_bus_built_events_are_ordinary_trace_events():
     assert events[0]._replace(name="program").name == "program"
     clone = pickle.loads(pickle.dumps(events[0]))
     assert clone == built and type(clone) is TraceEvent
-
-
-# ---- MetricsRegistry -------------------------------------------------------
-
-
-def test_counter_and_gauge():
-    reg = MetricsRegistry()
-    reg.counter("ops").inc()
-    reg.counter("ops").inc(4)
-    reg.gauge("depth").set(7)
-    reg.gauge("depth").dec(2)
-    snap = reg.snapshot()
-    assert snap["ops"] == 5
-    assert snap["depth"] == 5
-    with pytest.raises(ValueError):
-        reg.counter("ops").inc(-1)
-
-
-def test_instrument_type_collision_raises():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
-
-
-def test_histogram_buckets():
-    h = Histogram("lat", (10, 100, 1000))
-    for v in (5, 10, 11, 500, 5000):
-        h.observe(v)
-    assert h.count == 5
-    assert h.counts == [2, 1, 1, 1]  # <=10, <=100, <=1000, +inf
-    assert h.total == 5526
-
-
-def test_histogram_validation_and_registry_access():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.histogram("h")  # first request must supply buckets
-    with pytest.raises(ValueError):
-        Histogram("h", ())
-    with pytest.raises(ValueError):
-        Histogram("h", (3, 2, 1))
-    h = reg.histogram("h", (1, 2))
-    assert reg.histogram("h") is h  # get-or-create afterwards
-    summary = reg.snapshot()["h"]
-    assert summary["buckets"] == [1, 2]
-    assert summary["count"] == 0
 
 
 # ---- ChromeTraceWriter -----------------------------------------------------

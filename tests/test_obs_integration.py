@@ -183,14 +183,6 @@ def test_sampler_series_populated(traced_run):
     json.dumps(summary)
 
 
-def test_sampler_registry_reflects_final_state(traced_run):
-    ssd, _ = traced_run
-    snap = ssd.metrics.snapshot()
-    assert snap["queue_depth"]["count"] == ssd.run_stats.samples
-    assert snap["free_blocks_min"] == ssd.run_stats.min_free_blocks[-1]
-    assert snap["copyback_ratio"] == ssd.run_stats.copyback_ratio[-1]
-
-
 def test_cmt_instants_appear_for_dftl(small_geometry):
     """Demand-paged FTLs publish CMT hit/miss instants."""
     ssd = SimulatedSSD(small_geometry, ftl="dftl")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import figures
-from repro.flash.timing import TimingParams
 from repro.ftl.registry import available_ftls, create_ftl, dropped_kwargs, ftl_class
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"

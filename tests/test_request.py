@@ -7,12 +7,12 @@ from repro.sim.request import IoOp, IoRequest
 
 def test_lpns_covers_the_request():
     r = IoRequest(0.0, 10, 4, IoOp.READ)
-    assert list(r.lpns) == [10, 11, 12, 13]
+    assert list(range(r.start_lpn, r.start_lpn + r.page_count)) == [10, 11, 12, 13]
 
 
 def test_single_page_request():
     r = IoRequest(5.0, 0, 1, IoOp.WRITE)
-    assert list(r.lpns) == [0]
+    assert list(range(r.start_lpn, r.start_lpn + r.page_count)) == [0]
     assert r.is_write
 
 

@@ -1,4 +1,4 @@
-"""Result persistence: JSON/CSV round trips."""
+"""Result persistence: JSON round trips."""
 
 import io
 
@@ -7,11 +7,9 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, scaled_geometry
 from repro.experiments.results_io import (
-    load_results_csv,
     load_results_json,
     result_from_dict,
     result_to_dict,
-    save_results_csv,
     save_results_json,
 )
 from repro.experiments.runner import run_workload
@@ -67,23 +65,3 @@ def test_json_file_round_trip(sample_results, tmp_path):
     save_results_json(sample_results, path)
     loaded = load_results_json(path)
     assert loaded[1].trace == "io-test"
-
-
-def test_csv_round_trip(sample_results, tmp_path):
-    path = str(tmp_path / "results.csv")
-    save_results_csv(sample_results, path)
-    rows = load_results_csv(path)
-    assert len(rows) == 2
-    assert rows[0]["ftl"] == "dloop"
-    assert rows[0]["extra_capacity_gb"] == "2"
-    assert float(rows[0]["mean_response_ms"]) == pytest.approx(
-        sample_results[0].mean_response_ms
-    )
-
-
-def test_csv_stream(sample_results):
-    buffer = io.StringIO()
-    save_results_csv(sample_results, buffer)
-    buffer.seek(0)
-    rows = load_results_csv(buffer)
-    assert {r["ftl"] for r in rows} == {"dloop", "fast"}

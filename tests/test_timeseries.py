@@ -1,8 +1,9 @@
-"""Telemetry time-series sampling."""
+"""Run-statistics time-series sampling."""
 
 import pytest
 
 from repro.controller.device import SimulatedSSD
+from repro.metrics.ascii_chart import series_chart
 from repro.obs.sampler import StatsSampler
 from repro.sim.request import IoOp, IoRequest
 
@@ -11,19 +12,19 @@ def test_sampler_collects_on_grid(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=1000.0)
     requests = [IoRequest(float(i * 500), i % 50, 1, IoOp.WRITE) for i in range(50)]
     ssd.run(requests)
-    telemetry = ssd.telemetry
-    assert telemetry is not None
-    assert len(telemetry.times_us) >= 10
+    stats = ssd.run_stats
+    assert stats is not None
+    assert len(stats.times_us) >= 10
     # aligned series
-    lengths = {len(v) for v in telemetry.series().values()}
-    assert lengths == {len(telemetry.times_us)}
+    lengths = {len(v) for v in stats.series().values()}
+    assert lengths == {len(stats.times_us)}
 
 
 def test_series_track_activity(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=500.0)
     requests = [IoRequest(float(i * 250), i % 64, 1, IoOp.WRITE) for i in range(200)]
     ssd.run(requests)
-    t = ssd.telemetry
+    t = ssd.run_stats
     assert t.flash_programs[-1] >= 200
     assert max(t.total_free_blocks) >= min(t.total_free_blocks)
     assert t.flash_programs == sorted(t.flash_programs)  # cumulative
@@ -38,9 +39,9 @@ def test_sampler_does_not_spin_forever(small_geometry):
 def test_render_sparklines(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=1000.0)
     ssd.run([IoRequest(float(i * 400), i, 1, IoOp.WRITE) for i in range(30)])
-    text = ssd.telemetry.render("demo")
+    text = series_chart(ssd.run_stats.series(), title="demo")
     assert "demo" in text
-    assert "outstanding" in text
+    assert "queue_depth" in text
 
 
 def test_interval_validation(small_geometry):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.controller.device import SimulatedSSD
 from repro.flash.address import PageState
-from repro.ftl.registry import available_ftls, create_ftl
+from repro.ftl.registry import create_ftl
 from repro.sim.request import IoOp, IoRequest
 
 
