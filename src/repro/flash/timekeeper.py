@@ -18,6 +18,17 @@ channel-level parallelism of Section II.B:
   overlap completely.
 * ``inter_plane_copy`` — the traditional 4-step path of Fig. 2: read +
   transfer out + transfer in + program, occupying the channel twice.
+
+Busy time has one definition: a plane is busy from when its register or
+array is first held until it is released, and a channel while it carries
+a command or a transfer.  A read holds the plane from ``sense_start``, a
+copy-back from ``op_start`` and an erase from ``erase_start``; a program
+(and the program half of ``inter_plane_copy``) holds the register from
+its data-in transfer, but no earlier than the previous op released the
+plane, so ``max(xfer_start, previous plane_free)``.  Every op starts its
+hold at or after the plane's previous release, so a plane's
+``plane_busy_us`` is the length of the union of its hold intervals and
+never exceeds the makespan.
 """
 
 from __future__ import annotations
@@ -107,7 +118,7 @@ class FlashTimekeeper:
         counters.programs += 1
         counters.channel_busy_us[channel] += xfer_end - xfer_start
         counters.plane_ops[plane] += 1
-        counters.plane_busy_us[plane] += end - xfer_start
+        counters.plane_busy_us[plane] += end - (pf if pf > xfer_start else xfer_start)
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
             BUS.emit("flash", "program", prog_start, end - prog_start, ids,
@@ -129,7 +140,7 @@ class FlashTimekeeper:
         counters.erases += 1
         counters.channel_busy_us[channel] += cmd_end - cmd_start
         counters.plane_ops[plane] += 1
-        counters.plane_busy_us[plane] += end - cmd_start
+        counters.plane_busy_us[plane] += end - erase_start
         if BUS.enabled:
             ids = {"plane": plane, "channel": channel}
             BUS.emit("flash", "erase", erase_start, end - erase_start, ids,
@@ -200,7 +211,7 @@ class FlashTimekeeper:
         counters.programs += 1
         channel_busy_us[dst_channel] += in_end - in_start
         plane_ops[dst_plane] += 1
-        plane_busy_us[dst_plane] += end - in_start
+        plane_busy_us[dst_plane] += end - (pf if pf > in_start else in_start)
         if BUS.enabled:
             ids = {"plane": dst_plane, "channel": dst_channel}
             BUS.emit("flash", "program", prog_start, end - prog_start, ids,
