@@ -50,7 +50,7 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.rules import FileContext, Finding, Rule, scope_walk
+from repro.lint.rules import FileContext, Finding, Rule, scope_walk, scopes_of
 
 #: The mutually incompatible address domains.
 ADDRESS_DOMAINS = frozenset(
@@ -151,27 +151,10 @@ class DomainFlowRule(Rule):
         annotations = _parse_annotations(ctx.source)
         yield from self._check_annotations(ctx, annotations)
         functions, methods = self._collect_callables(ctx.tree)
-        for scope in self._scopes(ctx.tree):
+        for node, class_name in scopes_of(ctx.tree):
+            scope = _Scope(node, class_name)
             self._bind_scope(scope, annotations)
             yield from self._check_scope(ctx, scope, functions, methods)
-
-    # -- scope construction -------------------------------------------------
-
-    def _scopes(self, tree: ast.Module) -> List[_Scope]:
-        scopes = [_Scope(tree, None)]
-
-        def descend(node: ast.AST, class_name: Optional[str]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scopes.append(_Scope(child, class_name))
-                    descend(child, class_name)
-                elif isinstance(child, ast.ClassDef):
-                    descend(child, child.name)
-                else:
-                    descend(child, class_name)
-
-        descend(tree, None)
-        return scopes
 
     def _collect_callables(
         self, tree: ast.Module

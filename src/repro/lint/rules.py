@@ -119,6 +119,24 @@ def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def scopes_of(tree: ast.Module) -> List[Tuple[ast.AST, Optional[str]]]:
+    """The module and every function in it (the scopes :func:`scope_walk`
+    walks), each with the name of the class it is defined in, if any; a
+    function nested in a method keeps the method's class."""
+    scopes: List[Tuple[ast.AST, Optional[str]]] = [(tree, None)]
+
+    def descend(node: ast.AST, class_name: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((child, class_name))
+                descend(child, class_name)
+            else:
+                descend(child, child.name if isinstance(child, ast.ClassDef) else class_name)
+
+    descend(tree, None)
+    return scopes
+
+
 class Rule:
     """Base class for a lint rule with a stable code."""
 
@@ -376,11 +394,7 @@ class SetIterationRule(Rule):
     ORDER_SENSITIVE_CALLS = ("list", "tuple", "enumerate", "iter", "next")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        scopes: List[ast.AST] = [ctx.tree]
-        scopes.extend(
-            n for n in ast.walk(ctx.tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
+        for scope, _ in scopes_of(ctx.tree):
             yield from self._check_scope(ctx, scope)
 
     def _check_scope(self, ctx: FileContext, scope: ast.AST) -> Iterator[Finding]:

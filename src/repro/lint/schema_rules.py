@@ -37,7 +37,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import repro.obs.schema as schema
-from repro.lint.rules import FileContext, Finding, Rule, scope_walk
+from repro.lint.rules import FileContext, Finding, Rule, scope_walk, scopes_of
 
 #: Attribute names that mark a receiver as a TraceBus handle.
 _BUS_ATTRS = frozenset({"bus", "_bus"})
@@ -52,15 +52,6 @@ def _is_bus_receiver(node: ast.AST) -> bool:
     if isinstance(node, ast.Attribute):
         return node.attr in _BUS_ATTRS
     return False
-
-
-def _scopes(tree: ast.Module) -> List[ast.AST]:
-    scopes: List[ast.AST] = [tree]
-    scopes.extend(
-        n for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
-    return scopes
 
 
 def _string_assignments(scope: ast.AST) -> Dict[str, Set[str]]:
@@ -220,7 +211,7 @@ def _payload_keys(
 
 def _extract_emit_sites(ctx: FileContext) -> List[_EmitSite]:
     sites: List[_EmitSite] = []
-    for scope in _scopes(ctx.tree):
+    for scope, _ in scopes_of(ctx.tree):
         strings: Optional[Dict[str, Set[str]]] = None
         for node in scope_walk(scope):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -407,7 +398,7 @@ def _attr_kind(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
 
 def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_ConsumerScan]:
     scans: List[_ConsumerScan] = []
-    for scope in _scopes(ctx.tree):
+    for scope, _ in scopes_of(ctx.tree):
         scan = _ConsumerScan()
         # Locals aliased from event fields: ``category = event.category``
         # and args-derived mappings: ``args = event.args or {}``.
