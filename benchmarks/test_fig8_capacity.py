@@ -3,13 +3,16 @@
 Regenerates both panels of Fig. 8 (5 traces x {DLOOP, DFTL, FAST} x
 5 capacity points, scaled).  Shape checks: DLOOP wins on every trace at
 every capacity, and mean response time falls as capacity grows for the
-GC-bound write-heavy traces.
+GC-bound write-heavy traces.  The title claim is checked on the same
+cells: DLOOP overlaps a multi-page request's flash ops across planes
+more often than DFTL, and DFTL more often than FAST, at every point
+where the trace has multi-page requests.
 """
 
 from collections import defaultdict
 from dataclasses import replace
 
-from conftest import BENCH_REQUESTS, BENCH_SCALE, run_once
+from conftest import BENCH_REQUESTS, BENCH_SCALE, parallelism_rows, run_once, run_probed_grid
 
 from repro.experiments.figures import F8
 from repro.metrics.report import format_table
@@ -17,7 +20,8 @@ from repro.metrics.report import format_table
 
 def test_fig8_capacity_sweep(benchmark):
     grid = replace(F8, scale=BENCH_SCALE, num_requests=BENCH_REQUESTS)
-    table = grid.rows(run_once(benchmark, grid.run))
+    results = run_once(benchmark, run_probed_grid, grid)
+    table = grid.rows(results)
     print()
     print(format_table(table, title="Fig. 8 — mean response time (ms) and SDRPP vs SSD capacity (scaled 1/32)"))
 
@@ -55,3 +59,15 @@ def test_fig8_capacity_sweep(benchmark):
     print("average SDRPP:", {k: round(v, 3) for k, v in avg.items()})
     assert avg["dloop"] < avg["dftl"] - 0.5
     assert avg["dloop"] <= avg["fast"] + 0.75
+
+    # The title claim: request-scale plane parallelism, DLOOP > DFTL > FAST.
+    parallelism = parallelism_rows(grid, results)
+    print(format_table(parallelism, title="Fig. 8 — share of multi-page requests served by overlapping planes"))
+    exercised = [row for row in parallelism
+                 if any(row[ftl] is not None for ftl in grid.ftls)]
+    ordered = [row for row in exercised
+               if None not in (row["dloop"], row["dftl"], row["fast"])
+               and row["dloop"] > row["dftl"] > row["fast"]]
+    print(f"DLOOP > DFTL > FAST in {len(ordered)}/{len(exercised)} exercised (trace, capacity) cells")
+    assert len(exercised) >= 20
+    assert ordered == exercised

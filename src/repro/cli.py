@@ -9,7 +9,6 @@ The subcommands cover the library's workflows end to end::
     repro-sim simulate  --profile run.pstats ...                # + cProfile
     repro-sim tracegen  --workload tpcc --out trace.spc ...     # save a trace
     repro-sim sweep     --figure 8 --out fig8.json ...          # a paper grid
-    repro-sim conform   --ftls dloop dftl --json report.json    # contract conformance
     repro-sim torture   --budget 40 --json torture.json         # crash-point sweeps
     repro-sim report    --input results.json                    # tables/charts
     repro-sim lint      src                                     # determinism linter
@@ -436,8 +435,9 @@ def cmd_report(args) -> int:
 
     try:
         results = load_results_json(args.input)
-    except ResultsFormatError as exc:
-        print(f"repro-sim report: {args.input}: {exc}", file=sys.stderr)
+    except (ResultsFormatError, OSError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"repro-sim report: {args.input}: {reason}", file=sys.stderr)
         return 2
     table = [
         {"trace": r.trace, "ftl": r.ftl, "mean_ms": r.mean_response_ms,
@@ -465,44 +465,6 @@ def _print_not_applicable(expansion) -> None:
     note = expansion.not_applicable_note()
     if note:
         print(note)
-
-
-def cmd_conform(args) -> int:
-    from repro.conformance import (
-        ScenarioMatrix,
-        build_report,
-        render_report,
-        report_json,
-        run_matrix,
-    )
-
-    def parse_depth(value: str):
-        if value.lower() in ("none", "0", "unbounded"):
-            return None
-        depth = int(value)
-        if depth < 1:
-            raise SystemExit(f"--queue-depths entries must be >= 1 or 'none', got {value}")
-        return depth
-
-    matrix = ScenarioMatrix(
-        workloads=tuple(args.workloads),
-        ftls=tuple(args.ftls) if args.ftls else (),
-        capacities_mb=tuple(args.capacities_mb),
-        fault_plans=("none", "moderate") if args.faults else ("none",),
-        queue_depths=tuple(parse_depth(v) for v in args.queue_depths),
-        num_requests=args.requests,
-        base_seed=args.seed,
-    )
-    _print_not_applicable(matrix.expansion())
-    outcomes = run_matrix(matrix, processes=args.processes)
-    report = build_report(outcomes, matrix)
-    print(render_report(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report_json(report))
-            handle.write("\n")
-        print(f"\nreport saved to {args.json}")
-    return 0
 
 
 def cmd_torture(args) -> int:
@@ -664,42 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--trace", help="analyse a trace file instead of a synthetic workload")
     _add_workload_args(stats)
     stats.set_defaults(func=cmd_trace_stats)
-
-    conform = sub.add_parser(
-        "conform",
-        help="score FTLs against the unwritten SSD contract",
-        description="Expand a declarative scenario matrix (workload x FTL "
-                    "x geometry x fault plan x queue depth) into seeded runs "
-                    "with streaming contract probes attached, then print a "
-                    "ranked per-FTL conformance report. Rules: request-scale "
-                    "parallelism, locality, aligned sequentiality, grouping "
-                    "by death time. See docs/conformance.md.",
-    )
-    conform.add_argument("--workloads", nargs="*",
-                         choices=PAPER_TRACE_NAMES + EXTRA_TRACE_NAMES,
-                         default=["financial1", "tpcc", "build"])
-    conform.add_argument("--ftls", nargs="*", choices=available_ftls(),
-                         default=None, help="FTLs to score (default: all)")
-    conform.add_argument("--capacities-mb", nargs="*", type=int, default=[16],
-                         help="geometry axis: data-sheet capacities (MB)")
-    conform.add_argument("--queue-depths", nargs="*", default=["none"],
-                         help="admission-window axis: integers or 'none' "
-                              "(unbounded)")
-    conform.add_argument("--faults", action="store_true",
-                         help="add the moderate fault plan to the fault axis "
-                              "(skipped for FTLs without error-path support)")
-    conform.add_argument("--requests", type=int, default=4000,
-                         help="requests per scenario (the default is sized "
-                              "so steady-state GC runs at 16 MB)")
-    conform.add_argument("--seed", type=int, default=0xC0F0,
-                         help="matrix base seed (per-scenario seeds derive "
-                              "from it deterministically)")
-    conform.add_argument("--processes", type=int, default=None,
-                         help="worker processes (default: one per scenario, "
-                              "capped at CPU count)")
-    conform.add_argument("--json", metavar="OUT.json",
-                         help="save the full report as canonical JSON")
-    conform.set_defaults(func=cmd_conform)
 
     torture = sub.add_parser(
         "torture",

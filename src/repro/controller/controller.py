@@ -267,7 +267,7 @@ class Controller:
             # Bracket the synchronous dispatch below: every flash event
             # emitted between io_begin and io_dispatch belongs to this
             # request's service (the simulator is single-threaded), which
-            # is what gives conformance probes a per-request window.
+            # is what gives the parallelism probe a per-request window.
             BUS.emit(
                 "host", "io_begin", now, 0.0,
                 {"lpn": request.start_lpn, "pages": request.page_count,

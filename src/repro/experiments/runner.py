@@ -10,6 +10,7 @@ from repro.controller.device import SimulatedSSD
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.sdrpp import sdrpp
 from repro.metrics.wear import WearStats, wear_stats
+from repro.obs.tracebus import BUS
 from repro.traces.model import TraceRequest, WorkloadSpec
 from repro.traces.stream import io_requests, stream_workload
 
@@ -92,10 +93,10 @@ def run_simulation(
     ``crash_at_us`` power-fails the device at that simulated time,
     recovers it, then replays the rest of the trace on the recovered
     device (``result.extras['crash']``);
-    ``probes`` is a sequence of
-    :class:`repro.conformance.rules.ContractProbe` instances attached
-    for the measured run (after preconditioning, like the trace writer)
-    — their scored verdicts land in ``result.extras['conformance']``.
+    ``probes`` is a sequence of TraceBus subscribers (such as
+    :class:`repro.obs.parallelism.ParallelismProbe`) subscribed for the
+    measured run only (after preconditioning, like the trace writer);
+    the caller reads them after the run.
 
     The trace is consumed lazily: page-aligned by
     :func:`repro.traces.stream.io_requests` and admitted through
@@ -153,10 +154,10 @@ def run_simulation(
         # Arrivals now in the past are admitted at the recovery clock.
         return ssd.run_stream(rest, queue_depth=queue_depth)
 
-    # Attach probes after preconditioning (same reasoning as the trace
-    # writer below: score the measured run, not the bulk fill).
+    # Subscribe probes after preconditioning (same reasoning as the
+    # trace writer below: score the measured run, not the bulk fill).
     for probe in probes or ():
-        probe.attach()
+        BUS.subscribe(probe)
     try:
         if trace_path is not None:
             from repro.obs.chrome_trace import ChromeTraceWriter
@@ -169,11 +170,9 @@ def run_simulation(
             end = _drive()
     finally:
         for probe in probes or ():
-            probe.detach()
+            BUS.unsubscribe(probe)
         if tenant_fleet is not None:
             tenant_fleet.router.detach(ssd.controller)
-    if probes:
-        extras["conformance"] = {p.rule: p.result().as_dict() for p in probes}
     if tenant_fleet is not None:
         from repro.tenancy.stats import jain_index
 
@@ -257,38 +256,11 @@ def run_workload(
     config: ExperimentConfig,
     *,
     queue_depth: Optional[int] = None,
-    faults=None,
-    conformance: bool = False,
     probes: Optional[Sequence] = None,
-    tenants: int = 0,
 ) -> SimulationResult:
-    """Generate a synthetic workload and run it, in bounded memory.
-
-    ``conformance=True`` attaches the standard four contract probes
-    (:func:`repro.conformance.rules.default_probes`) for the measured
-    run; pass ``probes`` to supply a custom set instead.
-    ``tenants=N`` splits the device between N equal-weight tenants all
-    running ``spec``'s persona, merged through the tenancy layer's DRR
-    scheduler (per-tenant digests land in ``result.extras['tenants']``).
-    """
-    if conformance and probes is None:
-        from repro.conformance.rules import default_probes
-
-        probes = default_probes(config.geometry)
-    trace, trace_name, tenancy = stream_workload(spec), spec.name, None
-    if tenants:
-        from repro.tenancy.synthesizer import TenantSpec, TrafficModel
-
-        tenancy = TrafficModel(
-            tenants=tuple(
-                TenantSpec(name=f"t{i}", persona=spec.name)
-                for i in range(tenants)
-            ),
-            total_requests=spec.num_requests,
-            base_seed=spec.seed,
-        )
-        trace, trace_name = iter(()), f"{spec.name}:t{tenants}"
+    """Generate a synthetic workload and run it, in bounded memory
+    (``queue_depth`` and ``probes`` as for :func:`run_simulation`)."""
     return run_simulation(
-        trace, config, trace_name=trace_name, queue_depth=queue_depth,
-        faults=faults, probes=probes, tenancy=tenancy,
+        stream_workload(spec), config, trace_name=spec.name,
+        queue_depth=queue_depth, probes=probes,
     )

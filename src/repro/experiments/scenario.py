@@ -1,15 +1,13 @@
 """One scenario type, one expansion, one tiny geometry.
 
-The conformance matrix (:class:`repro.conformance.ScenarioMatrix`) and
-the torture campaign (:class:`repro.torture.CampaignConfig`) are axis
-declarations over the same grid: FTL × workload × geometry × fault plan
-× queue depth × tenants, plus the write-buffer option.
-Each declares its axes in its own order and formats its own ids;
-:func:`expand` turns them into frozen :class:`Scenario` cells, and
-:func:`repro.experiments.parallel.run_cells` runs those.
-
-The paper grids (:mod:`repro.experiments.figures`) declare their axes
-over the same type, pinning each cell's seed to its persona's.
+The torture campaign (:class:`repro.torture.CampaignConfig`) and the
+paper grids (:mod:`repro.experiments.figures`) are axis declarations
+over one grid: FTL × workload × geometry × fault plan × queue depth,
+plus the write-buffer option and FTL overrides.  Each declares its axes
+in its own order and formats its own ids; :func:`expand` turns them
+into frozen :class:`Scenario` cells, and
+:func:`repro.experiments.parallel.run_cells` runs those.  The paper
+grids pin each cell's seed to its persona's.
 
 Expansion is deterministic: the product iterates in declared axis
 order, and unless ``fields`` pins it, every scenario's seed is folded
@@ -69,13 +67,9 @@ class Scenario:
     precondition_fill: float
     fault_plan: str = "none"
     queue_depth: Optional[int] = None
-    #: equal-weight tenants sharing the device (0 = tenancy off)
-    tenants: int = 0
     write_buffer_pages: Optional[int] = None
-    #: the capacity axis value the geometry was sized from (reports only)
-    capacity_mb: Optional[int] = None
     #: FTL constructor overrides as ``(name, value)`` pairs; they win
-    #: over the config's own knobs (reports leave them out)
+    #: over the config's own knobs
     ftl_kwargs: Tuple[Tuple[str, object], ...] = ()
 
     def workload_spec(self) -> WorkloadSpec:
@@ -136,21 +130,6 @@ class Scenario:
         ssd.ftl.array.enable_oob_generations()
         ssd.precondition(self.precondition_fill)
         return ssd
-
-    def as_dict(self) -> dict:
-        summary = {
-            "id": self.scenario_id,
-            "workload": self.workload,
-            "ftl": self.ftl,
-            "capacity_mb": self.capacity_mb,
-            "fault_plan": self.fault_plan,
-            "queue_depth": self.queue_depth,
-            "num_requests": self.num_requests,
-            "seed": self.seed,
-        }
-        if self.tenants:
-            summary["tenants"] = self.tenants
-        return summary
 
 
 _FIELDS = frozenset(field.name for field in dataclasses.fields(Scenario))

@@ -18,7 +18,7 @@ Three things hang off this table:
   asserts every declared event is actually observed (modulo
   :data:`ALLOW_UNOBSERVED`);
 * the exported ``CAT_*`` / ``EV_*`` constants are what consumers
-  (``conformance/rules.py``) import instead of bare literals, so probe
+  (``obs/parallelism.py``) import instead of bare literals, so probe
   and emitter can no longer drift apart.
 
 Adding a new emit site therefore means adding one :class:`EventSchema`
@@ -334,7 +334,7 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
         CAT_GC, EV_VICTIM_SELECTED,
         {"plane": "plane", "victim": "pbn", "valid": "count",
          "invalid": "count", "emergency": "flag"},
-        modules=_BASE_FAST,
+        modules=_BASE_FAST, export_only=True,
         description="GC victim chosen with its live/dead page counts",
     ),
     EventSchema(
@@ -383,12 +383,12 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
     # ---- cmt -------------------------------------------------------------
     EventSchema(
         CAT_CMT, EV_CMT_HIT,
-        {"lpn": "lpn"}, modules=("repro.ftl.translation",),
+        {"lpn": "lpn"}, modules=("repro.ftl.translation",), export_only=True,
         description="cached mapping table hit",
     ),
     EventSchema(
         CAT_CMT, EV_CMT_MISS,
-        {"lpn": "lpn"}, modules=("repro.ftl.translation",),
+        {"lpn": "lpn"}, modules=("repro.ftl.translation",), export_only=True,
         description="cached mapping table miss (translation page fetch)",
     ),
     EventSchema(
@@ -581,9 +581,9 @@ CATEGORIES: FrozenSet[str] = frozenset(s.category for s in _SCHEMAS)
 #: the DL203 "declared but never consumed" note only fires when all of
 #: them were part of the lint run.
 CONSUMER_MODULES: Tuple[str, ...] = (
-    "repro.conformance.rules",
     "repro.lint.sanitizer",
     "repro.obs.chrome_trace",
+    "repro.obs.parallelism",
     "repro.obs.sampler",
     "repro.torture.arm",
 )

@@ -1,6 +1,6 @@
 """Seed derivation and integer hashing shared by every seeded subsystem.
 
-Fault plans, conformance scenarios, torture cells and tenant streams
+Fault plans, grid scenarios, torture cells and tenant streams
 all derive their randomness from explicit integer hashes — no wall
 clock, no stateful RNG, no dependence on Python's ``hash()`` — so the
 same seed replays the same decisions on any machine (lint rules DL101

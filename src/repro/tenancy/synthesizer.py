@@ -9,7 +9,7 @@ deterministic diurnal warp modulates per-tenant arrival rates so
 bursts from different tenants collide the way peak-hour traffic does.
 
 Every random choice folds out of one base seed (FNV-1a over the tenant
-name, finalized with splitmix64 — the conformance matrix's idiom), so
+name, finalized with splitmix64 — :func:`repro.seeding.fold_seed`), so
 adding a tenant never perturbs another tenant's stream, and the same
 spec replays byte-identically.
 """

@@ -13,7 +13,7 @@ Entry points:
   (``repro-sim torture`` on the command line); its
   :class:`~repro.torture.campaign.CampaignConfig` declares the axes,
   which expand into :class:`repro.experiments.scenario.Scenario` cells
-  exactly as the conformance matrix's do;
+  exactly as the paper grids' do;
 * :class:`repro.torture.arm.TortureArm` — arms one crash point on the
   TraceBus and raises :class:`repro.torture.arm.TortureCrash` when it
   fires;

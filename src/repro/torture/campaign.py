@@ -3,7 +3,7 @@
 One campaign is a grid of cells — FTL × workload × fault plan, plus
 the campaign-wide write-buffer and queue-depth options — each one a
 :class:`~repro.experiments.scenario.Scenario` on the tiny geometry,
-expanded and run by the same code as the conformance matrix.  Per cell:
+expanded by the same code as the paper grids.  Per cell:
 
 1. **Discovery** — replay the cell's trace once with a counting-only
    :class:`~repro.torture.arm.TortureArm` attached; the per-kind event

@@ -184,6 +184,19 @@ def test_report_of_a_non_results_file_is_a_usage_error(tmp_path, capsys, content
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_report_of_an_unreadable_file_is_a_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "fig8.json"
+    if kind == "directory":
+        path.mkdir()
+    code = main(["report", "--input", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro-sim report: {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_simulate_with_config_file(tmp_path, capsys):
     import json
 

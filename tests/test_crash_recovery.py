@@ -19,7 +19,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.conformance.rules import ContractProbe, RuleResult
 from repro.controller.device import SimulatedSSD
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_simulation
@@ -157,21 +156,15 @@ def test_crash_then_power_cycle_round_trip(small_geometry):
 # ---- crash replays through the runner --------------------------------------
 
 
-class _CompletedArrivals(ContractProbe):
+class _CompletedArrivals:
     """Records the arrival time of every completed host request."""
 
-    rule = "completed-arrivals"
-
     def __init__(self) -> None:
-        super().__init__()
         self.arrivals = []
 
     def __call__(self, event) -> None:
         if event.category == "host" and event.name in ("read", "write", "trim"):
             self.arrivals.append(event.ts_us)
-
-    def result(self) -> RuleResult:
-        return RuleResult(self.rule, None, True, "")
 
 
 @pytest.mark.parametrize("queue_depth", (None, 8))

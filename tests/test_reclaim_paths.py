@@ -368,7 +368,7 @@ def test_merge_event_stream(cell_id, armed):
 
 
 def test_emergency_moves_are_traced_and_counted():
-    # Every relocated page is a gc/migrate event (what conformance probes
+    # Every relocated page is a gc/migrate event (what the Chrome trace
     # and the torture arm's gc_step crash points see), and every batched
     # translation update GC paid for is in GcStats — emergency passes
     # included.

@@ -2,9 +2,8 @@
 
 ``tests/fixtures/replay_sweep_fingerprints.json`` (section
 ``scenario_reports``) holds the sha256 and length of the canonical JSON
-of four conformance and torture reports, recorded before the
-conformance matrix and the torture campaign shared one scenario type,
-and of the nine paper-grid drivers' cells (Figs. 8-10 and ablations
+of two torture reports, recorded before the torture campaign shared one
+scenario type with the paper grids, and of the nine paper-grid drivers' cells (Figs. 8-10 and ablations
 A1-A4, A6, A9 on financial1 at 1/256 scale), recorded before the
 figures became scenario expansions.  Each report here is regenerated
 and must match.  One more entry, ``torture-exhaustive`` (the six-FTL,
@@ -21,12 +20,11 @@ import os
 
 import pytest
 
-from repro.conformance import ScenarioMatrix, build_report, report_json, run_matrix
 from repro.experiments import figures
 from repro.experiments.scenario import Scenario, expand, tiny_geometry
 from repro.ftl.base import Ftl
 from repro.obs.tracebus import BUS
-from repro.seeding import fold_seed
+from repro.seeding import fold_seed, splitmix64
 from repro.torture import CampaignConfig, TortureCampaign
 from repro.traces.synthetic import PAPER_TRACE_NAMES, make_workload
 
@@ -39,10 +37,6 @@ FIXTURE = os.path.join(
 def clean_global_bus():
     yield
     BUS.clear()
-
-
-def _conform(matrix: ScenarioMatrix) -> str:
-    return report_json(build_report(run_matrix(matrix, processes=1), matrix))
 
 
 def _torture(config: CampaignConfig) -> str:
@@ -80,18 +74,6 @@ def _grid(name: str) -> str:
 
 #: name -> canonical report text
 REPORTS = {
-    # CI's conformance matrix
-    "conform-ci": lambda: _conform(ScenarioMatrix(
-        workloads=("financial1",), ftls=("dloop", "dftl", "fast"),
-        num_requests=800, capacities_mb=(8,),
-    )),
-    # every optional axis: the fault skip rule, the queue-depth id and
-    # the ``|tN`` tenant suffix
-    "conform-axes": lambda: _conform(ScenarioMatrix(
-        workloads=("financial1",), ftls=("dloop", "bast"),
-        fault_plans=("none", "moderate"), queue_depths=(None, 8),
-        tenant_counts=(0, 2), num_requests=300, capacities_mb=(8,),
-    )),
     # CI's sampled campaign (``repro-sim torture --requests 16 --budget
     # 50 --seed 53504``)
     "torture-sampled": lambda: _torture(CampaignConfig(
@@ -125,16 +107,7 @@ def test_scenario_report_bytes(name):
 # ---- one expansion ---------------------------------------------------------
 
 
-def test_both_families_expand_to_scenarios_with_id_folded_seeds():
-    matrix = ScenarioMatrix(workloads=("financial1",), ftls=("dloop", "fast"),
-                            queue_depths=(None, 8), tenant_counts=(0, 2))
-    conform = matrix.expand()
-    assert [s.scenario_id for s in conform[:4]] == [
-        "financial1|dloop|16mb|qd0|none",
-        "financial1|dloop|16mb|qd0|none|t2",
-        "financial1|dloop|16mb|qd8|none",
-        "financial1|dloop|16mb|qd8|none|t2",
-    ]
+def test_torture_cells_are_scenarios_with_id_folded_seeds():
     torture = TortureCampaign(CampaignConfig(
         ftls=("dftl", "dloop"), workloads=("build", "tpcc"),
     )).cells()
@@ -142,15 +115,21 @@ def test_both_families_expand_to_scenarios_with_id_folded_seeds():
         "torture|dftl|build|none", "torture|dftl|tpcc|none",
         "torture|dloop|build|none", "torture|dloop|tpcc|none",
     ]
-    for scenarios, base_seed in ((conform, matrix.base_seed), (torture, 0xD100)):
-        for s in scenarios:
-            assert isinstance(s, Scenario)
-            assert s.seed == fold_seed(base_seed, s.scenario_id)
-            assert s.ftl_kwargs == ()
+    for s in torture:
+        assert isinstance(s, Scenario)
+        assert s.seed == fold_seed(0xD100, s.scenario_id)
+        assert s.ftl_kwargs == ()
     # the seeds recorded reports replay
-    assert [s.seed for s in conform[:2] + torture[:2]] == [
-        1963726842, 1934462090, 1187358127, 239559356]
+    assert [s.seed for s in torture[:2]] == [1187358127, 239559356]
     assert all(s.geometry == tiny_geometry() for s in torture)
+
+
+def test_splitmix64_is_fixed_function():
+    # Known-answer check: every folded seed, and so every recorded
+    # report, depends on the mix never drifting.
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
+    assert splitmix64(1) != splitmix64(2)
+    assert 0 <= splitmix64(2**64 - 1) < 2**64
 
 
 def test_fields_can_pin_the_seed_and_read_axes_that_are_not_fields():
@@ -171,11 +150,14 @@ def test_fields_can_pin_the_seed_and_read_axes_that_are_not_fields():
     assert folded[0].seed == fold_seed(5, "x")
 
 
+def _expand_one(ftl: str, workload: str):
+    return expand((("ftl", (ftl,)), ("workload", (workload,)), ("fault_plan", ("none",))),
+                  base_seed=0, scenario_id=str, fields=dict)
+
+
 @pytest.mark.parametrize("expand, match", [
-    (lambda: ScenarioMatrix(workloads=("nope",), ftls=("dloop",)).expand(),
-     "unknown workload"),
-    (lambda: ScenarioMatrix(workloads=("financial1",), ftls=("nosuch",)).expand(),
-     "unknown FTL"),
+    (lambda: _expand_one("dloop", "nope"), "unknown workload"),
+    (lambda: _expand_one("nosuch", "financial1"), "unknown FTL"),
     (lambda: TortureCampaign(CampaignConfig(ftls=("nosuch",))).cells(),
      "unknown FTL"),
     (lambda: TortureCampaign(CampaignConfig(workloads=("nope",))).cells(),
@@ -196,18 +178,6 @@ def test_torture_run_rejects_a_bad_ftl_before_replaying(monkeypatch):
     with pytest.raises(ValueError, match="unknown FTL"):
         campaign.run()
     assert replayed == []
-
-
-def test_run_matrix_rejects_a_bad_ftl_before_running(monkeypatch):
-    import repro.conformance.runner as runner
-
-    dispatched = []
-    monkeypatch.setattr(runner, "run_cells",
-                        lambda items, *args, **kwargs: dispatched.append(items) or [])
-    matrix = ScenarioMatrix(workloads=("financial1",), ftls=("dloop", "nosuch"))
-    with pytest.raises(ValueError, match="unknown FTL"):
-        run_matrix(matrix, processes=2)
-    assert dispatched == []
 
 
 # ---- applicability: decided once, from the registry, and reported -----------
@@ -237,7 +207,7 @@ def test_fault_applicability_reads_the_registry_not_an_instance(monkeypatch):
 
 
 def test_not_applicable_counts_cells_and_names_each_ftl_once():
-    expansion = ScenarioMatrix(
+    expansion = CampaignConfig(
         workloads=("financial1", "tpcc"), ftls=("bast", "dloop"),
         fault_plans=("none", "moderate"),
     ).expansion()
@@ -246,7 +216,7 @@ def test_not_applicable_counts_cells_and_names_each_ftl_once():
         "2 cells not applicable: fault plan 'moderate' on bast "
         "(no modelled error paths)"
     )
-    assert ScenarioMatrix().expansion().not_applicable_note() is None
+    assert CampaignConfig().expansion().not_applicable_note() is None
 
 
 def test_cli_torture_names_the_cells_left_out(capsys):
@@ -259,19 +229,6 @@ def test_cli_torture_names_the_cells_left_out(capsys):
     assert ("1 cell not applicable: fault plan 'moderate' on pagemap "
             "(no modelled error paths)") in out
     assert "torture|dloop|build|moderate" in out
-
-
-def test_cli_conform_names_the_cells_left_out(capsys):
-    from repro.cli import main
-
-    rc = main(["conform", "--workloads", "financial1", "--ftls", "dloop", "bast",
-               "--faults", "--requests", "100", "--capacities-mb", "8",
-               "--processes", "1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert ("1 cell not applicable: fault plan 'moderate' on bast "
-            "(no modelled error paths)") in out
-    assert "Contract conformance by FTL (3 scenarios)" in out
 
 
 # ---- the paper grids ---------------------------------------------------------
@@ -295,4 +252,3 @@ def test_grid_ftl_kwargs_reach_the_built_ftl():
     assert [s.ftl_kwargs for s in scenarios] == [
         (("use_copyback", True),), (("use_copyback", False),)]
     assert [s.build_ssd().ftl.use_copyback for s in scenarios] == [True, False]
-    assert "ftl_kwargs" not in scenarios[1].as_dict()

@@ -183,7 +183,7 @@ def write_consumer_tree(root, consume_flash_read):
     for module in schema.CONSUMER_MODULES:
         path = root.joinpath(*module.split(".")).with_suffix(".py")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(body if module.endswith("rules") else filler)
+        path.write_text(body if module.endswith("parallelism") else filler)
         files.append(str(path))
     return files
 
@@ -193,9 +193,9 @@ class TestUnconsumedNotes:
         files = write_consumer_tree(tmp_path, consume_flash_read=True)
         result = run_lint(files)
         noted = {n.message for n in result.notes if n.code == "DL203"}
-        # flash/read is consumed by the stub; cmt/hit is not.
+        # flash/read is consumed by the stub; flash/program is not.
         assert not any("flash/read " in m for m in noted)
-        assert any("cmt/hit" in m for m in noted)
+        assert any("flash/program " in m for m in noted)
         # Notes are informational: they never affect the exit code.
         assert result.exit_code == 0
 

@@ -501,18 +501,21 @@ def test_namespace_shares_carve_the_lpn_space():
     assert big.num_lpns == pytest.approx(3 * small.num_lpns, rel=0.01)
 
 
-# ---- experiments / conformance integration ----------------------------------
+# ---- experiments integration -------------------------------------------------
 
 
-def test_run_workload_tenants_extras():
+def test_run_simulation_tenants_extras():
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import run_workload
-    from repro.traces.synthetic import make_workload
+    from repro.experiments.runner import run_simulation
 
-    spec = make_workload("financial1", num_requests=600, seed=11)
+    model = TrafficModel(
+        tenants=tuple(TenantSpec(name=f"t{i}", persona="financial1") for i in range(3)),
+        total_requests=600,
+        base_seed=11,
+    )
     config = ExperimentConfig(geometry=GEOMETRY, ftl="dloop",
                               precondition_fill=0.5)
-    result = run_workload(spec, config, queue_depth=8, tenants=3)
+    result = run_simulation(iter(()), config, queue_depth=8, tenancy=model)
     extras = result.extras["tenants"]
     assert len(extras["summaries"]) == 3
     assert len(extras["completed_page_shares"]) == 3
@@ -532,40 +535,3 @@ def test_tenancy_requires_stream_and_rejects_crash():
     assert len(result.extras["tenants"]["summaries"]) == len(model.tenants)
     with pytest.raises(ValueError, match="crash_at_us"):
         run_simulation(iter(()), config, tenancy=model, crash_at_us=1000.0)
-
-
-def test_scenario_id_gains_tenant_axis_only_when_set():
-    from repro.conformance.matrix import ScenarioMatrix
-
-    base = ScenarioMatrix(workloads=("financial1",), ftls=("dloop",),
-                          num_requests=100, capacities_mb=(8,))
-    plain = base.expand()
-    assert all("|t" not in s.scenario_id for s in plain)
-    assert all(s.tenants == 0 for s in plain)
-    assert all("tenants" not in s.as_dict() for s in plain)
-
-    tenanted = ScenarioMatrix(workloads=("financial1",), ftls=("dloop",),
-                              num_requests=100, capacities_mb=(8,),
-                              tenant_counts=(0, 2)).expand()
-    assert len(tenanted) == 2 * len(plain)
-    # Pre-tenancy ids (and therefore per-scenario seeds) are unchanged.
-    assert [s.scenario_id for s in tenanted if s.tenants == 0] == [
-        s.scenario_id for s in plain
-    ]
-    assert all(s.scenario_id.endswith("|t2")
-               for s in tenanted if s.tenants == 2)
-
-
-def test_run_matrix_scores_a_tenanted_scenario():
-    from repro.conformance.matrix import ScenarioMatrix
-    from repro.conformance.runner import run_matrix
-
-    matrix = ScenarioMatrix(workloads=("financial1",), ftls=("dloop",),
-                            num_requests=400, capacities_mb=(8,),
-                            tenant_counts=(2,))
-    outcomes = run_matrix(matrix, processes=1)
-    assert len(outcomes) == 1
-    metrics = outcomes[0].metrics
-    assert metrics["tenants"] == 2
-    assert 0.0 < metrics["tenant_fairness_jain"] <= 1.0
-    assert outcomes[0].rules, "conformance probes did not score"
