@@ -115,7 +115,48 @@ class _MaybeProfile:
             print(f"profile saved to {self.path} (read with `python -m pstats {self.path}`)")
 
 
+#: ``simulate``'s numeric flags, by the range each must lie in
+#: (``--fault-seed`` is absent: any integer seeds the fault plan's hash).
+_SIMULATE_RANGES = (
+    ("> 0", lambda v: v > 0,
+     ("stats_interval_ms", "crash_at_ms", "capacity_mb", "page_kb", "footprint_mb")),
+    (">= 0", lambda v: v >= 0, ("iodepth", "extra_pct", "seed")),
+    (">= 1", lambda v: v >= 1, ("cmt_entries", "queue_depth", "channels", "requests")),
+    (">= 2", lambda v: v >= 2, ("gc_threshold",)),
+    ("in [0, 1]", lambda v: 0 <= v <= 1,
+     ("precondition", "fault_program_rate", "fault_erase_rate", "fault_read_rate",
+      "fault_uncorrectable_rate")),
+)
+
+
+def _simulate_usage_error(args) -> Optional[str]:
+    """The first bad number among ``simulate``'s flags, as one line that
+    names the flag and its range, or None; nothing is built before it."""
+    for bound, within, dests in _SIMULATE_RANGES:
+        for dest in dests:
+            value = getattr(args, dest)
+            if value is not None and not within(value):
+                return f"--{dest.replace('_', '-')} must be {bound}, got {value:g}"
+    if args.tenants is not None:
+        from repro.tenancy import parse_tenants_spec
+
+        try:
+            parse_tenants_spec(args.tenants, args.workload)
+        except ValueError as exc:  # "--tenants count must be >= 1" and the like
+            return str(exc)
+    if not args.config:
+        try:
+            _build_geometry(args)
+        except ValueError as exc:  # fewer than one block per plane
+            return f"--capacity-mb {args.capacity_mb:g}: {exc}"
+    return None
+
+
 def cmd_simulate(args) -> int:
+    problem = _simulate_usage_error(args)
+    if problem is not None:
+        print(f"repro-sim simulate: {problem}", file=sys.stderr)
+        return 2
     # Both arrive from the replayed file, up front or mid-run.
     try:
         return _simulate(args)
@@ -159,16 +200,12 @@ def _simulate(args) -> int:
             gc_threshold=args.gc_threshold,
             precondition_fill=args.precondition if args.precondition > 0 else None,
         )
-    if args.stats_interval_ms is not None and args.stats_interval_ms <= 0:
-        raise SystemExit("--stats-interval-ms must be > 0")
     stats_interval_us = (
         args.stats_interval_ms * 1000.0
         if args.stats_interval_ms is not None
         else None
     )
     faults = _build_fault_config(args)
-    if args.crash_at_ms is not None and args.crash_at_ms <= 0:
-        raise SystemExit("--crash-at-ms must be > 0")
     crash_at_us = args.crash_at_ms * 1000.0 if args.crash_at_ms is not None else None
     if args.iodepth:
         # closed-loop mode has its own admission model
@@ -569,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cmt-entries", type=int, default=4096)
     sim.add_argument("--gc-threshold", type=int, default=3)
     sim.add_argument("--precondition", type=float, default=0.75,
-                     help="pre-fill fraction (0 disables)")
+                     help="pre-fill fraction in [0, 1] (0 disables)")
     sim.add_argument("--json", help="save the result to a JSON file")
     sim.add_argument("--config", help="load geometry/FTL settings from a JSON config file")
     sim.add_argument("--iodepth", type=int, default=0,

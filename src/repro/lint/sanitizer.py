@@ -41,10 +41,12 @@ subscribes to the PR-1 :data:`~repro.obs.tracebus.BUS` and checks:
   sharing an endpoint are legal; a ``flash/timeline_reset`` (emitted
   after preconditioning) drops accumulated history.
 
-Each event kind has one handler method; :meth:`SimSanitizer.trace_route`
-picks it, once per kind, for the TraceBus (which then calls the handler
-directly) and for ``sanitizer(event)`` alike.  The per-event rules run
-on flat Python buffers, the sweeps on numpy views of the same memory.
+Events arrive as their fields through :meth:`SimSanitizer.trace_emit`,
+which the TraceBus calls directly — it *is* ``BUS.emit`` while the
+sanitizer is the only subscriber — and ``sanitizer(event)`` unpacks
+into.  It is one comparison chain that checks the frequent kinds inline
+and hands the rare ones to a method each.  The per-event rules run on
+flat Python buffers, the sweeps on numpy views of the same memory.
 
 Violations raise :class:`SanitizerError` immediately (fail fast) with
 the rule name and a diagnostic snapshot of the relevant state.  The
@@ -77,7 +79,7 @@ from repro.ftl.coherence import (
     translation_tvpn,
 )
 from repro.obs import schema
-from repro.obs.tracebus import BUS, Subscriber, TraceBus, TraceEvent
+from repro.obs.tracebus import BUS, TraceBus, TraceEvent
 
 #: ``flash`` events whose span occupies a plane for its full duration.
 _PLANE_SPAN_EVENTS = frozenset(
@@ -151,7 +153,7 @@ class SimSanitizer:
         # device may already be preconditioned) and advanced only by
         # bus events afterwards — an independent re-derivation, so a
         # bookkeeping bug in FlashArray itself is caught too.  Flat
-        # Python buffers for the per-event handlers' scalar touches,
+        # Python buffers for the per-event checks' scalar touches,
         # with zero-copy numpy views (``_shadow_*``) for the sweeps —
         # FlashArray's ``page_state`` / ``page_state_np`` idiom.
         array = ftl.array
@@ -164,8 +166,6 @@ class SimSanitizer:
         self._shadow_free = np.frombuffer(self._in_pool, dtype=np.bool_)
         self._shadow_erased = np.frombuffer(self._erased, dtype=np.bool_)
         self._shadow_synced = True
-        # Event kind -> bound handler, for direct calls (see __call__).
-        self._handlers: Dict[Tuple[str, str], Subscriber] = {}
         # Event-order tracking.
         self._last_engine_ts = -np.inf
         self._last_engine_seq = -1
@@ -230,92 +230,154 @@ class SimSanitizer:
 
     # ---- event dispatch --------------------------------------------------
 
-    def trace_route(self, category: str, name: str) -> Subscriber:
-        """The bound handler for events of kind ``(category, name)``.
+    def trace_emit(
+        self,
+        category: str,
+        name: str,
+        ts_us: float,
+        duration_us: float = 0.0,
+        args: Optional[dict] = None,
+        track: Optional[str] = None,
+        ph: str = "X",
+    ) -> None:
+        """Check one event, given as its fields (the TraceBus protocol).
 
-        The TraceBus asks once per kind and then calls the handler
-        directly (:meth:`__call__` does the same for a direct call), so
-        this comparison chain is paid per kind, not per event.  Every
-        handler counts its event first: a kind nothing is checked on
-        still routes to :meth:`_count`.
+        While the sanitizer is the bus's only subscriber this *is*
+        ``BUS.emit``, so the frequent kinds — array programs and
+        invalidates, flash spans, engine dispatches and every kind only
+        counted — are checked inline, in that one frame; the rare ones
+        have a method each.  Every event is counted first.
         """
+        self.events_checked += 1
         if category == "array":
             if name == "program":
-                return self._on_program
-            if name == "invalidate":
-                return self._on_invalidate
-            if name == "skip":
-                return self._on_skip
-            if name == "erase":
-                return self._on_erase
-            if name == "alloc_block":
-                return self._on_alloc_block
-            if name == "release_block":
-                return self._on_release_block
-            if name == "bulk_fill":
-                return self._on_bulk_fill
-            if name == "mark_bad":
-                return self._on_mark_bad
-            if name == "retire_block":
-                return self._on_retire_block
+                ppn = int(args["ppn"])
+                ppb = self._pages_per_block
+                block = ppn // ppb
+                offset = ppn - block * ppb
+                if self._in_pool[block]:
+                    self._fail(
+                        "program-free-block",
+                        f"program of ppn {ppn} into block {block} which is in the free pool",
+                        {"block": block},
+                    )
+                if offset < self._write_ptr[block]:
+                    self._fail(
+                        "program-order",
+                        f"out-of-order program: offset {offset} of block {block} behind "
+                        f"write pointer {self._write_ptr[block]}",
+                        {"block": block},
+                    )
+                if self._page_state[ppn] != _FREE:
+                    self._fail(
+                        "reprogram",
+                        f"program of ppn {ppn} which was not erased since its last "
+                        f"program (state {self._page_state[ppn]})",
+                        {"block": block},
+                    )
+                self._page_state[ppn] = _VALID
+                self._write_ptr[block] = offset + 1
+                self._erased[block] = False
+            elif name == "invalidate":
+                ppn = int(args["ppn"])
+                if self._page_state[ppn] != _VALID:
+                    self._fail(
+                        "invalidate-state",
+                        f"invalidate of ppn {ppn} in state {self._page_state[ppn]} "
+                        "(must be VALID)",
+                        {"block": ppn // self._pages_per_block},
+                    )
+                self._page_state[ppn] = _INVALID
+            elif name == "skip":
+                self._on_skip(args)
+            elif name == "erase":
+                self._on_erase(args)
+            elif name == "alloc_block":
+                self._on_alloc_block(args)
+            elif name == "release_block":
+                self._on_release_block(args)
+            elif name == "bulk_fill":
+                self._on_bulk_fill(args)
+            elif name == "mark_bad":
+                self._on_mark_bad(args)
+            elif name == "retire_block":
+                self._on_retire_block(args)
         elif category == "flash":
+            # Plane/channel occupancy: busy intervals must never overlap.
+            # Strict <: spans sharing an endpoint are legal back-to-back
+            # scheduling (the timekeeper starts ops at exactly the moment
+            # the resource frees), so no epsilon is needed.
             if name in _PLANE_SPAN_EVENTS:
-                return self._on_plane_span
-            if name in _CHANNEL_SPAN_EVENTS:
-                return self._on_channel_span
-            if name == schema.EV_TIMELINE_RESET:
-                return self._on_timeline_reset
+                resource, index, busy = "plane", (args or {}).get("plane"), self._plane_busy
+            elif name in _CHANNEL_SPAN_EVENTS:
+                resource, index, busy = "channel", (args or {}).get("channel"), self._channel_busy
+            else:
+                if name == schema.EV_TIMELINE_RESET:
+                    self._on_timeline_reset()
+                return
+            if index is None:
+                return
+            self.spans_checked += 1
+            prev = busy.get(index)
+            if prev is not None and ts_us < prev[1]:
+                self._fail_occupancy(resource, index, prev, name, ts_us, duration_us)
+            busy[index] = (ts_us, ts_us + duration_us, name)
         elif category == "gc":
             if name == "migrate":
-                return self._on_migrate
-            if name == "gc_pass":
-                return self._on_gc_pass
+                self._on_migrate(ts_us, args)
+            elif name == "gc_pass":
+                self._on_gc_pass()
         elif category == "engine":
-            return self._on_engine
-        return self._count
+            # Engine dispatch order must be (time, seq)-monotonic.
+            seq = (args or {}).get("seq")
+            if ts_us < self._last_engine_ts:
+                self._fail(
+                    "event-order",
+                    f"engine time ran backwards: {ts_us} after {self._last_engine_ts}",
+                    {"event": name},
+                )
+            if seq is not None:
+                # Exact equality is intended: "same timestamp" is the case
+                # under test, not a tolerance comparison.
+                if ts_us == self._last_engine_ts and seq <= self._last_engine_seq:  # dl: disable=DL104
+                    self._fail(
+                        "event-order",
+                        f"same-timestamp events fired out of scheduling order at "
+                        f"t={ts_us}: seq {seq} after {self._last_engine_seq}",
+                        {"event": name},
+                    )
+                self._last_engine_seq = int(seq)
+            self._last_engine_ts = ts_us
 
     def __call__(self, event: TraceEvent) -> None:
-        kind = (event.category, event.name)
-        try:
-            handler = self._handlers[kind]
-        except KeyError:
-            handler = self._handlers[kind] = self.trace_route(*kind)
-        handler(event)
+        self.trace_emit(*event)
 
     def _fail(self, rule: str, message: str, snapshot: Optional[dict] = None) -> None:
         self.violations += 1
         raise SanitizerError(rule, message, snapshot)
 
-    # ---- per-kind handlers -----------------------------------------------
+    # ---- the rare kinds --------------------------------------------------
 
-    def _count(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-
-    def _on_gc_pass(self, event: TraceEvent) -> None:
-        self.events_checked += 1
+    def _on_gc_pass(self) -> None:
         # Looked up per event: callers may rebind check_now on the instance.
         self.check_now()
 
-    def _plane_of_ppn(self, ppn: int) -> int:
-        return ppn // self._pages_per_plane
-
-    def _on_migrate(self, event: TraceEvent) -> None:
+    def _on_migrate(self, ts_us: float, args: Optional[dict]) -> None:
         """Copy-back migrations must stay on-plane with matching parity."""
-        self.events_checked += 1
-        args = event.args or {}
+        args = args or {}
         if args.get("mode") != "copyback":
             return
         self.migrations_checked += 1
         src = int(args["from_ppn"])
         dst = int(args["to_ppn"])
-        src_plane = self._plane_of_ppn(src)
-        dst_plane = self._plane_of_ppn(dst)
+        src_plane = src // self._pages_per_plane
+        dst_plane = dst // self._pages_per_plane
         if src_plane != dst_plane:
             self._fail(
                 "copyback-plane",
                 f"copy-back moved ppn {src} (plane {src_plane}) to ppn {dst} "
                 f"(plane {dst_plane}); DLOOP GC must stay intra-plane",
-                {"event": args, "ts_us": event.ts_us},
+                {"event": args, "ts_us": ts_us},
             )
         if (src % self._pages_per_block) & 1 != (dst % self._pages_per_block) & 1:
             self._fail(
@@ -324,125 +386,39 @@ class SimSanitizer:
                 f"{src % self._pages_per_block}) -> ppn {dst} (offset "
                 f"{dst % self._pages_per_block}); source and destination page "
                 "offsets must share parity (Fig. 5)",
-                {"event": args, "ts_us": event.ts_us},
+                {"event": args, "ts_us": ts_us},
             )
 
-    # Plane/channel occupancy: busy intervals must never overlap.  Strict
-    # <: spans sharing an endpoint are legal back-to-back scheduling (the
-    # timekeeper starts ops at exactly the moment the resource frees), so
-    # no epsilon is needed.
-
-    def _on_plane_span(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        plane = (event.args or {}).get("plane")
-        if plane is None:
-            return
-        self.spans_checked += 1
-        start = event.ts_us
-        busy = self._plane_busy
-        prev = busy.get(plane)
-        if prev is not None and start < prev[1]:
-            self._fail_occupancy("plane", plane, prev, event)
-        busy[plane] = (start, start + event.duration_us, event.name)
-
-    def _on_channel_span(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        channel = (event.args or {}).get("channel")
-        if channel is None:
-            return
-        self.spans_checked += 1
-        start = event.ts_us
-        busy = self._channel_busy
-        prev = busy.get(channel)
-        if prev is not None and start < prev[1]:
-            self._fail_occupancy("channel", channel, prev, event)
-        busy[channel] = (start, start + event.duration_us, event.name)
-
     def _fail_occupancy(
-        self, resource: str, index: int, prev: Tuple[float, float, str], event: TraceEvent
+        self, resource: str, index: int, prev: Tuple[float, float, str],
+        name: str, start: float, duration_us: float,
     ) -> None:
         index = int(index)
-        start = event.ts_us
         self._fail(
             f"{resource}-occupancy",
-            f"{event.name} on {resource} {index} starts at {start} us, "
+            f"{name} on {resource} {index} starts at {start} us, "
             f"inside the busy interval [{prev[0]}, {prev[1]}) us of "
             f"{prev[2]}; two operations cannot occupy one {resource} "
             "simultaneously",
             {
                 resource: index,
                 "busy": [prev[0], prev[1], prev[2]],
-                "span": [start, start + event.duration_us, event.name],
+                "span": [start, start + duration_us, name],
             },
         )
 
-    def _on_timeline_reset(self, event: TraceEvent) -> None:
+    def _on_timeline_reset(self) -> None:
         # Timelines were zeroed (post-preconditioning); pre-reset busy
         # history must not count against future spans.
-        self.events_checked += 1
         self._plane_busy.clear()
         self._channel_busy.clear()
 
-    def _on_engine(self, event: TraceEvent) -> None:
-        """Engine dispatch order must be (time, seq)-monotonic."""
-        self.events_checked += 1
-        ts = event.ts_us
-        seq = (event.args or {}).get("seq")
-        if ts < self._last_engine_ts:
-            self._fail(
-                "event-order",
-                f"engine time ran backwards: {ts} after {self._last_engine_ts}",
-                {"event": event.name},
-            )
-        if seq is not None:
-            # Exact equality is intended: "same timestamp" is the case
-            # under test, not a tolerance comparison.
-            if ts == self._last_engine_ts and seq <= self._last_engine_seq:  # dl: disable=DL104
-                self._fail(
-                    "event-order",
-                    f"same-timestamp events fired out of scheduling order at "
-                    f"t={ts}: seq {seq} after {self._last_engine_seq}",
-                    {"event": event.name},
-                )
-            self._last_engine_seq = int(seq)
-        self._last_engine_ts = ts
+    # The ``array`` methods advance the shadow NAND model and police
+    # block lifecycles, on the scalar buffers (as the inline program and
+    # invalidate checks do).
 
-    # The ``array`` handlers advance the shadow NAND model and police
-    # block lifecycles, on the scalar buffers.
-
-    def _on_program(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        ppn = int(event.args["ppn"])
-        ppb = self._pages_per_block
-        block = ppn // ppb
-        offset = ppn - block * ppb
-        if self._in_pool[block]:
-            self._fail(
-                "program-free-block",
-                f"program of ppn {ppn} into block {block} which is in the free pool",
-                {"block": block},
-            )
-        if offset < self._write_ptr[block]:
-            self._fail(
-                "program-order",
-                f"out-of-order program: offset {offset} of block {block} behind "
-                f"write pointer {self._write_ptr[block]}",
-                {"block": block},
-            )
-        if self._page_state[ppn] != _FREE:
-            self._fail(
-                "reprogram",
-                f"program of ppn {ppn} which was not erased since its last "
-                f"program (state {self._page_state[ppn]})",
-                {"block": block},
-            )
-        self._page_state[ppn] = _VALID
-        self._write_ptr[block] = offset + 1
-        self._erased[block] = False
-
-    def _on_skip(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        ppn = int(event.args["ppn"])
+    def _on_skip(self, args: dict) -> None:
+        ppn = int(args["ppn"])
         block, offset = divmod(ppn, self._pages_per_block)
         if self._page_state[ppn] != _FREE or offset < self._write_ptr[block]:
             self._fail(
@@ -454,21 +430,8 @@ class SimSanitizer:
         self._write_ptr[block] = offset + 1
         self._erased[block] = False
 
-    def _on_invalidate(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        ppn = int(event.args["ppn"])
-        if self._page_state[ppn] != _VALID:
-            self._fail(
-                "invalidate-state",
-                f"invalidate of ppn {ppn} in state {self._page_state[ppn]} "
-                "(must be VALID)",
-                {"block": ppn // self._pages_per_block},
-            )
-        self._page_state[ppn] = _INVALID
-
-    def _on_erase(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        block = int(event.args["block"])
+    def _on_erase(self, args: dict) -> None:
+        block = int(args["block"])
         if self._in_pool[block]:
             self._fail(
                 "double-erase",
@@ -493,11 +456,10 @@ class SimSanitizer:
         self._write_ptr[block] = 0
         self._erased[block] = True
 
-    def _on_bulk_fill(self, event: TraceEvent) -> None:
+    def _on_bulk_fill(self, args: dict) -> None:
         """Vectorised preconditioning fill (equivalent to ``count`` programs)."""
-        self.events_checked += 1
-        block = int(event.args["block"])
-        count = int(event.args["count"])
+        block = int(args["block"])
+        count = int(args["count"])
         if self._in_pool[block]:
             self._fail(
                 "program-free-block",
@@ -516,9 +478,8 @@ class SimSanitizer:
         self._write_ptr[block] = count
         self._erased[block] = False
 
-    def _on_alloc_block(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        block = int(event.args["block"])
+    def _on_alloc_block(self, args: dict) -> None:
+        block = int(args["block"])
         if not self._in_pool[block]:
             self._fail(
                 "alloc-in-use",
@@ -527,15 +488,13 @@ class SimSanitizer:
             )
         self._in_pool[block] = False
 
-    def _on_mark_bad(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        self._in_pool[int(event.args["block"])] = False
+    def _on_mark_bad(self, args: dict) -> None:
+        self._in_pool[int(args["block"])] = False
 
-    def _on_retire_block(self, event: TraceEvent) -> None:
+    def _on_retire_block(self, args: dict) -> None:
         """Runtime retirement: an in-use block leaves circulation with
         its pages un-erased; all live data must have been relocated."""
-        self.events_checked += 1
-        block = int(event.args["block"])
+        block = int(args["block"])
         if self._in_pool[block]:
             self._fail(
                 "retire-free-block",
@@ -553,9 +512,8 @@ class SimSanitizer:
             )
         # The block stays out of the free pool forever; nothing else to do.
 
-    def _on_release_block(self, event: TraceEvent) -> None:
-        self.events_checked += 1
-        block = int(event.args["block"])
+    def _on_release_block(self, args: dict) -> None:
+        block = int(args["block"])
         if self._write_ptr[block] != 0:
             self._fail(
                 "release-unerased",
@@ -563,7 +521,7 @@ class SimSanitizer:
                 f"{self._write_ptr[block]} (must be erased first)",
                 {"block": block},
             )
-        if not event.args.get("retired", False):
+        if not args.get("retired", False):
             self._in_pool[block] = True
 
     # ---- coherence sweeps ------------------------------------------------

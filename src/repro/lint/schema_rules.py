@@ -25,8 +25,9 @@ exactly what the wildcard registry entry expresses for ``engine``.
 Consumer matches are comparisons/membership tests against
 ``event.category`` / ``event.name`` attributes (or locals bound from
 them, or the ``category`` / ``name`` parameters of a method named
-``trace_route`` — the TraceBus routing protocol), and payload-key
-lookups on ``event.args``-derived mappings.
+``trace_emit`` — the TraceBus field protocol), and payload-key lookups
+on ``event.args``-derived mappings (or the ``args`` parameter of any
+method of a class that defines ``trace_emit``).
 String constants may be spelled as literals or as ``CAT_*``/``EV_*``
 names imported from :mod:`repro.obs.schema`.
 """
@@ -398,21 +399,26 @@ def _attr_kind(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
 
 def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_ConsumerScan]:
     scans: List[_ConsumerScan] = []
-    for scope, _ in scopes_of(ctx.tree):
+    scopes = scopes_of(ctx.tree)
+    # Classes that take events as fields (``trace_emit``, the TraceBus
+    # protocol): their methods receive the payload as an ``args`` parameter.
+    field_classes = {
+        cls for scope, cls in scopes
+        if cls is not None and getattr(scope, "name", None) == "trace_emit"
+    }
+    for scope, cls in scopes:
         scan = _ConsumerScan()
         # Locals aliased from event fields: ``category = event.category``
         # and args-derived mappings: ``args = event.args or {}``.
         field_aliases: Dict[str, str] = {}
         args_names: Set[str] = set()
-        if isinstance(scope, ast.FunctionDef) and scope.name == "trace_route":
-            # The TraceBus routing protocol: ``trace_route(category,
-            # name)`` receives the identity fields of the event kind it
-            # picks a handler for, so its comparisons are consumer matches.
-            field_aliases.update(
-                (arg.arg, arg.arg)
-                for arg in scope.args.args
-                if arg.arg in ("category", "name")
-            )
+        if cls in field_classes and isinstance(scope, ast.FunctionDef):
+            params = {arg.arg for arg in scope.args.args}
+            args_names.update(params & {"args"})
+            if scope.name == "trace_emit":
+                # ``trace_emit(category, name, ...)`` receives the event's
+                # identity fields, so its comparisons are consumer matches.
+                field_aliases.update((p, p) for p in params & {"category", "name"})
         for node in scope_walk(scope):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
@@ -424,7 +430,7 @@ def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_Cons
                         and _is_event_receiver(value.value)
                     ):
                         field_aliases[target.id] = value.attr
-                    elif _is_args_expr(value):
+                    elif _is_args_expr(value, args_names):
                         args_names.add(target.id)
         for node in scope_walk(scope):
             if isinstance(node, ast.Compare):
@@ -438,8 +444,10 @@ def _scan_consumers(ctx: FileContext, resolver: _ConstantResolver) -> List[_Cons
     return scans
 
 
-def _is_args_expr(node: ast.AST) -> bool:
-    """``event.args`` or ``event.args or {}``."""
+def _is_args_expr(node: ast.AST, args_names: Set[str]) -> bool:
+    """``event.args``, a name bound to a payload, or either ``or {}``."""
+    if isinstance(node, ast.Name):
+        return node.id in args_names
     if (
         isinstance(node, ast.Attribute)
         and node.attr == "args"
@@ -447,7 +455,7 @@ def _is_args_expr(node: ast.AST) -> bool:
     ):
         return True
     if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
-        return any(_is_args_expr(value) for value in node.values)
+        return any(_is_args_expr(value, args_names) for value in node.values)
     return False
 
 
@@ -485,12 +493,7 @@ def _scan_args_get(node: ast.Call, scan: _ConsumerScan, args_names: Set[str]) ->
     func = node.func
     if not (isinstance(func, ast.Attribute) and func.attr == "get" and node.args):
         return
-    receiver = func.value
-    if not (
-        _is_args_expr(receiver)
-        or (isinstance(receiver, ast.Name) and receiver.id in args_names)
-        or (isinstance(receiver, ast.BoolOp) and _is_args_expr(receiver))
-    ):
+    if not _is_args_expr(func.value, args_names):
         return
     key = node.args[0]
     if isinstance(key, ast.Constant) and isinstance(key.value, str):
@@ -498,11 +501,7 @@ def _scan_args_get(node: ast.Call, scan: _ConsumerScan, args_names: Set[str]) ->
 
 
 def _scan_args_subscript(node: ast.Subscript, scan: _ConsumerScan, args_names: Set[str]) -> None:
-    receiver = node.value
-    if not (
-        _is_args_expr(receiver)
-        or (isinstance(receiver, ast.Name) and receiver.id in args_names)
-    ):
+    if not _is_args_expr(node.value, args_names):
         return
     key = node.slice
     if isinstance(key, ast.Constant) and isinstance(key.value, str):

@@ -29,23 +29,26 @@ False`` by hand pauses delivery without tearing subscribers down
 still deliver — sites are required to guard).
 
 Events are plain tuples (a :class:`TraceEvent` NamedTuple), created only
-when the bus is enabled.  Timestamps are *simulated* microseconds, so a
-recorded trace replays the device timeline, not wall clock.
+when a subscriber without ``trace_emit`` listens.  Timestamps are
+*simulated* microseconds, so a recorded trace replays the device
+timeline, not wall clock.
 
-Delivery is routed per event *kind* — ``(category, name)``.  A
+Delivery has one rule.  With no subscribers ``emit`` is a no-op.  A
 subscriber is any callable taking the event; one that also defines
-``trace_route(category, name)`` is asked once per kind which callable
-handles that kind, and the bus calls that handler directly from then on
-(:class:`repro.lint.sanitizer.SimSanitizer` answers with one bound
-method per kind, so an event costs it one frame instead of a dispatch
-chain).  ``trace_route`` always returns a callable: a subscriber sees
-every event of every kind, routed or not.
+``trace_emit(category, name, ts_us, duration_us=0.0, args=None,
+track=None, ph="X")`` takes the event's fields instead.  When such a
+subscriber is the only one, ``emit`` *is* its bound ``trace_emit``, so
+an emit site calls it directly and no event object is built
+(:class:`repro.lint.sanitizer.SimSanitizer` checks an event in that one
+frame); otherwise every subscriber is called in subscription order,
+``trace_emit`` with the fields and the rest with one shared
+:class:`TraceEvent`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 
 class TraceEvent(NamedTuple):
@@ -78,50 +81,47 @@ class TraceBus:
 
     Subscribers are invoked in subscription order, on the emitting
     call stack (the simulator is single-threaded and deterministic, so
-    ordering is reproducible); for every event kind that order holds
-    across subscribers that route (``trace_route``) and ones that do
-    not.  A subscriber that raises stops delivery of that event to the
-    later ones.  A subscription change — ``subscribe``, ``unsubscribe``
-    or ``clear``, from inside a subscriber or not — takes effect at the
+    ordering is reproducible); that order holds across subscribers that
+    take fields (``trace_emit``) and ones that take events.  A
+    subscriber that raises stops delivery of that event to the later
+    ones.  A subscription change — ``subscribe``, ``unsubscribe`` or
+    ``clear``, from inside a subscriber or not — takes effect at the
     next ``emit``: the event being delivered still reaches exactly the
     subscribers registered when its ``emit`` began.  Subscribers must
     not mutate simulation state: tracing on vs. off must leave results
     bit-identical.
     """
 
-    __slots__ = ("enabled", "_subscribers", "_routes", "emit")
+    __slots__ = ("enabled", "_subscribers", "_targets", "emit")
 
     def __init__(self) -> None:
         self.enabled: bool = False
         self._subscribers: List[Subscriber] = []
-        # category -> name -> the callables an event of that kind is
-        # delivered to, in subscription order; filled on first use and
-        # dropped whole on every subscription change.
-        self._routes: Dict[str, Dict[str, Tuple[Subscriber, ...]]] = {}
-        # ``emit`` is an instance attribute swapped between the live
-        # implementation and a no-op stub: with zero subscribers a call
-        # costs one no-op invocation instead of building a TraceEvent
-        # nobody reads.  Hot paths still guard with ``if bus.enabled``;
-        # the stub covers unguarded callers for free.
-        self.emit = self._emit_noop
+        # (callable, takes fields) per subscriber, in subscription order:
+        # what a fan-out emit delivers to, rebuilt on every change.
+        self._targets: Tuple[Tuple[Callable[..., Any], bool], ...] = ()
+        # ``emit`` is an instance attribute bound to the delivery rule
+        # for the subscribers now (see :meth:`_rebind`): with none, a
+        # call costs one no-op invocation instead of building a
+        # TraceEvent nobody reads.  Hot paths still guard with ``if
+        # bus.enabled``; the stub covers unguarded callers for free.
+        self.emit: Callable[..., None] = self._emit_noop
 
     # ---- subscription ----------------------------------------------------
 
     def subscribe(self, fn: Subscriber) -> Subscriber:
         """Register ``fn`` and enable the bus.  Returns ``fn``."""
         self._subscribers.append(fn)
-        self._routes = {}
         self.enabled = True
-        self.emit = self._emit_live
+        self._rebind()
         return fn
 
     def unsubscribe(self, fn: Subscriber) -> None:
         """Remove ``fn``; the bus disables itself when none remain."""
         self._subscribers.remove(fn)
-        self._routes = {}
         if not self._subscribers:
             self.enabled = False
-            self.emit = self._emit_noop
+        self._rebind()
 
     @property
     def subscriber_count(self) -> int:
@@ -130,9 +130,24 @@ class TraceBus:
     def clear(self) -> None:
         """Drop every subscriber and disable the bus (test teardown)."""
         self._subscribers.clear()
-        self._routes = {}
         self.enabled = False
-        self.emit = self._emit_noop
+        self._rebind()
+
+    def _rebind(self) -> None:
+        """Point ``emit`` at the delivery rule: the no-op for no
+        subscribers, a sole subscriber's ``trace_emit`` itself, and
+        :meth:`_emit_live` for everything else."""
+        targets = []
+        for fn in self._subscribers:
+            fields = getattr(fn, "trace_emit", None)
+            targets.append((fn, False) if fields is None else (fields, True))
+        self._targets = tuple(targets)
+        if not targets:
+            self.emit = self._emit_noop
+        elif len(targets) == 1 and targets[0][1]:
+            self.emit = targets[0][0]
+        else:
+            self.emit = self._emit_live
 
     # ---- emission --------------------------------------------------------
 
@@ -155,22 +170,11 @@ class TraceBus:
         event = _new_event(
             TraceEvent, (category, name, ts_us, duration_us, args, track, ph)
         )
-        try:
-            targets = self._routes[category][name]
-        except KeyError:
-            targets = self._route(category, name)
-        for target in targets:
-            target(event)
-
-    def _route(self, category: str, name: str) -> Tuple[Subscriber, ...]:
-        """Resolve, and remember, who handles events of one kind."""
-        resolved = []
-        for fn in self._subscribers:
-            route = getattr(fn, "trace_route", None)
-            resolved.append(fn if route is None else route(category, name))
-        targets = tuple(resolved)
-        self._routes.setdefault(category, {})[name] = targets
-        return targets
+        for target, fields in self._targets:
+            if fields:
+                target(*event)
+            else:
+                target(event)
 
     def _emit_noop(
         self,

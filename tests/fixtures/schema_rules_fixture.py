@@ -37,14 +37,11 @@ def clean_consumer(event):
     return None
 
 
-class RoutedConsumer:
-    def trace_route(self, category, name):
-        if category == "flash" and name == "raed":  # DL202: the parameters are the event's identity
-            return self.on_read
-        return self.on_any
-
-    def on_read(self, event):
-        return (event.args or {}).get("plane")
-
-    def on_any(self, event):
+class FieldConsumer:
+    def trace_emit(self, category, name, ts_us, duration_us=0.0, args=None, track=None, ph="X"):
+        if category == "flash" and name == "raed":  # DL202: the parameters are the event's fields
+            return self._on_read(args)
         return None
+
+    def _on_read(self, args):
+        return args.get("plane")

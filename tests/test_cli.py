@@ -150,6 +150,47 @@ def test_sweep_rejects_bad_input_before_any_cell_runs(monkeypatch, capsys, bad, 
     assert err.startswith("repro-sim sweep: ") and message in err
 
 
+_BAD_NUMBERS = [
+    ("--stats-interval-ms", "0", "--stats-interval-ms must be > 0, got 0"),
+    ("--cmt-entries", "0", "--cmt-entries must be >= 1, got 0"),
+    ("--gc-threshold", "1", "--gc-threshold must be >= 2, got 1"),
+    ("--precondition", "1.5", "--precondition must be in [0, 1], got 1.5"),
+    ("--precondition", "-0.5", "--precondition must be in [0, 1], got -0.5"),
+    ("--iodepth", "-1", "--iodepth must be >= 0, got -1"),
+    ("--queue-depth", "0", "--queue-depth must be >= 1, got 0"),
+    ("--tenants", "0", "--tenants count must be >= 1"),
+    ("--fault-program-rate", "2", "--fault-program-rate must be in [0, 1], got 2"),
+    ("--fault-erase-rate", "-0.1", "--fault-erase-rate must be in [0, 1], got -0.1"),
+    ("--fault-read-rate", "1.5", "--fault-read-rate must be in [0, 1], got 1.5"),
+    ("--fault-uncorrectable-rate", "2", "--fault-uncorrectable-rate must be in [0, 1], got 2"),
+    ("--crash-at-ms", "-1", "--crash-at-ms must be > 0, got -1"),
+    ("--capacity-mb", "-32", "--capacity-mb must be > 0, got -32"),
+    ("--capacity-mb", "0.01", "--capacity-mb 0.01: capacity 10485 too small"),
+    ("--page-kb", "0", "--page-kb must be > 0, got 0"),
+    ("--extra-pct", "-1", "--extra-pct must be >= 0, got -1"),
+    ("--channels", "0", "--channels must be >= 1, got 0"),
+    ("--requests", "0", "--requests must be >= 1, got 0"),
+    ("--footprint-mb", "-1", "--footprint-mb must be > 0, got -1"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", _BAD_NUMBERS,
+                         ids=[f"{flag}={value}" for flag, value, _ in _BAD_NUMBERS])
+def test_simulate_rejects_a_bad_number_in_one_line(monkeypatch, capsys, flag, value, message):
+    """Every numeric flag is checked before anything is built: one
+    stderr line that names the flag and its range, exit 2."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "make_workload", lambda *a, **k: pytest.fail("a trace was built"))
+    code = main(["simulate", "--capacity-mb", "16", "--requests", "50", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro-sim simulate: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_csv_output(monkeypatch, tmp_path, capsys):
     """Results are written as JSON only; any other suffix is refused
     before a cell runs."""

@@ -108,59 +108,73 @@ def test_counter_helper_emits_phase_c():
     assert events[0].args == {"outstanding": 3}
 
 
-# ---- TraceBus: kind-routed delivery ------------------------------------------
+# ---- TraceBus: one delivery rule -----------------------------------------------
 
 
-class Routed:
-    """A subscriber that routes: one handler per category, plus a log of
-    every kind it was asked about."""
+class Fields:
+    """A subscriber that takes fields (``trace_emit``): logs ``(label,
+    category, name)`` per event, then calls ``then`` if given."""
 
-    def __init__(self, label, log):
+    def __init__(self, label, log, then=None):
         self.label = label
         self.log = log
-        self.asked = []
+        self.then = then
 
-    def trace_route(self, category, name):
-        self.asked.append((category, name))
-        return self.on_flash if category == "flash" else self.on_other
+    def trace_emit(self, category, name, ts_us, duration_us=0.0, args=None, track=None, ph="X"):
+        self.log.append((self.label, category, name))
+        if self.then is not None:
+            self.then()
 
     def __call__(self, event):
-        raise AssertionError("a routing subscriber is called through its handlers")
-
-    def on_flash(self, event):
-        self.log.append((self.label, "flash", event.name))
-
-    def on_other(self, event):
-        self.log.append((self.label, "other", event.name))
+        raise AssertionError("a trace_emit subscriber is given fields, not events")
 
 
-def test_trace_route_is_asked_once_per_kind_until_subscriptions_change():
+def test_sole_trace_emit_subscriber_is_the_emit():
     bus = TraceBus()
     log = []
-    routed = bus.subscribe(Routed("r", log))
-    for _ in range(3):
-        bus.emit("flash", "read", 0.0)
-        bus.emit("gc", "gc_pass", 0.0)
-    assert routed.asked == [("flash", "read"), ("gc", "gc_pass")]
-    assert log == [("r", "flash", "read"), ("r", "other", "gc_pass")] * 3
-    bus.subscribe(log.append)  # any subscription change drops the routes
+    sole = bus.subscribe(Fields("f", log))
+    assert bus.emit == sole.trace_emit  # sites call it directly
     bus.emit("flash", "read", 0.0)
-    assert routed.asked[2:] == [("flash", "read")]
+    plain = bus.subscribe(log.append)  # two subscribers: fan-out
+    assert bus.emit != sole.trace_emit
+    bus.emit("gc", "gc_pass", 1.0)
+    bus.unsubscribe(plain)  # back to one: rebound
+    assert bus.emit == sole.trace_emit
+    bus.emit("cmt", "hit", 2.0)
+    assert log[:2] == [("f", "flash", "read"), ("f", "gc", "gc_pass")]
+    assert log[2] == TraceEvent("gc", "gc_pass", 1.0, 0.0, None, None, "X")
+    assert log[3:] == [("f", "cmt", "hit")]
 
 
-def test_order_is_kept_per_kind_across_routed_and_plain_subscribers():
+def test_subscribing_from_a_sole_trace_emit_switches_the_next_emit_to_fan_out():
+    bus = TraceBus()
+    log = []
+
+    def recruit():
+        if bus.subscriber_count == 1:
+            bus.subscribe(log.append)
+
+    bus.subscribe(Fields("f", log, then=recruit))
+    bus.emit("c", "first", 0.0)
+    assert log == [("f", "c", "first")]
+    bus.emit("c", "second", 1.0)
+    assert log[1] == ("f", "c", "second") and log[2].name == "second"
+    assert len(log) == 3
+
+
+def test_order_is_kept_across_field_and_event_subscribers():
     bus = TraceBus()
     log = []
     bus.subscribe(lambda e: log.append(("a", e.name)))
-    bus.subscribe(Routed("b", log))
+    bus.subscribe(Fields("b", log))
     bus.subscribe(lambda e: log.append(("c", e.name)))
-    bus.subscribe(Routed("d", log))
+    bus.subscribe(Fields("d", log))
     bus.emit("flash", "read", 0.0)
     bus.emit("cmt", "hit", 0.0)
     bus.emit("flash", "read", 1.0)
     per_event = [
         [("a", "read"), ("b", "flash", "read"), ("c", "read"), ("d", "flash", "read")],
-        [("a", "hit"), ("b", "other", "hit"), ("c", "hit"), ("d", "other", "hit")],
+        [("a", "hit"), ("b", "cmt", "hit"), ("c", "hit"), ("d", "cmt", "hit")],
     ]
     assert log == per_event[0] + per_event[1] + per_event[0]
 
@@ -211,7 +225,7 @@ def test_raising_subscriber_shields_the_later_ones():
             raise RuntimeError("rejected")
 
     bus.subscribe(checker)
-    bus.subscribe(Routed("arm", log))
+    bus.subscribe(Fields("arm", log))
     bus.emit("flash", "good", 0.0)
     with pytest.raises(RuntimeError, match="rejected"):
         bus.emit("flash", "bad", 1.0)
@@ -248,24 +262,28 @@ def test_nested_capture():
 def test_paused_bus_still_delivers_a_direct_emit():
     bus = TraceBus()
     log = []
-    bus.subscribe(Routed("r", log))
+    bus.subscribe(Fields("r", log))
     bus.subscribe(log.append)
     bus.enabled = False
     bus.emit("flash", "read", 0.0)  # sites guard; a direct call delivers
     assert log[0] == ("r", "flash", "read") and log[1].name == "read"
+    bus.unsubscribe(log.append)  # the sole trace_emit, still paused
+    assert bus.enabled is False
+    bus.emit("flash", "program", 1.0)
+    assert log[2:] == [("r", "flash", "program")]
 
 
-def test_clear_mid_run_forgets_subscribers_and_routes():
+def test_clear_mid_run_forgets_subscribers():
     bus = TraceBus()
     first, second = [], []
-    bus.subscribe(first.append)
+    bus.subscribe(Fields("first", first))
     bus.emit("c", "n", 0.0)
     bus.clear()
     assert bus.enabled is False and bus.subscriber_count == 0
     bus.emit("c", "n", 1.0)  # the stub again: nobody is listening
     bus.subscribe(second.append)
-    bus.emit("c", "n", 2.0)  # same kind: the old route must not resurface
-    assert [e.ts_us for e in first] == [0.0]
+    bus.emit("c", "n", 2.0)  # the cleared subscriber must not resurface
+    assert first == [("first", "c", "n")]
     assert [e.ts_us for e in second] == [2.0]
 
 

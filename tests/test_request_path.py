@@ -375,15 +375,15 @@ def test_python_frames_per_tracebus_event_budget():
     """Python frames an observed run enters on top of the bare one, per
     TraceBus event: ``(frames observed - frames bare) / events``.
 
-    Deterministic (a count, not a timing).  The parent of the change
-    that routed delivery per kind measured 4.71 with a ``SimSanitizer``
-    subscribed (``_emit_live``, the generated ``TraceEvent.__new__``,
-    ``__call__``, ``_on_flash`` / ``_on_array``, ``_note_span`` /
-    ``_shadow_*``) and 3.24 with a do-nothing subscriber (the third
-    frame is ``__new__``) over this replay's 65 320 events — no GC pass
-    among them, so no sweep; routed delivery measures 2.24 for both: the
-    emit and the handler, the remainder being helpers that emission
-    sites call only when observed (``TraceBus.counter`` among them).
+    Deterministic (a count, not a timing).  Over this replay's 65 320
+    events (no GC pass among them, so no sweep) a do-nothing subscriber
+    measures 2.24: ``_emit_live`` and the subscriber, the remainder being
+    helpers that emission sites call only when observed
+    (``TraceBus.counter`` among them).  A ``SimSanitizer`` alone is
+    ``BUS.emit`` itself — its ``trace_emit`` checks the event in one
+    frame — and measures 1.24 on CPython 3.11; it measured 2.24 while
+    the bus routed each kind to a per-kind handler method, and 4.71
+    before that.
     """
     bare, _ = _frames_of_a_build_replay("")
     noop, _ = _frames_of_a_build_replay("noop")
@@ -392,4 +392,4 @@ def test_python_frames_per_tracebus_event_budget():
     assert events > 60_000  # guard: same trace, same event stream
     assert sanitizer.violations == 0
     assert (noop - bare) / events <= 2.4
-    assert (sanitized - bare) / events <= 2.4
+    assert (sanitized - bare) / events <= 1.3

@@ -21,7 +21,7 @@ EXPECTED_FIXTURE_FINDINGS = [
     (20, 42, "DL202"),  # consumer matches undeclared name 'raed'
     (24, 12, "DL202"),  # consumer matches undeclared category
     (30, 16, "DL202"),  # consumer reads undeclared key 'voltage'
-    (42, 36, "DL202"),  # trace_route(category, name) matches undeclared 'raed'
+    (42, 36, "DL202"),  # trace_emit(category, name, ...) matches undeclared 'raed'
 ]
 
 
@@ -159,6 +159,26 @@ class TestSchemaRules:
         result = run_lint([str(path)])
         assert result.findings == []
         assert result.suppressed == 1
+
+    def test_args_parameter_of_a_trace_emit_class_is_the_payload(self, tmp_path):
+        path = tmp_path / "repro" / "probe.py"
+        path.parent.mkdir()
+        path.write_text(textwrap.dedent("""\
+            class Probe:
+                def trace_emit(self, category, name, ts_us, duration_us=0.0,
+                               args=None, track=None, ph="X"):
+                    if category == "flash":
+                        return (args or {}).get("plane"), self.on_gc(args)
+
+                def on_gc(self, args):
+                    return args["voltage"]
+
+            def unrelated(args):
+                return args["voltage"]  # not a trace_emit class: not read
+        """))
+        result = run_lint([str(path)])
+        assert [(f.line, f.code) for f in result.findings] == [(8, "DL202")]
+        assert "'voltage'" in result.findings[0].message
 
 
 # ---------------------------------------------------------------------------
