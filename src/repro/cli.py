@@ -130,13 +130,27 @@ _SIMULATE_RANGES = (
 
 
 def _simulate_usage_error(args) -> Optional[str]:
-    """The first bad number among ``simulate``'s flags, as one line that
-    names the flag and its range, or None; nothing is built before it."""
+    """The first bad number or flag combination among ``simulate``'s
+    flags, as one line that names the flag, or None; nothing is built
+    before it."""
     for bound, within, dests in _SIMULATE_RANGES:
         for dest in dests:
             value = getattr(args, dest)
             if value is not None and not within(value):
                 return f"--{dest.replace('_', '-')} must be {bound}, got {value:g}"
+    if args.tenants is not None:
+        if args.replay:
+            return ("--tenants generates per-tenant synthetic traffic; "
+                    "it does not compose with --replay")
+        if args.crash_at_ms is not None:
+            return "--tenants does not compose with --crash-at-ms"
+    if args.iodepth:
+        # closed-loop mode has its own admission model
+        for flag, value in (("--crash-at-ms", args.crash_at_ms),
+                            ("--queue-depth", args.queue_depth),
+                            ("--tenants", args.tenants)):
+            if value is not None:
+                return f"{flag} is not supported with --iodepth"
     if args.tenants is not None:
         from repro.tenancy import parse_tenants_spec
 
@@ -177,12 +191,6 @@ def _simulate(args) -> int:
         geometry = config.geometry
     else:
         geometry = _build_geometry(args)
-    if args.tenants is not None:
-        if args.replay:
-            raise SystemExit("--tenants generates per-tenant synthetic "
-                             "traffic; it does not compose with --replay")
-        if args.crash_at_ms is not None:
-            raise SystemExit("--tenants does not compose with --crash-at-ms")
     if args.replay:
         trace = iter_trace_file(args.replay)
         trace_name = args.replay
@@ -209,11 +217,6 @@ def _simulate(args) -> int:
     crash_at_us = args.crash_at_ms * 1000.0 if args.crash_at_ms is not None else None
     if args.iodepth:
         # closed-loop mode has its own admission model
-        for flag, value in (("--crash-at-ms", crash_at_us),
-                            ("--queue-depth", args.queue_depth),
-                            ("--tenants", args.tenants)):
-            if value is not None:
-                raise SystemExit(f"{flag} is not supported with --iodepth")
         from repro.controller.closedloop import ClosedLoopDriver
         from repro.controller.device import SimulatedSSD as _SSD
 

@@ -7,7 +7,6 @@ with intra-plane copy-back operations that never touch the I/O bus.
 """
 
 from repro.core.dloop import DloopFtl
-from repro.core.hotdloop import HotPlaneDloopFtl
 from repro.core.hcdloop import HotColdDloopFtl
 
-__all__ = ["DloopFtl", "HotPlaneDloopFtl", "HotColdDloopFtl"]
+__all__ = ["DloopFtl", "HotColdDloopFtl"]

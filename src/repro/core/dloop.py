@@ -48,17 +48,13 @@ class DloopFtl(DemandPagedFtl):
         gc_threshold: int = 3,
         use_copyback: bool = True,
         gc_victim_policy: str = "greedy",
-        translation_gc_mode: str = "batched",
-        debug_checks: bool = False,
     ):
         super().__init__(
             geometry,
             timing,
             cmt_entries=cmt_entries,
-            translation_gc_mode=translation_gc_mode,
             gc_threshold=gc_threshold,
             gc_victim_policy=gc_victim_policy,
-            debug_checks=debug_checks,
         )
         self.num_planes = geometry.num_planes
         self.allocators = [PlaneAllocator(p, self.array) for p in range(self.num_planes)]
@@ -98,9 +94,6 @@ class DloopFtl(DemandPagedFtl):
         return self.allocators[plane]
 
     # ---- placement policy (Eq. 1) -------------------------------------------
-
-    def plane_of_lpn(self, lpn: int) -> int:
-        return lpn % self.num_planes
 
     def plane_of_tvpn(self, tvpn: int) -> int:
         return tvpn % self.num_planes

@@ -12,7 +12,6 @@ from repro.experiments.figures import (
     A1,
     A2,
     A3,
-    A4,
     A6,
     A9,
     F8,
@@ -32,7 +31,6 @@ __all__ = [
     "A1",
     "A2",
     "A3",
-    "A4",
     "A6",
     "A9",
     "F8",

@@ -1,6 +1,6 @@
 """The paper's grids, declared over :class:`Scenario`, and their renderers.
 
-Figs. 8-10 and the ablations A1-A4, A6 and A9 (DESIGN.md section 3)
+Figs. 8-10 and the ablations A1-A3, A6 and A9 (DESIGN.md section 3)
 are :class:`Grid` declarations: a point axis, a rule that turns a point
 into a cell's geometry, footprint, preconditioning fill and FTL
 overrides, and the five values callers set (points, workloads, FTLs,
@@ -45,12 +45,12 @@ def run_cell(scenario: Scenario) -> SimulationResult:
 class Grid:
     """One paper grid: ``cell(grid, point)`` gives a point's geometry,
     footprint, fill and FTL overrides; ``axis`` names the result extras
-    key the point is recorded under (a tuple of keys for a tuple point,
-    ``()`` for none) and ``column`` its table column."""
+    key the point is recorded under (a tuple of keys for a tuple point)
+    and ``column`` its table column."""
 
     axis: Union[str, Tuple[str, ...]]
     cell: Callable[["Grid", object], dict]
-    points: Tuple = ((),)
+    points: Tuple
     workloads: Tuple[str, ...] = PAPER_TRACE_NAMES
     ftls: Tuple[str, ...] = ("dloop", "dftl", "fast")
     scale: float = DEFAULT_SCALE
@@ -189,15 +189,6 @@ A3 = Grid(
     workloads=("financial1",),
     ftls=("dloop",),
     cell=lambda g, knob: _ablation_cell(g, ftl_kwargs=(knob,)),
-)
-
-#: A4 — uniform DLOOP against hot-plane-aware extra-block assignment.
-A4 = Grid(
-    axis=(),
-    workloads=("financial1", "tpcc"),
-    ftls=("dloop", "dloop-hot"),
-    cell=lambda g, _: _ablation_cell(
-        g, scaled_geometry(2, scale=g.scale, extra_blocks_percent=5.0)),
 )
 
 #: A6 — the GC victim-selection policy on DLOOP (the paper fixes greedy).

@@ -109,7 +109,6 @@ class Ftl(abc.ABC):
         *,
         gc_threshold: int = 3,
         gc_victim_policy: str = "greedy",
-        debug_checks: bool = False,
     ):
         if gc_victim_policy not in VICTIM_POLICIES:
             raise ValueError(f"gc_victim_policy must be one of {VICTIM_POLICIES}")
@@ -129,7 +128,6 @@ class Ftl(abc.ABC):
         self.array.register_gc_threshold(gc_threshold)
         self.gc_victim_policy = gc_victim_policy
         self._gc_rng = random.Random(GC_POLICY_SEED)
-        self.debug_checks = debug_checks
         self.stats = FtlStats()
         self.gc_stats = GcStats()
         self._gc_planes: set[int] = set()

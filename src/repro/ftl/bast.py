@@ -46,9 +46,8 @@ class BastFtl(LogBlockMixin, Ftl):
         *,
         num_log_blocks: Optional[int] = None,
         gc_threshold: int = 3,
-        debug_checks: bool = False,
     ):
-        super().__init__(geometry, timing, gc_threshold=gc_threshold, debug_checks=debug_checks)
+        super().__init__(geometry, timing, gc_threshold=gc_threshold)
         ppb = geometry.pages_per_block
         self.pages_per_block = ppb
         self.num_lbns = geometry.num_lpns // ppb
@@ -80,10 +79,7 @@ class BastFtl(LogBlockMixin, Ftl):
         if ppn == -1:
             self.stats.unmapped_reads += 1
             return start
-        t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+        return self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
 
     def write_page(self, lpn: int, start: float) -> float:
         if not 0 <= lpn < len(self.page_table):
@@ -100,10 +96,7 @@ class BastFtl(LogBlockMixin, Ftl):
             block, t = self._claim_log_block(lbn, t)
         else:
             self.log_of_lbn.move_to_end(lbn)  # refresh recency
-        t = self._append_log(block, lpn, t)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+        return self._append_log(block, lpn, t)
 
     # ---- log management --------------------------------------------------------
 

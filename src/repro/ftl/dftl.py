@@ -43,18 +43,14 @@ class DftlFtl(DemandPagedFtl):
         *,
         cmt_entries: int = 4096,
         gc_threshold: int = 3,
-        translation_gc_mode: str = "batched",
         gc_victim_policy: str = "greedy",
-        debug_checks: bool = False,
     ):
         super().__init__(
             geometry,
             timing,
             cmt_entries=cmt_entries,
-            translation_gc_mode=translation_gc_mode,
             gc_threshold=gc_threshold,
             gc_victim_policy=gc_victim_policy,
-            debug_checks=debug_checks,
         )
         self.data_allocator = RoamingAllocator(self.array)
         self.translation_allocator = PlaneAllocator(TRANSLATION_PLANE, self.array)

@@ -70,9 +70,8 @@ class FastFtl(LogBlockMixin, Ftl):
         *,
         num_log_blocks: Optional[int] = None,
         gc_threshold: int = 3,
-        debug_checks: bool = False,
     ):
-        super().__init__(geometry, timing, gc_threshold=gc_threshold, debug_checks=debug_checks)
+        super().__init__(geometry, timing, gc_threshold=gc_threshold)
         ppb = geometry.pages_per_block
         self.pages_per_block = ppb
         self.num_lbns = geometry.num_lpns // ppb
@@ -106,12 +105,8 @@ class FastFtl(LogBlockMixin, Ftl):
             self.stats.unmapped_reads += 1
             return start
         if self.faults is None:
-            t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
-        else:
-            t = self._fault_read_data(lpn, ppn, start)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+            return self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
+        return self._fault_read_data(lpn, ppn, start)
 
     def write_page(self, lpn: int, start: float) -> float:
         if not 0 <= lpn < len(self.page_table):
@@ -134,8 +129,6 @@ class FastFtl(LogBlockMixin, Ftl):
             t = self._append_log(self.sw.block, lpn, t)
         else:
             t = self._append_rw(lpn, t)
-        if self.debug_checks:
-            self.verify_integrity()
         return t
 
     # ---- log management --------------------------------------------------------

@@ -54,9 +54,8 @@ class LastFtl(LogBlockMixin, Ftl):
         sequential_fraction: float = 0.3,
         hot_window: Optional[int] = None,
         gc_threshold: int = 3,
-        debug_checks: bool = False,
     ):
-        super().__init__(geometry, timing, gc_threshold=gc_threshold, debug_checks=debug_checks)
+        super().__init__(geometry, timing, gc_threshold=gc_threshold)
         ppb = geometry.pages_per_block
         self.pages_per_block = ppb
         self.num_lbns = geometry.num_lpns // ppb
@@ -96,10 +95,7 @@ class LastFtl(LogBlockMixin, Ftl):
         if ppn == -1:
             self.stats.unmapped_reads += 1
             return start
-        t = self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+        return self.clock.read_page(self.codec.ppn_to_plane(ppn), start)
 
     def write_page(self, lpn: int, start: float) -> float:
         if not 0 <= lpn < len(self.page_table):
@@ -122,8 +118,6 @@ class LastFtl(LogBlockMixin, Ftl):
         else:
             t = self._append_random(lpn, t)
         self._note_recent(lpn)
-        if self.debug_checks:
-            self.verify_integrity()
         return t
 
     # ---- hotness ------------------------------------------------------------------

@@ -37,14 +37,12 @@ class PageMapFtl(Ftl):
         gc_threshold: int = 3,
         seed: int = 0,
         gc_victim_policy: str = "greedy",
-        debug_checks: bool = False,
     ):
         super().__init__(
             geometry,
             timing,
             gc_threshold=gc_threshold,
             gc_victim_policy=gc_victim_policy,
-            debug_checks=debug_checks,
         )
         if striping not in STRIPING_POLICIES:
             raise ValueError(f"striping must be one of {STRIPING_POLICIES}")
@@ -112,10 +110,7 @@ class PageMapFtl(Ftl):
         if old_ppn != -1:
             self.array.invalidate(old_ppn)
         self.page_table[lpn] = new_ppn
-        t = self._maybe_gc(plane, t)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+        return self._maybe_gc(plane, t)
 
     # ---- preconditioning --------------------------------------------------------
 

@@ -16,7 +16,6 @@ _SRAM_MAP = ("cmt_entries",)
 #: Classes import lazily: naming an FTL never loads the others.
 _REGISTRY: Dict[str, Tuple[str, str, Dict[str, object], Tuple[str, ...]]] = {
     "dloop": ("repro.core.dloop", "DloopFtl", {}, ()),
-    "dloop-hot": ("repro.core.hotdloop", "HotPlaneDloopFtl", {}, ()),
     "dloop-hc": ("repro.core.hcdloop", "HotColdDloopFtl", {}, ()),
     "dftl": ("repro.ftl.dftl", "DftlFtl", {}, ()),
     "fast": ("repro.ftl.fast", "FastFtl", {}, _SRAM_MAP),

@@ -61,18 +61,6 @@ class TranslationManager:
     and events.
     """
 
-    #: How GC charges mapping updates for relocated data pages:
-    #: - "batched": one read-modify-write per affected translation page
-    #:   (DFTL's batch update — the default; grouping moved pages by
-    #:   translation page bounds the cost at one RMW per tvpn);
-    #: - "cached": moved entries are folded into the CMT as dirty and
-    #:   written back lazily on eviction.  Available for study: it
-    #:   pollutes the CMT and can spiral under GC-heavy load;
-    #: - "free": only cached entries flip dirty; stale translation pages
-    #:   are assumed patched opportunistically at no modelled cost
-    #:   (optimistic bound, closest to the paper's reported magnitudes).
-    GC_MODES = ("batched", "cached", "free")
-
     def __init__(
         self,
         array: FlashArray,
@@ -82,12 +70,9 @@ class TranslationManager:
         plane_of_tvpn: Callable[[int], int],
         allocator_of_plane: Callable[[int], _Allocator],
         gc_hook: Callable[[int, float], float],
-        gc_mode: str = "batched",
         fallback_allocator: Callable[[], _Allocator] | None = None,
         gc_planes: Collection[int] = (),
     ):
-        if gc_mode not in self.GC_MODES:
-            raise ValueError(f"gc_mode must be one of {self.GC_MODES}")
         self.array = array
         self.clock = clock
         self.cmt = cmt
@@ -95,7 +80,6 @@ class TranslationManager:
         self.plane_of_tvpn = plane_of_tvpn
         self.allocator_of_plane = allocator_of_plane
         self.gc_hook = gc_hook
-        self.gc_mode = gc_mode
         self.fallback_allocator = fallback_allocator
         #: Live view of the planes with a collection in progress (the
         #: owning FTL's set).  ``gc_hook`` returns at once unless one is
@@ -283,19 +267,12 @@ class TranslationManager:
     def gc_update_mappings(self, moved: Iterable[Tuple[int, int]], now: float) -> float:
         """Fix mapping entries for data pages GC just relocated.
 
-        ``moved`` is ``(lpn, new_ppn)`` pairs; see :data:`GC_MODES` for
-        the cost model applied.
+        ``moved`` is ``(lpn, new_ppn)`` pairs.  Dayan & Bonnet's batched
+        update: a cached entry only turns dirty; every other moved entry
+        is patched by one read-modify-write per translation page it
+        falls in, so a victim costs at most one write-back per tvpn.
         """
         t = now
-        if self.gc_mode == "cached":
-            for lpn, _new_ppn in moved:
-                t = self.charge_update(lpn, t)
-            return t
-        if self.gc_mode == "free":
-            for lpn, _new_ppn in moved:
-                if lpn in self.cmt:
-                    self.cmt.mark_dirty(lpn)
-            return t
         pending_tvpns: set[int] = set()
         for lpn, _new_ppn in moved:
             if lpn in self.cmt:
@@ -334,7 +311,6 @@ class DemandPagedFtl(Ftl):
         timing: TimingParams | None = None,
         *,
         cmt_entries: int = 4096,
-        translation_gc_mode: str = "batched",
         **kwargs,
     ):
         super().__init__(geometry, timing, **kwargs)
@@ -348,7 +324,6 @@ class DemandPagedFtl(Ftl):
             plane_of_tvpn=self.plane_of_tvpn,
             allocator_of_plane=self._translation_allocator,
             gc_hook=self._maybe_gc,
-            gc_mode=translation_gc_mode,
             fallback_allocator=self._fallback_allocator,
             gc_planes=self._gc_planes,
         )
@@ -390,12 +365,8 @@ class DemandPagedFtl(Ftl):
             self.stats.unmapped_reads += 1
             return t
         if self.faults is None:
-            t = self.clock.read_page(ppn // self._pages_per_plane, t)
-        else:
-            t = self._fault_read_data(lpn, ppn, t)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+            return self.clock.read_page(ppn // self._pages_per_plane, t)
+        return self._fault_read_data(lpn, ppn, t)
 
     def write_page(self, lpn: int, start: float) -> float:
         if not 0 <= lpn < self._num_lpns:
@@ -483,8 +454,6 @@ class DemandPagedFtl(Ftl):
         t = self.tm.charge_update(lpn, t)
         if self._gc_planes or array.gc_low_plane_count:
             t = self._maybe_gc(plane, t)
-        if self.debug_checks:
-            self.verify_integrity()
         return t
 
     def trim_page(self, lpn: int, start: float) -> float:

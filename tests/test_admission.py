@@ -106,7 +106,7 @@ def test_list_and_stream_are_one_run(ftl_name, rows):
 
 
 @pytest.mark.parametrize(
-    "ftl_name", ["dftl", "dloop", "dloop-hc", "dloop-hot", "dloop-nocb", "pagemap"])
+    "ftl_name", ["dftl", "dloop", "dloop-hc", "dloop-nocb", "pagemap"])
 def test_idle_time_gc_sees_one_order(ftl_name):
     """Bursts of tie-rich integer arrivals with idle gaps between them:
     ``on_idle`` fires at the same instants either way, so background

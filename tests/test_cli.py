@@ -191,6 +191,32 @@ def test_simulate_rejects_a_bad_number_in_one_line(monkeypatch, capsys, flag, va
     assert captured.err.count("\n") == 1
 
 
+_BAD_COMBINATIONS = [
+    (["--tenants", "2", "--replay", "trace.spc"],
+     "--tenants generates per-tenant synthetic traffic; it does not compose with --replay"),
+    (["--tenants", "2", "--crash-at-ms", "5"], "--tenants does not compose with --crash-at-ms"),
+    (["--iodepth", "4", "--crash-at-ms", "5"], "--crash-at-ms is not supported with --iodepth"),
+    (["--iodepth", "4", "--queue-depth", "2"], "--queue-depth is not supported with --iodepth"),
+    (["--iodepth", "4", "--tenants", "2"], "--tenants is not supported with --iodepth"),
+]
+
+
+@pytest.mark.parametrize("flags, message", _BAD_COMBINATIONS,
+                         ids=[" ".join(flags[::2]) for flags, _ in _BAD_COMBINATIONS])
+def test_simulate_rejects_a_bad_combination_in_one_line(monkeypatch, capsys, flags, message):
+    """Flags that do not compose are refused like a bad number: before
+    a trace is read or built, one stderr line, exit 2."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "make_workload", lambda *a, **k: pytest.fail("a trace was built"))
+    monkeypatch.setattr(cli, "iter_trace_file", lambda *a, **k: pytest.fail("a trace was read"))
+    code = main(["simulate", "--capacity-mb", "16", "--requests", "50", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro-sim simulate: {message}\n"
+
+
 def test_sweep_csv_output(monkeypatch, tmp_path, capsys):
     """Results are written as JSON only; any other suffix is refused
     before a cell runs."""

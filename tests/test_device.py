@@ -13,7 +13,7 @@ def test_default_construction_is_dloop():
 
 
 def test_ftl_selection_by_name(small_geometry):
-    for name in ("dloop", "dftl", "fast", "pagemap", "dloop-hot"):
+    for name in ("dloop", "dftl", "fast", "pagemap", "dloop-hc"):
         ssd = SimulatedSSD(small_geometry, ftl=name)
         assert isinstance(ssd.ftl, Ftl)
     # constructor knobs reach the FTL the name builds

@@ -148,10 +148,3 @@ def test_completion_times_monotone_with_arrival(ftl):
 def test_gc_threshold_validation(small_geometry, timing):
     with pytest.raises(ValueError):
         DloopFtl(small_geometry, timing, gc_threshold=1)
-
-
-def test_debug_checks_run_inline(small_geometry, timing):
-    ftl = DloopFtl(small_geometry, timing, cmt_entries=16, debug_checks=True)
-    for i in range(50):
-        ftl.write_page(i % 10, float(i))
-    # no assertion raised -> debug path consistent

@@ -151,10 +151,7 @@ class _ComposedWrite:
             self.array.invalidate(old_ppn)
         self.page_table[lpn] = new_ppn
         t = self.tm.charge_update(lpn, t)
-        t = self._maybe_gc(plane, t)
-        if self.debug_checks:
-            self.verify_integrity()
-        return t
+        return self._maybe_gc(plane, t)
 
 
 def _composed(ftl):
@@ -374,14 +371,6 @@ def test_one_host_write_body(name):
     assert "write_page" not in vars(ftl)
 
 
-def test_the_heat_counter_wraps_the_shared_body():
-    # dloop-hot counts per-plane write heat, then runs the shared body.
-    cls = type(create_ftl("dloop-hot", _small()))
-    assert cls.write_page is not DemandPagedFtl.write_page
-    owners = [klass for klass in cls.__mro__ if "write_page" in vars(klass)]
-    assert owners[:2] == [cls, DemandPagedFtl]
-
-
 # ---- end of life: typed, per FTL, in the parent's words ----------------------------------
 
 
@@ -393,7 +382,6 @@ END_OF_LIFE_TEXT = {
              "cannot place write for lpn {lpn} — device full"),
 }
 END_OF_LIFE_TEXT["dloop-nocb"] = END_OF_LIFE_TEXT["dloop-hc"] = END_OF_LIFE_TEXT["dloop"]
-END_OF_LIFE_TEXT["dloop-hot"] = END_OF_LIFE_TEXT["dloop"]
 
 
 LPN = 7

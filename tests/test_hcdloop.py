@@ -32,7 +32,7 @@ def test_first_write_is_cold_rewrite_is_hot(ftl):
 def test_hot_and_cold_use_distinct_blocks(ftl):
     ftl.write_page(5, 0.0)   # cold
     ftl.write_page(5, 1.0)   # hot
-    plane = ftl.plane_of_lpn(5)
+    plane = 5 % ftl.num_planes  # Eq. 1
     cold_block = ftl.allocators[plane].current_block
     hot_block = ftl.hot_allocators[plane].current_block
     assert cold_block is not None and hot_block is not None

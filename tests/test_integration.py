@@ -9,7 +9,7 @@ from repro.flash.address import PageState
 from repro.sim.request import IoOp, IoRequest
 from tests.ftl_cases import resolve
 
-ALL_FTLS = ("dloop", "dloop-nocb", "dloop-hot", "dftl", "fast", "pagemap")
+ALL_FTLS = ("dloop", "dloop-nocb", "dftl", "fast", "pagemap")
 
 
 def _ssd(geometry, case: str) -> SimulatedSSD:

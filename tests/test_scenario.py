@@ -3,8 +3,8 @@
 ``tests/fixtures/replay_sweep_fingerprints.json`` (section
 ``scenario_reports``) holds the sha256 and length of the canonical JSON
 of two torture reports, recorded before the torture campaign shared one
-scenario type with the paper grids, and of the nine paper-grid drivers' cells (Figs. 8-10 and ablations
-A1-A4, A6, A9 on financial1 at 1/256 scale), recorded before the
+scenario type with the paper grids, and of the eight paper-grid drivers' cells (Figs. 8-10 and ablations
+A1-A3, A6, A9 on financial1 at 1/256 scale), recorded before the
 figures became scenario expansions.  Each report here is regenerated
 and must match.  One more entry, ``torture-exhaustive`` (the six-FTL,
 10-request exhaustive campaign), takes about 30 s and is checked by
@@ -45,7 +45,7 @@ def _torture(config: CampaignConfig) -> str:
 
 
 #: the paper grids, by declaration name
-GRIDS = ("F8", "F9", "F10", "A1", "A2", "A3", "A4", "A6", "A9")
+GRIDS = ("F8", "F9", "F10", "A1", "A2", "A3", "A6", "A9")
 
 
 def _grid(name: str) -> str:

@@ -1,7 +1,5 @@
 """TranslationManager: CMT-miss / dirty-eviction flash traffic."""
 
-import pytest
-
 from repro.flash.array import FlashArray
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.ftl.allocator import PlaneAllocator
@@ -10,13 +8,13 @@ from repro.ftl.gtd import GlobalTranslationDirectory
 from repro.ftl.translation import TranslationManager
 
 
-def make_tm(geometry, timing, cmt_entries=4, gc_mode="batched"):
+def make_tm(geometry, timing, cmt_entries=4):
     array = FlashArray(geometry)
     clock = FlashTimekeeper(geometry, timing)
     cmt = CachedMappingTable(cmt_entries)
     gtd = GlobalTranslationDirectory(geometry.num_lpns, geometry.page_size)
     allocators = [PlaneAllocator(p, array) for p in range(geometry.num_planes)]
-    tm = TranslationManager(
+    return TranslationManager(
         array=array,
         clock=clock,
         cmt=cmt,
@@ -25,8 +23,6 @@ def make_tm(geometry, timing, cmt_entries=4, gc_mode="batched"):
         allocator_of_plane=lambda plane: allocators[plane],
         gc_hook=lambda plane, t: t,
     )
-    tm.gc_mode = gc_mode
-    return tm
 
 
 def test_cold_lookup_costs_nothing_on_flash(small_geometry, timing):
@@ -95,7 +91,7 @@ def test_write_back_lands_on_policy_plane(small_geometry, timing):
 
 
 def test_gc_update_batched_groups_by_tpage(small_geometry, timing):
-    tm = make_tm(small_geometry, timing, cmt_entries=2, gc_mode="batched")
+    tm = make_tm(small_geometry, timing, cmt_entries=2)
     entries = tm.gtd.entries_per_tpage
     # two lpns in tpage 0, one in tpage 1, none cached
     moved = [(0, 100), (1, 101), (entries, 102)]
@@ -107,38 +103,10 @@ def test_gc_update_batched_groups_by_tpage(small_geometry, timing):
 
 
 def test_gc_update_cached_entries_flip_dirty_free(small_geometry, timing):
-    tm = make_tm(small_geometry, timing, gc_mode="batched")
+    tm = make_tm(small_geometry, timing)
     tm.charge_lookup(0, 0.0)
     before = tm.stats.tpage_writes
     t = tm.gc_update_mappings([(0, 55)], 7.0)
     assert t == 7.0
     assert tm.stats.tpage_writes == before
     assert tm.cmt.probation[0] is True
-
-
-def test_gc_update_free_mode_charges_nothing(small_geometry, timing):
-    tm = make_tm(small_geometry, timing, gc_mode="free")
-    t = tm.gc_update_mappings([(0, 100), (99, 101)], 3.0)
-    assert t == 3.0
-    assert tm.stats.tpage_writes == 0
-
-
-def test_gc_update_cached_mode_inserts_dirty(small_geometry, timing):
-    tm = make_tm(small_geometry, timing, cmt_entries=8, gc_mode="cached")
-    tm.gc_update_mappings([(5, 100)], 0.0)
-    assert 5 in tm.cmt
-    assert tm.cmt.probation[5] is True
-
-
-def test_invalid_gc_mode_rejected(small_geometry, timing):
-    with pytest.raises(ValueError):
-        TranslationManager(
-            array=None,
-            clock=None,
-            cmt=None,
-            gtd=None,
-            plane_of_tvpn=None,
-            allocator_of_plane=None,
-            gc_hook=None,
-            gc_mode="bogus",
-        )
