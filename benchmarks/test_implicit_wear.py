@@ -17,7 +17,7 @@ from repro.experiments.config import GB, scaled_geometry
 from repro.ftl.wearlevel import StaticWearLeveler
 from repro.metrics.report import format_table
 from repro.metrics.wear import wear_stats
-from repro.sim.request import IoOp
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate, make_workload
 
 
@@ -36,11 +36,7 @@ def run_wear_comparison():
         ssd = SimulatedSSD(geometry, ftl=ftl_name)
         leveler = StaticWearLeveler(ssd.ftl, gap_threshold=4, check_interval_erases=32) if leveled else None
         ssd.precondition(0.55)
-        t = 0.0
-        for r in trace:
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-        ssd.run()
+        ssd.run(io_requests(trace, geometry))
         if leveler is not None:
             leveler.maybe_level(ssd.engine.now)
         ssd.verify()

@@ -15,6 +15,7 @@ from repro.experiments.config import GB, scaled_geometry
 from repro.metrics.latency import LatencyHistogram
 from repro.metrics.report import format_table
 from repro.sim.request import IoOp
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate, make_workload
 
 
@@ -35,10 +36,7 @@ def run_tails():
                 histogram.record(request.response_us)
 
         ssd.controller.on_complete.append(record_read)
-        for r in trace:
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-        ssd.run()
+        ssd.run(io_requests(trace, geometry))
         summary = histogram.summary()
         counters = ssd.counters.as_dict()
         rows.append(

@@ -14,7 +14,7 @@ from repro.controller.device import SimulatedSSD
 from repro.experiments.config import scaled_geometry
 from repro.metrics.amplification import amplification
 from repro.metrics.report import format_table
-from repro.sim.request import IoOp
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate, make_workload
 
 SCALE = 1 / 32
@@ -25,10 +25,7 @@ def run(ftl: str, buffer_pages, trace) -> dict:
     geometry = scaled_geometry(8, scale=SCALE)
     ssd = SimulatedSSD(geometry, ftl=ftl, write_buffer_pages=buffer_pages)
     ssd.precondition(0.55)
-    for r in trace:
-        op = IoOp.WRITE if r.is_write else IoOp.READ
-        ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-    ssd.run()
+    ssd.run(io_requests(trace, geometry))
     ssd.flush()
     ssd.verify()
     report = amplification(ssd.stats, ssd.counters)

@@ -22,7 +22,7 @@ from repro.ftl.allocator import PlaneAllocator
 from repro.ftl.base import Ftl, OutOfSpaceError
 from repro.metrics.report import format_table
 from repro.metrics.sdrpp import sdrpp
-from repro.sim.request import IoOp
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate, make_workload
 
 
@@ -93,10 +93,7 @@ def main() -> None:
     for name, build in contenders:
         ssd = build()
         ssd.precondition(0.55)
-        for r in trace:
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-        ssd.run()
+        ssd.run(io_requests(trace, geometry))
         ssd.verify()
         rows.append(
             {

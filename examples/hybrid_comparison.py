@@ -16,7 +16,7 @@ from repro.experiments.config import scaled_geometry
 from repro.metrics.amplification import amplification
 from repro.metrics.ascii_chart import hbar_chart
 from repro.metrics.report import format_table
-from repro.sim.request import IoOp
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate, make_workload
 
 SCALE = 1 / 32
@@ -38,10 +38,7 @@ def main() -> None:
     for ftl_name in FTLS:
         ssd = SimulatedSSD(geometry, ftl=ftl_name)
         ssd.precondition(0.55)
-        for r in trace:
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-        ssd.run()
+        ssd.run(io_requests(trace, geometry))
         ssd.verify()
         report = amplification(ssd.stats, ssd.counters)
         row = {

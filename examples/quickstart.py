@@ -9,9 +9,9 @@ explains them.
 Run:  python examples/quickstart.py
 """
 
-from repro import IoOp, SimulatedSSD, SSDGeometry
+from repro import SimulatedSSD, SSDGeometry
 from repro.metrics import sdrpp, wear_stats
-from repro.traces import generate, make_workload
+from repro.traces import generate, io_requests, make_workload
 
 MB = 1024 * 1024
 
@@ -39,11 +39,8 @@ def main() -> None:
     print(f"\nReplaying {spec.num_requests} requests of '{spec.name}' "
           f"({spec.write_fraction:.0%} writes, {spec.size_mix.mean_bytes / 1024:.0f} KB mean) ...")
 
-    for request in generate(spec):
-        op = IoOp.WRITE if request.is_write else IoOp.READ
-        ssd.submit(ssd.byte_request(request.arrival_us, request.offset_bytes,
-                                    request.size_bytes, op))
-    end = ssd.run()
+    # page-align the byte-addressed trace and replay it
+    end = ssd.run(io_requests(generate(spec), geometry))
     ssd.verify()  # full integrity check: no page lost, no stale mapping
 
     gc = ssd.ftl.gc_stats

@@ -21,8 +21,8 @@ from repro.controller.device import SimulatedSSD
 from repro.experiments.config import scaled_geometry
 from repro.metrics.report import format_table
 from repro.metrics.wear import wear_stats
-from repro.sim.request import IoOp
 from repro.traces.parser import parse_spc, write_spc
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate, make_workload
 
 SCALE = 1 / 32
@@ -45,10 +45,7 @@ def main() -> None:
     for ftl in ("dloop", "dftl", "fast"):
         ssd = SimulatedSSD(geometry, ftl=ftl)
         ssd.precondition(0.9)
-        for r in trace:
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-        ssd.run()
+        ssd.run(io_requests(trace, geometry))
         ssd.verify()
         wear = wear_stats(ssd.ftl.array)
         erases = ssd.ftl.array.block_erase_count

@@ -13,17 +13,13 @@ Public API surface:
 Quickstart::
 
     from repro import SimulatedSSD, SSDGeometry
-    from repro.traces import make_workload, generate
-    from repro.sim import IoOp
+    from repro.traces import generate, io_requests, make_workload
 
     geometry = SSDGeometry.from_capacity(256 * 1024**2)
     ssd = SimulatedSSD(geometry, ftl="dloop")
     spec = make_workload("financial1", num_requests=5000,
                          footprint_bytes=geometry.capacity_bytes // 2)
-    for r in generate(spec):
-        op = IoOp.WRITE if r.is_write else IoOp.READ
-        ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-    ssd.run()
+    ssd.run(io_requests(generate(spec), geometry))
     print(ssd.mean_response_ms(), "ms")
 """
 

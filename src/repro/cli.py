@@ -29,6 +29,7 @@ from repro.flash.geometry import SSDGeometry
 from repro.ftl.registry import available_ftls
 from repro.metrics.ascii_chart import hbar_chart
 from repro.metrics.report import format_table
+from repro.traces.model import TraceRequest
 from repro.traces.parser import TraceFormatError, iter_trace_file, write_disksim, write_spc
 from repro.traces.stream import stream_workload
 from repro.traces.synthetic import EXTRA_TRACE_NAMES, PAPER_TRACE_NAMES, generate, make_workload
@@ -145,9 +146,8 @@ def _simulate_usage_error(args) -> Optional[str]:
         if args.crash_at_ms is not None:
             return "--tenants does not compose with --crash-at-ms"
     if args.iodepth:
-        # closed-loop mode has its own admission model
-        for flag, value in (("--crash-at-ms", args.crash_at_ms),
-                            ("--queue-depth", args.queue_depth),
+        # --iodepth N is the admission window at depth N, as is --queue-depth
+        for flag, value in (("--queue-depth", args.queue_depth),
                             ("--tenants", args.tenants)):
             if value is not None:
                 return f"{flag} is not supported with --iodepth"
@@ -215,40 +215,12 @@ def _simulate(args) -> int:
     )
     faults = _build_fault_config(args)
     crash_at_us = args.crash_at_ms * 1000.0 if args.crash_at_ms is not None else None
+    queue_depth = args.queue_depth
     if args.iodepth:
-        # closed-loop mode has its own admission model
-        from repro.controller.closedloop import ClosedLoopDriver
-        from repro.controller.device import SimulatedSSD as _SSD
-
-        ssd = _SSD(config.geometry, config.timing, ftl=config.ftl,
-                   stats_interval_us=stats_interval_us, sanitize=args.sanitize,
-                   faults=faults, **config.build_kwargs())
-        if config.precondition_fill:
-            ssd.precondition(config.precondition_fill)
-        page = config.geometry.page_size
-        num_lpns = config.geometry.num_lpns
-        ops = []
-        for r in trace:
-            first = min(r.offset_bytes // page, num_lpns - 1)
-            last = min((r.end_bytes - 1) // page, num_lpns - 1)
-            ops.append((first, max(1, last - first + 1), r.is_write))
-        driver = ClosedLoopDriver(ssd, ops, iodepth=args.iodepth)
-        if args.trace:
-            from repro.obs.chrome_trace import ChromeTraceWriter
-
-            with ChromeTraceWriter(args.trace).recording(), _MaybeProfile(args.profile):
-                loop_result = driver.run()
-            print(f"chrome trace saved to {args.trace}")
-        else:
-            with _MaybeProfile(args.profile):
-                loop_result = driver.run()
-        rows = [{"metric": k, "value": v} for k, v in loop_result.row(page).items()]
-        rows.append({"metric": "duration (s)", "value": loop_result.duration_us / 1e6})
-        if ssd.sanitizer is not None:
-            report = ssd.sanitizer.finalize()
-            rows += [{"metric": f"sanitizer: {k}", "value": v} for k, v in report.items()]
-        print(format_table(rows, title=f"{config.ftl} closed-loop iodepth={args.iodepth} on {trace_name}"))
-        return 0
+        # A closed loop: every request arrives at 0, and the window of
+        # depth N admits the next one whenever a slot frees.
+        trace = (TraceRequest(0.0, r.offset_bytes, r.size_bytes, r.is_write) for r in trace)
+        queue_depth = args.iodepth
     tenancy = None
     if args.tenants is not None:
         from repro.tenancy import TrafficModel, parse_tenants_spec
@@ -265,7 +237,7 @@ def _simulate(args) -> int:
             trace, config, trace_name=trace_name,
             trace_path=args.trace, stats_interval_us=stats_interval_us,
             sanitize=args.sanitize, faults=faults, crash_at_us=crash_at_us,
-            queue_depth=args.queue_depth,
+            queue_depth=queue_depth,
             tenancy=tenancy,
         )
     rows = [
@@ -282,6 +254,15 @@ def _simulate(args) -> int:
     ]
     if result.cmt_hit_ratio is not None:
         rows.insert(5, {"metric": "CMT hit ratio", "value": result.cmt_hit_ratio})
+    title = f"{config.ftl} on {trace_name}"
+    if args.iodepth:
+        seconds = result.sim_duration_s
+        mib = (result.host_pages_read + result.host_pages_written) * geometry.page_size / MB
+        rows += [
+            {"metric": "IOPS", "value": round(result.num_requests / seconds, 1) if seconds else 0.0},
+            {"metric": "MB/s", "value": round(mib / seconds, 2) if seconds else 0.0},
+        ]
+        title = f"{config.ftl} closed-loop iodepth={args.iodepth} on {trace_name}"
     stream_report = result.extras.get("stream")
     if stream_report:
         rows += [{"metric": f"stream: {k}", "value": v} for k, v in stream_report.items()]
@@ -306,7 +287,7 @@ def _simulate(args) -> int:
         rows.append({"metric": "tenant fairness (Jain)",
                      "value": tenants_report["fairness_jain"]})
     capacity_mb = geometry.capacity_bytes / MB
-    print(format_table(rows, title=f"{config.ftl} on {trace_name} ({capacity_mb:g} MB SSD)"))
+    print(format_table(rows, title=f"{title} ({capacity_mb:g} MB SSD)"))
     if tenants_report:
         shares = tenants_report["completed_page_shares"]
         tenant_rows = []
@@ -613,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--json", help="save the result to a JSON file")
     sim.add_argument("--config", help="load geometry/FTL settings from a JSON config file")
     sim.add_argument("--iodepth", type=int, default=0,
-                     help="closed-loop mode: keep N requests outstanding and report IOPS")
+                     help="closed loop: every request arrives at 0 and at most N "
+                          "are outstanding; adds IOPS and MB/s rows")
     sim.add_argument("--queue-depth", type=int, default=None,
                      help="bound the admission window to N outstanding "
                           "requests (NCQ model; default unbounded)")

@@ -4,13 +4,10 @@ from repro.controller.controller import Controller
 from repro.controller.device import SimulatedSSD
 from repro.controller.writebuffer import WriteBuffer
 from repro.controller.background import BackgroundGc
-from repro.controller.closedloop import ClosedLoopDriver, ClosedLoopResult
 
 __all__ = [
     "Controller",
     "SimulatedSSD",
     "WriteBuffer",
     "BackgroundGc",
-    "ClosedLoopDriver",
-    "ClosedLoopResult",
 ]

@@ -14,8 +14,7 @@ requests are still queued elsewhere.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from heapq import heappush, merge
+from heapq import heappush
 from itertools import chain
 from operator import attrgetter
 
@@ -34,9 +33,7 @@ class StreamOrderError(ValueError):
 
     ``submit_stream`` admits lazily from the current clock, so an
     out-of-order trace would silently be served in iterator order —
-    raised (by default) instead.  Pass ``on_unordered="normalize"`` to
-    clamp late arrivals to the running maximum (FIFO semantics), or hand
-    the trace to ``submit_many``, which sorts it.
+    raised instead.  Hand the trace to ``submit_many``, which sorts it.
     """
 
 
@@ -78,11 +75,6 @@ class Controller:
         self._stream_window = 0
         self._stream_deferred = False
         self._stream_last_arrival = -math.inf
-        self._stream_normalize = False
-
-    def submit(self, request: IoRequest) -> None:
-        """Register a request for arrival at its timestamp."""
-        self.engine.schedule_at(request.arrival_us, self._arrive, request)
 
     def submit_many(self, requests) -> int:
         """Submit a batch: stable sort by arrival, then streamed admission.
@@ -90,10 +82,10 @@ class Controller:
         The batch rides :meth:`submit_stream` with an unbounded window,
         so the event queue holds the requests in flight and one
         successor, never the batch.  An arrival earlier than the clock
-        raises ``ValueError`` before anything is admitted.  A batch
-        submitted while an unbounded stream is still armed
-        (``run(a, until=T)`` then ``run(b)``) joins it in arrival order.
-        Returns the number of requests submitted.
+        raises ``ValueError`` before anything is admitted, and a batch
+        beside a stream that still holds unadmitted requests raises
+        :class:`StreamArmedError`.  Returns the number of requests
+        submitted.
         """
         batch = sorted(requests, key=_ARRIVAL)
         if not batch:
@@ -101,34 +93,19 @@ class Controller:
         now = self.engine._now
         if batch[0].arrival_us < now:
             raise ValueError(f"cannot schedule at {batch[0].arrival_us} before now ({now})")
-        if self._stream is not None and self._stream_depth is None:
-            # The armed stream's next arrival is already posted: what
-            # precedes it is posted too, the rest merges into the
-            # unadmitted tail (older stream first on ties).
-            early = bisect_left(batch, self._stream_last_arrival, key=_ARRIVAL)
-            for request in batch[:early]:
-                self.engine.post(request.arrival_us, self._arrive, request)
-            self._stream = merge(self._stream, batch[early:], key=_ARRIVAL)
-        else:
-            self.submit_stream(iter(batch))
+        self.submit_stream(iter(batch))
         return len(batch)
 
-    def submit_stream(
-        self, requests, queue_depth: int | None = None, on_unordered: str = "raise"
-    ) -> None:
+    def submit_stream(self, requests, queue_depth: int | None = None) -> None:
         """Lazily admit requests from an iterator (NCQ admission model).
 
-        The one admission path (:meth:`submit_many` sorts and calls
-        this): it pulls from ``requests`` one at a time, so at most one
-        not-yet-arrived request is in the event queue and a
-        multi-million-request trace runs in O(1) controller memory.
+        The one way a request reaches the device (:meth:`submit_many`
+        sorts and calls this): it pulls from ``requests`` one at a time,
+        so at most one not-yet-arrived request is in the event queue and
+        a multi-million-request trace runs in O(1) controller memory.
         Arrivals must be time-ordered (the generators and trace parsers
         all are): out-of-order arrivals would silently be served in
-        iterator order, so they raise :class:`StreamOrderError` by
-        default.  Parsed traces that are legitimately unordered can
-        pass ``on_unordered="normalize"`` to clamp late arrivals up to
-        the running maximum (FIFO order; the clamp shows up as host-side
-        queueing delay in the stats).
+        iterator order, so they raise :class:`StreamOrderError`.
 
         ``queue_depth`` bounds the admitted-but-uncompleted window, the
         way NCQ/host queue depth bounds a real drive: when the window is
@@ -136,7 +113,9 @@ class Controller:
         ``max(completion_now, its arrival time)``.  Its recorded
         response time still runs from the original arrival, so host-side
         queueing delay shows up in the latency stats.  ``None`` means
-        unbounded: every request arrives exactly at its timestamp.
+        unbounded: every request arrives exactly at its timestamp.  A
+        closed loop at depth N is this window at ``queue_depth=N`` over
+        arrivals that are all 0: a request enters when a slot frees.
 
         Event order: at equal time, what was posted first fires first,
         and an arrival is posted when its predecessor arrives — so a
@@ -146,8 +125,6 @@ class Controller:
         """
         if queue_depth is not None and queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if on_unordered not in ("raise", "normalize"):
-            raise ValueError("on_unordered must be 'raise' or 'normalize'")
         head = next(self._stream, None) if self._stream is not None else None
         if head is not None:
             self._stream = chain((head,), self._stream)
@@ -160,7 +137,6 @@ class Controller:
         self._stream_depth = queue_depth
         self._stream_deferred = False
         self._stream_last_arrival = -math.inf
-        self._stream_normalize = on_unordered == "normalize"
         self._admit()
 
     def _admit(self) -> None:
@@ -181,10 +157,8 @@ class Controller:
             return
         arrival = request.arrival_us
         if arrival < self._stream_last_arrival:
-            arrival = self._admit_unordered(request)
-        else:
-            self._stream_last_arrival = arrival
-        request.streamed = True
+            self._refuse_unordered(request)
+        self._stream_last_arrival = arrival
         self._stream_window += 1
         engine = self.engine
         now = engine._now
@@ -192,19 +166,15 @@ class Controller:
             arrival if arrival > now else now, self._arrive_streamed, request
         )
 
-    def _admit_unordered(self, request: IoRequest) -> float:
+    def _refuse_unordered(self, request: IoRequest) -> None:
         """A streamed arrival earlier than its predecessor (the rare
-        branch of admission): raise, or clamp it under ``normalize``."""
+        branch of admission): drop the stream and raise."""
         predecessor = self._stream_last_arrival
-        if not self._stream_normalize:
-            self.abort_stream()
-            raise StreamOrderError(
-                f"streamed arrival {request.arrival_us} precedes predecessor "
-                f"{predecessor}; sort the trace or pass "
-                "on_unordered='normalize'"
-            )
-        request.arrival_us = predecessor
-        return predecessor
+        self.abort_stream()
+        raise StreamOrderError(
+            f"streamed arrival {request.arrival_us} precedes predecessor "
+            f"{predecessor}; sort the trace"
+        )
 
     def abort_stream(self) -> None:
         """Drop all streaming admission state (power loss mid-stream).
@@ -219,7 +189,6 @@ class Controller:
         self._stream_window = 0
         self._stream_deferred = False
         self._stream_last_arrival = -math.inf
-        self._stream_normalize = False
 
     def _arrive_streamed(self, request: IoRequest) -> None:
         # Pull the successor *before* serving this request so the next
@@ -238,10 +207,8 @@ class Controller:
                 else:
                     arrival = successor.arrival_us
                     if arrival < self._stream_last_arrival:
-                        arrival = self._admit_unordered(successor)
-                    else:
-                        self._stream_last_arrival = arrival
-                    successor.streamed = True
+                        self._refuse_unordered(successor)
+                    self._stream_last_arrival = arrival
                     self._stream_window += 1
                     engine = self.engine
                     now = engine._now
@@ -346,14 +313,13 @@ class Controller:
     def _complete(self, request: IoRequest) -> None:
         outstanding = self.outstanding - 1
         self.outstanding = outstanding
-        if request.streamed:
-            # Return the NCQ slot; if admission stalled on a full
-            # window, the deferred request enters now (never earlier
-            # than its own arrival time — see _admit).
-            self._stream_window -= 1
-            if self._stream_deferred:
-                self._stream_deferred = False
-                self._admit()
+        # Return the NCQ slot; if admission stalled on a full window,
+        # the deferred request enters now (never earlier than its own
+        # arrival time — see _admit).
+        self._stream_window -= 1
+        if self._stream_deferred:
+            self._stream_deferred = False
+            self._admit()
         response = request.completion_us - request.arrival_us
         error = request.error
         if BUS.enabled:
@@ -386,5 +352,5 @@ class Controller:
         else:
             # ENOSPC'd requests still carry a completion time, but their
             # "response" measures rejection, not service — keep them out
-            # of the success moments on both submit paths.
+            # of the success moments.
             self.stats.observe_error(response, is_write)

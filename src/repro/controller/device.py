@@ -1,13 +1,13 @@
 """SimulatedSSD: the public facade tying engine + controller + FTL together.
 
 This is the object examples and the experiment harness interact with:
-construct it from a geometry/timing/FTL name, feed it byte-addressed or
-page-addressed requests (or a whole trace), and read the metrics off.
+construct it from a geometry/timing/FTL name, feed it page-aligned
+requests (``repro.traces.stream.io_requests`` aligns a byte-addressed
+trace) through ``run`` or ``run_stream``, and read the metrics off.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
@@ -18,7 +18,7 @@ from repro.ftl.base import Ftl
 from repro.ftl.registry import create_ftl
 from repro.metrics.streaming import StreamingRequestStats
 from repro.sim.engine import Engine
-from repro.sim.request import IoOp, IoRequest
+from repro.sim.request import IoRequest
 
 if TYPE_CHECKING:
     from repro.controller.writebuffer import WriteBuffer
@@ -104,21 +104,7 @@ class SimulatedSSD:
             self.sanitizer = SimSanitizer(self.ftl)
             self.sanitizer.attach()
 
-    # ---- request construction -----------------------------------------------
-
-    def byte_request(self, arrival_us: float, offset_bytes: int, size_bytes: int, op: IoOp) -> IoRequest:
-        """Page-align a byte-addressed request (pads head and tail)."""
-        if size_bytes < 1:
-            raise ValueError("size_bytes must be >= 1")
-        page = self.geometry.page_size
-        first = offset_bytes // page
-        last = (offset_bytes + size_bytes - 1) // page
-        return IoRequest(arrival_us, first, last - first + 1, op)
-
     # ---- running -----------------------------------------------------------------
-
-    def submit(self, request: IoRequest) -> None:
-        self.controller.submit(request)
 
     def run(self, requests: Iterable[IoRequest] = (), until: Optional[float] = None) -> float:
         """Submit ``requests`` and run the simulation to completion.
@@ -151,7 +137,6 @@ class SimulatedSSD:
         *,
         queue_depth: Optional[int] = None,
         until: Optional[float] = None,
-        on_unordered: str = "raise",
     ) -> float:
         """Run a (possibly unbounded) request stream in bounded memory.
 
@@ -160,16 +145,11 @@ class SimulatedSSD:
         not-yet-arrived request sits in the event queue, so replaying a
         multi-million-request trace costs O(1) simulator memory on top
         of the flash state.  With ``queue_depth=None`` the run is event
-        for event :meth:`run` on the materialized list.
-
-        ``on_unordered`` is forwarded to
-        :meth:`Controller.submit_stream`: ``"raise"`` (default) fails
-        fast on an out-of-order trace, ``"normalize"`` clamps late
-        arrivals up to the running maximum (FIFO replay).
+        for event :meth:`run` on the materialized list.  An
+        out-of-order arrival raises
+        :class:`repro.controller.controller.StreamOrderError`.
         """
-        self.controller.submit_stream(
-            requests, queue_depth=queue_depth, on_unordered=on_unordered
-        )
+        self.controller.submit_stream(requests, queue_depth=queue_depth)
         end = self._run_engine(until)
         if self.sanitizer is not None:
             self.sanitizer.check_now()
@@ -177,7 +157,7 @@ class SimulatedSSD:
 
     # ---- preconditioning ------------------------------------------------------
 
-    def precondition(self, fill_fraction: float = 0.9, *, stride: int = 1) -> None:
+    def precondition(self, fill_fraction: float = 0.9) -> None:
         """Age the device: sequentially write a fraction of the logical space.
 
         Standard SSD evaluation methodology — a factory-fresh device
@@ -187,22 +167,7 @@ class SimulatedSSD:
         """
         if not 0.0 < fill_fraction <= 1.0:
             raise ValueError("fill_fraction must be in (0, 1]")
-        num_lpns = self.geometry.num_lpns
-        count = int(num_lpns * fill_fraction)
-        if stride == 1:
-            self.ftl.bulk_fill(count)
-        else:
-            # Walk the cosets of the stride's cycle group.  A bare
-            # ``(i * stride) % num_lpns`` walk revisits after
-            # num_lpns/gcd(stride, num_lpns) steps, so for e.g. stride=2
-            # on a power-of-two space it would rewrite half the LPNs
-            # twice and never honor fill_fraction.  Advancing to the
-            # next coset (+1) on each wrap covers ``count`` *distinct*
-            # LPNs for any stride.
-            period = num_lpns // math.gcd(stride, num_lpns)
-            for i in range(count):
-                coset, step = divmod(i, period)
-                self.ftl.write_page((coset + step * stride) % num_lpns, 0.0)
+        self.ftl.bulk_fill(int(self.geometry.num_lpns * fill_fraction))
         self.reset_measurements()
 
     def reset_measurements(self) -> None:

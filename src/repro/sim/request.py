@@ -50,12 +50,6 @@ class IoRequest:
     lost_pages:
         Pages whose data was lost to uncorrectable read errors while
         serving this request.
-    streamed:
-        True when the request was admitted through the controller's
-        admission window and must return a slot on completion: every
-        request of a ``run`` / ``submit_many`` batch or a
-        ``submit_stream`` (all but single ``submit`` calls and the head
-        of a batch that joins a paused run).
     tenant:
         Namespace id of the tenant that issued the request (multi-tenant
         admission, ``repro.tenancy``), or None for single-tenant runs.
@@ -69,7 +63,6 @@ class IoRequest:
     error: str | None = field(default=None, compare=False)
     retries: int = field(default=0, compare=False)
     lost_pages: int = field(default=0, compare=False)
-    streamed: bool = field(default=False, compare=False, repr=False)
     tenant: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -259,8 +259,8 @@ def io_requests(
     """Lazily page-align byte-addressed trace requests for ``geometry``.
 
     The offset wraps into the capacity, the size is clamped to it and
-    the head and tail are padded to page boundaries
-    (:meth:`SimulatedSSD.byte_request` pads the same way).
+    the head and tail are padded to page boundaries: the one
+    page-alignment rule of the simulator.
     """
     capacity = geometry.capacity_bytes
     page = geometry.page_size

@@ -63,7 +63,6 @@ def _observe(ftl_name, rows, run):
         "fingerprint": ftl_fingerprint(ssd.ftl, end),
         "peak_outstanding": ssd.controller.peak_outstanding,
         "completions": [(r.arrival_us, r.start_lpn, r.completion_us) for r in requests],
-        "streamed": all(r.streamed for r in requests),
     }
 
 
@@ -100,7 +99,6 @@ def test_list_and_stream_are_one_run(ftl_name, rows):
     counters, background GC passes), stats, counters and fingerprint."""
     listed = _observe(ftl_name, rows, _listed)
     assert listed == _observe(ftl_name, rows, _streamed)
-    assert listed["streamed"]
     assert any(e.category == "counter" and e.name == "queue_depth"
                for e in listed["events"])
 
@@ -139,41 +137,20 @@ def _float_trace(n, seed, start=0.0):
     return out
 
 
-def _summary(ssd, requests, end):
-    return (
-        [(r.arrival_us, r.start_lpn, r.completion_us) for r in requests],
-        sorted(ssd.stats.reservoir.values),
-        ssd.counters.as_dict(),
-        ftl_fingerprint(ssd.ftl, end),
-        ssd.controller.peak_outstanding,
-        ssd.engine.events_processed,
-    )
-
-
-@pytest.mark.parametrize("pause_index", [0, 7, 150, 299])
-def test_batch_joins_a_paused_run_in_arrival_order(pause_index):
-    """``run(a, until=T)`` then ``run(b)`` == one ``run(a + b)``: ``b``
-    interleaves with the unadmitted tail of ``a``, some of it ahead of
-    the arrival already posted."""
-    def halves():
-        trace = _float_trace(300, seed=5)
-        return trace[0::2], trace[1::2], trace
-
-    a, b, whole = halves()
-    one = _device()
-    one_summary = _summary(one, whole, one.run(a + b))
-
-    a, b, whole = halves()
-    two = _device()
-    pause = whole[pause_index].arrival_us
-    b_late = [r for r in b if r.arrival_us >= pause]
-    two.run(a + [r for r in b if r.arrival_us < pause], until=pause)
-    # paused past the last arrival of ``a``, there is no stream to join
-    assert (two.controller._stream is None) == (pause_index == 299)
-    assert two.engine.pending <= two.controller.outstanding + 1
-    end = two.run(b_late)
-    assert _summary(two, whole, end) == one_summary
-    assert two.controller._stream is None
+def test_batch_beside_an_armed_stream_is_refused():
+    """``run(a, until=T)`` then ``run(b)`` while ``a`` still holds
+    unadmitted requests: ``b`` is refused whole, nothing of ``a`` is
+    dropped, and a batch is taken again once ``a`` has drained."""
+    trace = _float_trace(300, seed=5)
+    ssd = _device()
+    ssd.run(trace[:200], until=trace[100].arrival_us)
+    with pytest.raises(StreamArmedError, match="unadmitted tail"):
+        ssd.run(trace[200:])
+    ssd.run()
+    assert ssd.stats.count == 200
+    assert all(r.completion_us < 0 for r in trace[200:])
+    ssd.run(_float_trace(100, seed=9, start=ssd.engine.now))
+    assert ssd.stats.count == 300 and ssd.controller._stream is None
 
 
 def _spy_on_arrivals(ssd):
@@ -189,20 +166,6 @@ def _spy_on_arrivals(ssd):
     return served
 
 
-def test_joining_batch_ties_go_behind_what_was_submitted_first():
-    ssd = _device()
-    served = _spy_on_arrivals(ssd)
-    ssd.run([IoRequest(0.0, 0, 1, IoOp.READ), IoRequest(500.0, 1, 1, IoOp.READ),
-             IoRequest(500.0, 2, 1, IoOp.READ), IoRequest(900.0, 3, 1, IoOp.READ)],
-            until=100.0)
-    # lpn 1 is posted; 300 us precedes it, the 500s and 900 go behind
-    # the first batch's requests of the same instant
-    ssd.run([IoRequest(900.0, 7, 1, IoOp.READ), IoRequest(500.0, 5, 1, IoOp.READ),
-             IoRequest(300.0, 4, 1, IoOp.READ), IoRequest(500.0, 6, 1, IoOp.READ)])
-    assert served == [0, 4, 1, 2, 5, 6, 3, 7]
-    assert ssd.stats.count == 8 and ssd.controller._stream is None
-
-
 def test_same_time_batch_keeps_submission_order():
     """The stable sort is what the heap's ``(time, seq)`` key did."""
     ssd = SimulatedSSD(GEOMETRY, TimingParams(), ftl="pagemap")
@@ -210,16 +173,6 @@ def test_same_time_batch_keeps_submission_order():
     ssd.run([IoRequest(3.0, lpn, 1, IoOp.WRITE) for lpn in (5, 2, 9, 0, 7)]
             + [IoRequest(1.0, 11, 1, IoOp.WRITE)])
     assert served == [11, 5, 2, 9, 0, 7]
-
-
-def test_batch_interleaves_with_single_submissions():
-    ssd = SimulatedSSD(GEOMETRY, TimingParams(), ftl="pagemap")
-    served = _spy_on_arrivals(ssd)
-    ssd.submit(IoRequest(5.0, 5, 1, IoOp.WRITE))
-    ssd.submit(IoRequest(15.0, 15, 1, IoOp.WRITE))
-    ssd.run([IoRequest(10.0, 10, 1, IoOp.WRITE), IoRequest(1.0, 1, 1, IoOp.WRITE),
-             IoRequest(20.0, 20, 1, IoOp.WRITE)])
-    assert served == [1, 5, 10, 15, 20]
 
 
 def test_empty_batch_is_a_noop_even_beside_an_armed_stream():
@@ -245,7 +198,7 @@ def test_arrival_before_the_clock_raises_before_anything_is_admitted():
         ssd.run(batch)
     assert ssd.engine.pending == 0
     assert ssd.controller._stream is None
-    assert not any(r.streamed for r in batch)
+    assert ssd.controller._stream_window == 0
     assert ssd.stats.count == 1
 
 
@@ -314,7 +267,8 @@ def test_exhausted_stream_may_be_followed_by_another():
     trace = _float_trace(30, seed=8)
     # paused between the last admission and its arrival: nothing is left
     ssd.run_stream(iter(trace), until=trace[-1].arrival_us - 1e-3)
-    assert ssd.controller._stream is not None and trace[-1].streamed
+    assert ssd.controller._stream is not None
+    assert ssd.controller._stream_last_arrival == trace[-1].arrival_us
     more = _float_trace(10, seed=9, start=trace[-1].arrival_us)
     ssd.run_stream(iter(more), queue_depth=4)
     assert ssd.stats.count == 40

@@ -84,16 +84,14 @@ def test_tick_cancelled_by_arrival(small_geometry):
     ssd.background_gc.idle_delay_us = 1000.0
     # first write completes -> idle -> tick armed at +1000; second write
     # arrives before that, so the tick must stand down
-    ssd.submit(IoRequest(0.0, 1, 1, IoOp.WRITE))
-    ssd.submit(IoRequest(500.0, 2, 1, IoOp.WRITE))
-    ssd.run()
+    ssd.run([IoRequest(0.0, 1, 1, IoOp.WRITE), IoRequest(500.0, 2, 1, IoOp.WRITE)])
     assert ssd.background_gc.stats.cancelled_ticks >= 0  # no crash path
 
 
 def test_outstanding_counts_arrived_requests(small_geometry):
     """Submitting a future request must not mark the device busy now."""
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    ssd.submit(IoRequest(10_000.0, 0, 1, IoOp.WRITE))
+    ssd.controller.submit_many([IoRequest(10_000.0, 0, 1, IoOp.WRITE)])
     assert ssd.controller.outstanding == 0
     ssd.run()
     assert ssd.controller.outstanding == 0

@@ -195,7 +195,6 @@ _BAD_COMBINATIONS = [
     (["--tenants", "2", "--replay", "trace.spc"],
      "--tenants generates per-tenant synthetic traffic; it does not compose with --replay"),
     (["--tenants", "2", "--crash-at-ms", "5"], "--tenants does not compose with --crash-at-ms"),
-    (["--iodepth", "4", "--crash-at-ms", "5"], "--crash-at-ms is not supported with --iodepth"),
     (["--iodepth", "4", "--queue-depth", "2"], "--queue-depth is not supported with --iodepth"),
     (["--iodepth", "4", "--tenants", "2"], "--tenants is not supported with --iodepth"),
 ]
@@ -316,6 +315,21 @@ def test_simulate_closed_loop_mode(capsys):
     out = capsys.readouterr().out
     assert "closed-loop iodepth=8" in out
     assert "IOPS" in out
+
+
+def test_simulate_closed_loop_composes_with_a_crash(capsys):
+    """Every arrival of a closed loop is 0, before any crash instant:
+    the requests in flight are lost and the unadmitted tail replays on
+    the recovered device."""
+    code = main(["simulate", "--capacity-mb", "16", "--requests", "200",
+                 "--iodepth", "8", "--crash-at-ms", "5", "--sanitize"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "closed-loop iodepth=8" in lines[0]
+    assert any(line.startswith("IOPS ") for line in lines)
+    assert any(line.startswith("crash: dropped_events ") for line in lines)
+    assert [line.split()[-1] for line in lines
+            if line.startswith("sanitizer: violations ")] == ["0"]
 
 
 def test_report_without_sweep_axis(tmp_path, capsys):

@@ -1,37 +1,40 @@
-"""Closed-loop (fixed queue depth) driving."""
+"""Closed-loop (fixed queue depth) driving: the admission window at
+``queue_depth=N`` over requests that all arrive at 0."""
+
+import random
+import re
 
 import pytest
 
-from repro.controller.closedloop import ClosedLoopDriver
+from repro.cli import main
 from repro.controller.device import SimulatedSSD
+from repro.sim.request import IoOp, IoRequest
 
 
-def simple_ops(n, stride=1, write=True):
-    return [((i * stride) % 400, 1, write) for i in range(n)]
+def simple_ops(n, write=True):
+    op = IoOp.WRITE if write else IoOp.READ
+    return [IoRequest(0.0, i % 400, 1, op) for i in range(n)]
+
+
+def closed_loop(ssd, requests, depth):
+    """Run ``requests`` at depth ``depth``; returns IOPS."""
+    end = ssd.run_stream(iter(requests), queue_depth=depth)
+    return ssd.stats.count / (end / 1e6)
 
 
 def test_all_ops_complete(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    driver = ClosedLoopDriver(ssd, simple_ops(200), iodepth=4)
-    result = driver.run()
-    assert result.completed == 200
-    assert result.pages_written == 200
-    assert result.iops > 0
+    iops = closed_loop(ssd, simple_ops(200), 4)
+    assert ssd.stats.count == 200
+    assert ssd.stats.pages_written == 200
+    assert iops > 0
     ssd.verify()
 
 
 def test_iodepth_respected(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    peak = [0]
-    original = ssd.controller._arrive
-
-    def spy(request):
-        original(request)
-        peak[0] = max(peak[0], ssd.controller.outstanding)
-
-    ssd.controller._arrive = spy
-    ClosedLoopDriver(ssd, simple_ops(100), iodepth=3).run()
-    assert peak[0] <= 3
+    closed_loop(ssd, simple_ops(100), 3)
+    assert ssd.controller.peak_outstanding == 3
 
 
 def test_deeper_queue_not_slower(small_geometry):
@@ -39,39 +42,52 @@ def test_deeper_queue_not_slower(small_geometry):
     results = {}
     for depth in (1, 8):
         ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-        result = ClosedLoopDriver(ssd, simple_ops(400), iodepth=depth).run()
-        results[depth] = result.iops
+        results[depth] = closed_loop(ssd, simple_ops(400), depth)
     assert results[8] >= results[1]
 
 
 def test_short_stream_below_iodepth(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    result = ClosedLoopDriver(ssd, simple_ops(2), iodepth=16).run()
-    assert result.completed == 2
+    closed_loop(ssd, simple_ops(2), 16)
+    assert ssd.stats.count == 2
+    assert ssd.controller.peak_outstanding == 2
 
 
-def test_bandwidth_calculation(small_geometry):
+def test_responses_run_from_time_zero(small_geometry):
+    """At depth 1 each request waits for its predecessor, and its
+    response is its completion time: every request arrived at 0."""
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    result = ClosedLoopDriver(ssd, simple_ops(100), iodepth=4).run()
-    mb_s = result.bandwidth_mb_s(small_geometry.page_size)
-    assert mb_s > 0
-    row = result.row(small_geometry.page_size)
-    assert "IOPS" in row and "MB/s" in row
+    requests = simple_ops(20)
+    closed_loop(ssd, requests, 1)
+    completions = [r.completion_us for r in requests]
+    assert completions == sorted(completions) and len(set(completions)) == 20
+    assert [r.response_us for r in requests] == completions
+
+
+def test_bandwidth_calculation(capsys):
+    """``simulate --iodepth`` reports IOPS and MB/s beside the usual rows."""
+    code = main(["simulate", "--ftl", "pagemap", "--capacity-mb", "16",
+                 "--requests", "100", "--precondition", "0", "--iodepth", "4"])
+    assert code == 0
+    rows = dict(re.split(r"\s{2,}", line.strip(), maxsplit=1)
+                for line in capsys.readouterr().out.splitlines()[3:])
+    assert float(rows["IOPS"]) > 0 and float(rows["MB/s"]) > 0
+    assert rows["stream: queue_depth"] == "4"
+    assert rows["stream: peak_outstanding"] == "4"
 
 
 def test_iodepth_validation(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="pagemap")
     with pytest.raises(ValueError):
-        ClosedLoopDriver(ssd, simple_ops(10), iodepth=0)
+        ssd.run_stream(iter(simple_ops(10)), queue_depth=0)
 
 
 def test_closed_loop_with_dloop_gc(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="dloop", cmt_entries=64)
     ssd.precondition(0.6)
-    import random
-
     rng = random.Random(9)
-    ops = [(rng.randrange(int(small_geometry.num_lpns * 0.6)), 1, True) for _ in range(800)]
-    result = ClosedLoopDriver(ssd, ops, iodepth=8).run()
-    assert result.completed == 800
+    requests = [IoRequest(0.0, rng.randrange(int(small_geometry.num_lpns * 0.6)), 1, IoOp.WRITE)
+                for _ in range(800)]
+    closed_loop(ssd, requests, 8)
+    assert ssd.stats.count == 800
     ssd.verify()

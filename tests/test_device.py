@@ -134,22 +134,6 @@ def test_power_cycle_loses_unflushed_buffer(small_geometry):
     ssd.verify()
 
 
-@pytest.mark.parametrize("stride", [2, 3, 4, 7, 16, 512])
-def test_precondition_strided_covers_distinct_lpns(small_geometry, stride):
-    """Strided preconditioning must honor fill_fraction for any stride.
-
-    Regression: the old ``(i * stride) % num_lpns`` walk cycles after
-    ``num_lpns / gcd(stride, num_lpns)`` steps — on this power-of-two
-    space stride=2 used to rewrite half the LPNs twice and cover only
-    50% of the requested fill.
-    """
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap")
-    ssd.precondition(0.5, stride=stride)
-    count = int(small_geometry.num_lpns * 0.5)
-    assert len(ssd.ftl.mapped_lpns()) == count
-    ssd.verify()
-
-
 def test_reset_measurements_clears_all_component_stats(small_geometry):
     """The measurement boundary must zero *every* stats accumulator:
     controller, FTL host counters, write buffer, and fault accounting —

@@ -162,24 +162,16 @@ def _replay_spec(n=1200):
     return small_spec(n=n, footprint_bytes=4 * MB, seed=11)
 
 
-def _byte_requests(ssd, trace):
-    """``trace`` page-aligned by :meth:`SimulatedSSD.byte_request`, as a list."""
-    capacity = ssd.geometry.capacity_bytes
-    requests = []
-    for r in trace:
-        offset = r.offset_bytes % capacity
-        size = min(r.size_bytes, capacity - offset)
-        requests.append(ssd.byte_request(
-            r.arrival_us, offset, size, IoOp.WRITE if r.is_write else IoOp.READ
-        ))
-    return requests
+def _page_aligned(trace):
+    """``trace`` page-aligned by :func:`io_requests`, as a list."""
+    return list(io_requests(trace, REPLAY_GEOMETRY))
 
 
 def _materialized_run(ftl_name):
     spec = _replay_spec()
     ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
     ssd.precondition(0.6)
-    end = ssd.run(_byte_requests(ssd, generate(spec)))
+    end = ssd.run(_page_aligned(generate(spec)))
     fp = ftl_fingerprint(ssd.ftl, end)
     fp.update(engine_fingerprint(ssd.engine))
     return fp, ssd.stats
@@ -239,8 +231,7 @@ def test_arrival_tying_an_older_completion():
         finally:
             BUS.unsubscribe(subscriber)
         return (names, ssd.controller.peak_outstanding,
-                [r.completion_us for r in requests], ftl_fingerprint(ssd.ftl, end),
-                [r.streamed for r in requests])
+                [r.completion_us for r in requests], ftl_fingerprint(ssd.ftl, end))
 
     listed = engine_events(lambda ssd, requests: ssd.run(requests))
     streamed = engine_events(
@@ -249,7 +240,6 @@ def test_arrival_tying_an_older_completion():
     assert listed[0] == ["_arrive_streamed", "_arrive_streamed", "_complete",
                          "_arrive_streamed", "_complete", "_complete"]
     assert listed[1] == 2
-    assert listed[4] == [True, True, True]
 
 
 @pytest.mark.parametrize("ftl_name", ["dloop", "dftl", "fast"])
@@ -328,7 +318,7 @@ def _list_replay_metrics(spec, config) -> dict:
     ssd = SimulatedSSD(config.geometry, config.timing, ftl=config.ftl,
                        **config.build_kwargs())
     ssd.precondition(config.precondition_fill)
-    ssd.run(_byte_requests(ssd, generate(spec)))
+    ssd.run(_page_aligned(generate(spec)))
     stats, counters = ssd.stats, ssd.counters
     moved = counters.programs + counters.copybacks + ssd.ftl.gc_stats.wasted_pages
     return {
@@ -665,7 +655,7 @@ def _shuffled_requests(n=600, seed=3):
     rng = random.Random(seed)
     trace = generate(spec)
     rng.shuffle(trace)
-    return _byte_requests(SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop"), trace)
+    return _page_aligned(trace)
 
 
 def test_unordered_stream_raises_by_default():
@@ -674,41 +664,10 @@ def test_unordered_stream_raises_by_default():
     ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
     ssd.precondition(0.6)
     with pytest.raises(StreamOrderError, match=r"streamed arrival [\d.]+ precedes "
-                       r"predecessor [\d.]+; sort the trace or pass "
-                       r"on_unordered='normalize'"):
+                       r"predecessor [\d.]+; sort the trace$"):
         ssd.run_stream(iter(_shuffled_requests()))
     # The aborted stream leaves no admission state behind.
     assert ssd.controller._stream is None
     assert ssd.controller._stream_depth is None
 
 
-def test_bad_on_unordered_rejected():
-    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
-    with pytest.raises(ValueError):
-        ssd.run_stream(iter(()), on_unordered="ignore")
-
-
-def test_normalized_stream_matches_materialized_clamped_trace():
-    """``on_unordered='normalize'`` clamps late arrivals up to the
-    running max — bit-identical to materializing the same trace with
-    ``np.maximum.accumulate`` over the arrivals and replaying it."""
-    streamed = _shuffled_requests()
-    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
-    ssd.precondition(0.6)
-    end = ssd.run_stream(iter(streamed), on_unordered="normalize")
-    fp = ftl_fingerprint(ssd.ftl, end)
-    fp.update(engine_fingerprint(ssd.engine))
-
-    materialized = _shuffled_requests()
-    arrivals = np.maximum.accumulate([r.arrival_us for r in materialized])
-    for request, arrival in zip(materialized, arrivals):
-        request.arrival_us = float(arrival)
-    ref = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
-    ref.precondition(0.6)
-    ref_end = ref.run(materialized)
-    ref_fp = ftl_fingerprint(ref.ftl, ref_end)
-    ref_fp.update(engine_fingerprint(ref.engine))
-
-    assert fp == ref_fp
-    assert ssd.stats.count == ref.stats.count
-    assert ssd.stats.overall == ref.stats.overall

@@ -357,8 +357,7 @@ def test_tenant_stream_equals_its_three_stage_composition(persona, amplitude):
         assert len(fused) == model.tenant_request_counts()[index]
         # == on IoRequest compares arrival (exact float), lpn, pages, op
         assert fused == composed
-        assert all(r.completion_us == -1.0 and r.tenant is None and not r.streamed
-                   for r in fused)
+        assert all(r.completion_us == -1.0 and r.tenant is None for r in fused)
 
 
 def test_tenant_stream_memory_is_o_chunk():

@@ -256,7 +256,7 @@ def test_extra_archetypes_replay():
     a device larger than the tiny unit-test fixture)."""
     from repro.controller.device import SimulatedSSD
     from repro.experiments.config import scaled_geometry
-    from repro.sim.request import IoOp
+    from repro.traces.stream import io_requests
     from repro.traces.synthetic import EXTRA_TRACE_NAMES
 
     geometry = scaled_geometry(2, scale=1 / 64)  # 32 MB, 2 KB pages
@@ -264,8 +264,5 @@ def test_extra_archetypes_replay():
         spec = make_workload(name, num_requests=300,
                              footprint_bytes=geometry.capacity_bytes // 2)
         ssd = SimulatedSSD(geometry, ftl="dloop")
-        for r in generate(spec):
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            ssd.submit(ssd.byte_request(r.arrival_us, r.offset_bytes, r.size_bytes, op))
-        ssd.run()
+        ssd.run(io_requests(generate(spec), geometry))
         ssd.verify()
